@@ -11,7 +11,8 @@ Commands:
 * ``verify``: run the built-in invariant suite.
 
 Every command accepts ``--config <file>`` with flat ``key = value`` lines
-(``#`` starts a comment); command-line flags override file values.  Exit
+(``#`` starts a comment); command-line flags override file values, and a
+key the command does not read is a usage error.  Exit
 status is 0 on success, 1 on runtime or verification failure, 2 on usage
 errors.
 """
@@ -46,6 +47,7 @@ from .pulsecompiler import (
 from .experiments import (
     INITIAL_STATE,
     SweepConfig,
+    _sweep_device,
     cnot_response,
     levels_table,
     run_sweep,
@@ -57,6 +59,14 @@ CSV_HEADER = "ratio,mode,amplitude,phase_rad,phase_deviation_rad,gate_distance,l
 
 _DEFAULT_PRECISION = 12
 _PRECISION_RANGE = (6, 17)
+# Config-file keys each command reads; any other key is a usage error.
+_CONFIG_KEYS = {
+    "levels": {"d1", "d2", "d12"},
+    "cnot": {"ratio", "mode"},
+    "sweep": {"min", "max", "sweep_min", "sweep_max", "points", "spacing",
+              "mode", "out", "baseline_ratio"},
+    "simulate": {"d12", "a1", "a2", "mode", "gates", "psi0", "tol"},
+}
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ class RunConfig:
 
     command: str
     precision: int = _DEFAULT_PRECISION
-    # levels / simulate device settings
+    # levels: d1, d2, d12; simulate: d12, a1, a2
     d1: float = None
     d2: float = None
     d12: float = None
@@ -227,6 +237,11 @@ def parse_args(argv):
             file_values = _load_config_file(config_path)
         except ValueError as exc:
             parser.error(str(exc))
+        allowed = _CONFIG_KEYS[ns.command] | {"precision"}
+        unknown = sorted(set(file_values) - allowed)
+        if unknown:
+            parser.error(f"{ns.command}: unknown config key '{unknown[0]}' "
+                         f"(accepted: {', '.join(sorted(allowed))})")
 
     def pick(key, cast, default=None, required=False):
         cli_value = getattr(ns, key, None)
@@ -320,8 +335,6 @@ def parse_args(argv):
         return RunConfig(
             command="simulate",
             precision=precision,
-            d1=pick("d1", float, default=0.0),
-            d2=pick("d2", float, default=0.0),
             d12=pick("d12", float, required=True),
             a1=pick("a1", float, default=1.0),
             a2=pick("a2", float, default=1.0),
@@ -373,10 +386,6 @@ def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
 # ---------------------------------------------------------------------------
 # verify: the built-in invariant suite
 # ---------------------------------------------------------------------------
-
-def _sweep_device(ratio):
-    return DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 1.0), ratio)
-
 
 def run_verify(stream=None):
     """Run the cross-module invariant checks; print a pass/fail table.
@@ -572,8 +581,9 @@ def _cmd_sweep(cfg: RunConfig):
 
 
 def _cmd_simulate(cfg: RunConfig):
+    # Idle levels stay at zero: the compiler sets every segment's detunings.
     device = DeviceParams(
-        QubitParams(cfg.d1, cfg.a1), QubitParams(cfg.d2, cfg.a2), cfg.d12
+        QubitParams(0.0, cfg.a1), QubitParams(0.0, cfg.a2), cfg.d12
     )
     schedule, _compiled = compile_schedule(cfg.gates, device, cfg.mode)
     psi0 = np.array(cfg.psi0, dtype=complex)

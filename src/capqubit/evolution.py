@@ -23,7 +23,7 @@ from .hamiltonian import (
     build_capacitive,
     build_dipole,
 )
-from .linalg import expm_unitary
+from .linalg import _require_finite, expm_unitary
 
 __all__ = [
     "PulseSegment",
@@ -35,11 +35,6 @@ __all__ = [
 ]
 
 _MODELS = ("capacitive", "dipole")
-
-
-def _require_finite(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ import numpy as np
 
 from .hamiltonian import DeviceParams, QubitParams, effective_levels
 from .evolution import propagate
-from .linalg import distance_up_to_global_phase, wrap_angle
+from .linalg import _require_finite, distance_up_to_global_phase, wrap_angle
 from .pulsecompiler import (
-    MODES,
     CompilationError,
     GateSpec,
+    _require_mode,
     compile_cnot,
     ideal_gate,
 )
@@ -43,11 +43,6 @@ INITIAL_STATE = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 _CNOT = ideal_gate(GateSpec("cnot"))
 _SPACINGS = ("log", "linear")
 _MAX_POINTS = 10**4
-
-
-def _require_finite(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,7 @@ class SweepConfig:
         if not modes:
             raise ValueError("at least one mode is required")
         for mode in modes:
-            if mode not in MODES:
-                raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+            _require_mode(mode)
         object.__setattr__(self, "modes", modes)
 
     def grid(self):

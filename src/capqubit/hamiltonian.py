@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _require_finite
+
 __all__ = [
     "QubitParams",
     "DeviceParams",
@@ -48,9 +50,9 @@ _Z1 = (1.0, 1.0, -1.0, -1.0)
 _Z2 = (1.0, -1.0, 1.0, -1.0)
 
 
-def _require_finite(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+def _require_qubit(qubit):
+    if qubit not in (1, 2):
+        raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +183,7 @@ def effective_levels(d: DeviceParams, qubit, neighbor_excited):
     s = +1 when the neighbor is excited, -1 when it is in the ground state.
     The excited/ground difference is therefore Delta_12/2.
     """
-    if qubit not in (1, 2):
-        raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
+    _require_qubit(qubit)
     delta = d.q1.delta if qubit == 1 else d.q2.delta
     quarter = d.delta12 / 4.0
     sign = 1.0 if neighbor_excited else -1.0

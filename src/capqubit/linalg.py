@@ -3,10 +3,9 @@
 Everything downstream -- propagators, gate distances, verification -- is
 built on three primitives:
 
-* ``eigh``: eigendecomposition of a Hermitian matrix by the cyclic complex
-  Jacobi method.  For the matrix sizes used here (dimension 2 and 4) Jacobi
-  converges quadratically in a handful of sweeps and gives orthonormal
-  eigenvectors to machine precision.
+* ``eigh``: eigendecomposition of a Hermitian matrix by LAPACK
+  (``np.linalg.eigh``) behind validation: square, finite, and Hermitian to
+  a relative 1e-12.  Eigenvalues ascend; eigenvectors are orthonormal.
 * ``expm_unitary``: the unitary exp(-i H t) assembled from the
   eigendecomposition, V diag(e^{-i lambda t}) V^dagger.
 * ``distance_up_to_global_phase``: Frobenius distance between two matrices
@@ -26,17 +25,19 @@ __all__ = [
     "wrap_angle",
 ]
 
-# Relative off-diagonal mass at which the Jacobi iteration is declared
-# converged, and the relative tolerance for accepting a matrix as Hermitian.
-_JACOBI_TOL = 1e-14
+# Relative tolerance for accepting a matrix as Hermitian.
 _HERMITIAN_RTOL = 1e-12
-_MAX_SWEEPS = 60
 
 
 def wrap_angle(x):
     """Reduce an angle in radians to the half-open interval (-pi, pi]."""
     # The trailing + 0.0 turns -0.0 into +0.0 so wrapped zeros print as "0".
     return -((-x + math.pi) % (2.0 * math.pi) - math.pi) + 0.0
+
+
+def _require_finite(name, value):
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _require_square(m):
@@ -55,21 +56,12 @@ def _require_hermitian(m):
         )
 
 
-def _off_diagonal_norm(a):
-    # Summed directly over the off-diagonal entries: the subtraction form
-    # ||A||^2 - ||diag||^2 has a cancellation floor ~eps*||A||^2 that a
-    # converged iteration can never get under.
-    d = np.abs(a) ** 2
-    np.fill_diagonal(d, 0.0)
-    return math.sqrt(d.sum())
-
-
 def eigh(matrix):
-    """Eigendecomposition of a Hermitian matrix via cyclic complex Jacobi.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
     Args:
-        matrix: square Hermitian array-like (validated; the worst violating
-            entry pair is named in the error if the check fails).
+        matrix: square Hermitian array-like with finite entries (validated;
+            the offending entry, or worst entry pair, is named in the error).
 
     Returns:
         (eigenvalues, eigenvectors): eigenvalues ascending as a real 1-D
@@ -78,54 +70,13 @@ def eigh(matrix):
     """
     m = np.asarray(matrix, dtype=complex)
     _require_square(m)
+    # LAPACK returns NaN eigenvalues for non-finite input instead of failing.
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"matrix entry ({i + 1},{j + 1}) is not finite: {m[i, j]}")
     _require_hermitian(m)
-    n = m.shape[0]
-    # Symmetrize roundoff so the working diagonal stays exactly real.
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    hnorm = np.linalg.norm(a)
-    if hnorm == 0.0 or n == 1:
-        return np.diag(a).real.copy(), v
-
-    for _ in range(_MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= _JACOBI_TOL * hnorm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-300:
-                    continue
-                # Factor the pivot phase out, then the rotation angle is the
-                # classic real-symmetric Jacobi choice (smaller root).
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Plane rotation J: J[p,p]=c, J[p,q]=s, J[q,p]=-s*conj(phase),
-                # J[q,q]=c*conj(phase); update A <- J^dagger A J, V <- V J.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * phase.conjugate() * col_q
-                a[:, q] = s * col_p + c * phase.conjugate() * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * phase.conjugate() * vcol_q
-                v[:, q] = s * vcol_p + c * phase.conjugate() * vcol_q
-    else:
-        raise RuntimeError(
-            f"Jacobi eigensolver failed to converge in {_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {_off_diagonal_norm(a):.3e})"
-        )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    # LAPACK reads only one triangle, so hand it the Hermitian part.
+    return np.linalg.eigh((m + m.conj().T) / 2.0)
 
 
 def expm_unitary(hamiltonian, t):
@@ -134,8 +85,7 @@ def expm_unitary(hamiltonian, t):
     Computed spectrally: V diag(e^{-i lambda t}) V^dagger from ``eigh``.
     Negative durations are rejected -- schedules only move forward in time.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise ValueError(f"duration must be a finite real number, got {t!r}")
+    _require_finite("duration", t)
     if t < 0.0:
         raise ValueError(f"duration must be nonnegative, got {t}")
     w, v = eigh(hamiltonian)

@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import PulseSegment, Schedule, propagate
-from .hamiltonian import DeviceParams
-from .linalg import distance_up_to_global_phase, wrap_angle
+from .hamiltonian import DeviceParams, _require_qubit
+from .linalg import _require_finite, distance_up_to_global_phase, wrap_angle
 
 __all__ = [
     "CompilationError",
@@ -70,7 +70,7 @@ GATE_KINDS = ("rx", "ry", "rz", "zz", "cnot")
 
 # Parked qubits must sit at least this many drive strengths away from
 # resonance (in units of their own a).
-DEFAULT_PARKING_FLOOR = 10.0
+_PARKING_FLOOR = 10.0
 # Always-on admissibility caps: maximum tolerated spin-flip probability of a
 # parked qubit per block (evaluated on both neighbor-state branches) and
 # maximum leakage of the exactly solved qubit.
@@ -91,19 +91,9 @@ class CompilationError(ValueError):
     """A gate request cannot be realized on the given device/mode."""
 
 
-def _require_finite(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-
-
 def _require_mode(mode):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _require_qubit(qubit):
-    if qubit not in (1, 2):
-        raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
 
 
 @dataclass(frozen=True)
@@ -419,8 +409,7 @@ def _full_cycle_parking(a, t, shift, floor_abs):
 # ---------------------------------------------------------------------------
 
 def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
-                       ledger: PhaseLedger = None,
-                       parking_floor=DEFAULT_PARKING_FLOOR):
+                       ledger: PhaseLedger = None):
     """Compile R_x(angle) on one qubit into a resonant drive segment.
 
     The driven qubit sits at Delta = 0 with its device drive strength for a
@@ -462,7 +451,7 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
     if mode == "always_on" and a_spec > 0.0:
         amps[spectator - 1] = a_spec
         deltas[spectator - 1] = _full_cycle_parking(
-            a_spec, t, device.delta12 / 4.0, parking_floor * a_spec
+            a_spec, t, device.delta12 / 4.0, _PARKING_FLOOR * a_spec
         )
         # The full cycle nulls the spectator's net z phase, so only the
         # driven qubit books surplus.
@@ -490,8 +479,7 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
 
 
 def compile_y_rotation(qubit, angle, device: DeviceParams, mode,
-                       ledger: PhaseLedger = None,
-                       parking_floor=DEFAULT_PARKING_FLOOR):
+                       ledger: PhaseLedger = None):
     """Compile R_y(angle) = R_z(pi/2) R_x(angle) R_z(-pi/2) with the two z
     rotations folded into the ledger (virtual z); only the x segment is
     physical.  The brackets become sound once adjacent phase blocks discharge
@@ -500,7 +488,7 @@ def compile_y_rotation(qubit, angle, device: DeviceParams, mode,
     if ledger is None:
         ledger = PhaseLedger()
     leading = ledger.request_z(qubit, -_HALF_PI)
-    core = compile_x_rotation(qubit, angle, device, mode, leading, parking_floor)
+    core = compile_x_rotation(qubit, angle, device, mode, leading)
     after = core.ledger_after.request_z(qubit, _HALF_PI)
     intended = ideal_gate(GateSpec("ry", qubit, angle))
     return CompiledGate(core.segments, intended, after)
@@ -524,8 +512,7 @@ def compile_z_rotation(qubit, angle, ledger: PhaseLedger = None):
 
 
 def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
-                        mode, ledger: PhaseLedger = None,
-                        parking_floor=DEFAULT_PARKING_FLOOR):
+                        mode, ledger: PhaseLedger = None):
     """Compile one phase block delivering z angles theta_z1/theta_z2 and a zz
     angle theta_zz, absorbing all ledger pendings.
 
@@ -583,14 +570,14 @@ def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
             # the zz angle then lands on the complementary branch.
             beta = wrap_angle(th2 + sign * reduced)
             delta2 = _exact_detuning(
-                beta, a2, t, d12 / 2.0, parking_floor * a2, _LEAK_CAP
+                beta, a2, t, d12 / 2.0, _PARKING_FLOOR * a2, _LEAK_CAP
             )
         else:
             delta2 = th2 / (2.0 * t) - shift
         if a1 > 0.0:
             sep = _SEPARATION_MIN * max(a1, a2)
             delta1 = None
-            for cand in _booked_candidates(th1, t, shift, parking_floor * a1):
+            for cand in _booked_candidates(th1, t, shift, _PARKING_FLOOR * a1):
                 if (_leakage(cand, a1, t) > _FLIP_CAP
                         or _leakage(cand + d12 / 2.0, a1, t) > _FLIP_CAP):
                     continue
@@ -602,7 +589,7 @@ def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
                 raise CompilationError(
                     f"no admissible always-on parking for qubit 1 within "
                     f"k <= {_K_MAX} (theta {th1:.4f} rad, duration {t:.4f}, "
-                    f"floor {parking_floor * a1:.4f})"
+                    f"floor {_PARKING_FLOOR * a1:.4f})"
                 )
         else:
             delta1 = th1 / (2.0 * t) - shift
@@ -623,8 +610,7 @@ def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
 
 
 def compile_cnot_gates(device: DeviceParams, mode,
-                       ledger: PhaseLedger = None,
-                       parking_floor=DEFAULT_PARKING_FLOOR):
+                       ledger: PhaseLedger = None):
     """The CNOT pulse sequence as its four compiled pieces (time order).
 
     Control is qubit 1, target qubit 2.  The sequence is the NMR-style
@@ -645,26 +631,23 @@ def compile_cnot_gates(device: DeviceParams, mode,
         )
     if ledger is None:
         ledger = PhaseLedger()
-    g1 = compile_x_rotation(2, -_HALF_PI, device, mode, ledger, parking_floor)
+    g1 = compile_x_rotation(2, -_HALF_PI, device, mode, ledger)
     g2 = compile_phase_block(-_HALF_PI, _HALF_PI, _HALF_PI, device, mode,
-                             g1.ledger_after, parking_floor)
-    g3 = compile_x_rotation(2, _HALF_PI, device, mode, g2.ledger_after,
-                            parking_floor)
+                             g1.ledger_after)
+    g3 = compile_x_rotation(2, _HALF_PI, device, mode, g2.ledger_after)
     g4 = compile_phase_block(0.0, _HALF_PI, _HALF_PI, device, mode,
-                             g3.ledger_after, parking_floor)
+                             g3.ledger_after)
     return (g1, g2, g3, g4)
 
 
-def compile_cnot(device: DeviceParams, mode,
-                 parking_floor=DEFAULT_PARKING_FLOOR):
+def compile_cnot(device: DeviceParams, mode):
     """Compile the full CNOT into an executable Schedule."""
-    gates = compile_cnot_gates(device, mode, None, parking_floor)
+    gates = compile_cnot_gates(device, mode)
     segments = tuple(seg for g in gates for seg in g.segments)
     return Schedule(segments=segments, device=device, model="capacitive")
 
 
-def compile_schedule(gates, device: DeviceParams, mode,
-                     parking_floor=DEFAULT_PARKING_FLOOR):
+def compile_schedule(gates, device: DeviceParams, mode):
     """Compile a list of GateSpec requests into one Schedule.
 
     Gates share a single ledger.  A drive segment mixes the rotation axes,
@@ -682,33 +665,29 @@ def compile_schedule(gates, device: DeviceParams, mode,
         if not isinstance(spec, GateSpec):
             raise ValueError(f"expected GateSpec, got {spec!r}")
         if spec.kind in ("rx", "cnot") and not ledger.is_phase_neutral:
-            settle = compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger,
-                                         parking_floor)
+            settle = compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger)
             compiled.append(settle)
             ledger = settle.ledger_after
         if spec.kind == "rx":
-            g = compile_x_rotation(spec.qubit, spec.angle, device, mode,
-                                   ledger, parking_floor)
+            g = compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger)
         elif spec.kind == "ry":
             # The leading virtual-z bracket must act before the drive, so it
             # is discharged into a block of its own; the trailing bracket
             # stays pending for whatever follows.
             leading = ledger.request_z(spec.qubit, -_HALF_PI)
-            settle = compile_phase_block(0.0, 0.0, 0.0, device, mode, leading,
-                                         parking_floor)
+            settle = compile_phase_block(0.0, 0.0, 0.0, device, mode, leading)
             compiled.append(settle)
             core = compile_x_rotation(spec.qubit, spec.angle, device, mode,
-                                      settle.ledger_after, parking_floor)
+                                      settle.ledger_after)
             compiled.append(core)
             ledger = core.ledger_after.request_z(spec.qubit, _HALF_PI)
             continue
         elif spec.kind == "rz":
             g = compile_z_rotation(spec.qubit, spec.angle, ledger)
         elif spec.kind == "zz":
-            g = compile_phase_block(0.0, 0.0, spec.angle, device, mode,
-                                    ledger, parking_floor)
+            g = compile_phase_block(0.0, 0.0, spec.angle, device, mode, ledger)
         else:  # cnot
-            pieces = compile_cnot_gates(device, mode, ledger, parking_floor)
+            pieces = compile_cnot_gates(device, mode, ledger)
             compiled.extend(pieces)
             ledger = pieces[-1].ledger_after
             continue
@@ -716,8 +695,7 @@ def compile_schedule(gates, device: DeviceParams, mode,
         ledger = g.ledger_after
 
     if not ledger.is_phase_neutral:
-        closing = compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger,
-                                      parking_floor)
+        closing = compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger)
         compiled.append(closing)
         ledger = closing.ledger_after
 

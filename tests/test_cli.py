@@ -322,3 +322,49 @@ def test_main_simulate_compile_failure_returns_1(tmp_path, capsys):
     path = write_config(tmp_path, "d12 = 0.1\na1 = 0\ngates = rx1:90deg\n")
     assert main(["simulate", "--config", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# config keys: only the keys a command reads are accepted
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("levels", "d1 = 1\nd2 = 2\nd12 = 0.4\n"),
+        ("cnot", "ratio = 0.01\n"),
+        ("sweep", "min = 0.01\nmax = 0.05\n"),
+        ("simulate", "d12 = 0.001\ngates = cnot\n"),
+    ],
+)
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, text):
+    path = write_config(tmp_path, text + "bogus_key = 7\n")
+    with pytest.raises(SystemExit) as err:
+        parse_args([command, "--config", path])
+    assert err.value.code == 2
+    assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["d1", "d2"])
+def test_simulate_rejects_idle_detuning_keys(tmp_path, capsys, key):
+    # The compiler sets every segment's detunings itself, so idle detunings
+    # in a simulate config would be silently ignored.
+    path = write_config(tmp_path, f"d12 = 0.001\ngates = cnot\n{key} = 3\n")
+    with pytest.raises(SystemExit) as err:
+        parse_args(["simulate", "--config", path])
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_config_key_of_another_command_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "d1 = 1\nd2 = 2\nd12 = 0.4\nratio = 0.1\n")
+    with pytest.raises(SystemExit) as err:
+        parse_args(["levels", "--config", path])
+    assert err.value.code == 2
+    assert "ratio" in capsys.readouterr().err
+
+
+def test_parse_sweep_accepts_long_range_keys(tmp_path):
+    path = write_config(tmp_path, "sweep_min = 0.02\nsweep_max = 0.4\n")
+    cfg = parse_args(["sweep", "--config", path])
+    assert (cfg.sweep_min, cfg.sweep_max) == (0.02, 0.4)

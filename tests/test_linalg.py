@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capqubit.linalg import (
     distance_up_to_global_phase,
@@ -239,3 +241,66 @@ def test_distance_resolves_tiny_differences():
 def test_distance_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         distance_up_to_global_phase(np.eye(2), np.eye(4))
+
+
+# ---------------------------------------------------------------------------
+# non-finite input and degenerate spectra
+# ---------------------------------------------------------------------------
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+def test_eigh_and_expm_reject_non_finite_entries(bad, where):
+    h = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
+    if where == "diagonal":
+        h[1, 1] = bad
+    else:
+        h[0, 2] = h[2, 0] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        eigh(h)
+    with pytest.raises(ValueError, match="not finite"):
+        expm_unitary(h, 0.5)
+
+
+def _haar_unitary(seed, n=4):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# Four eigenvalues drawn from at most three distinct values, so every
+# spectrum has a repeated eigenvalue; `rotate` False keeps the matrix
+# diagonal, the shape of a gated phase block.
+_spectra = st.lists(
+    st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=3
+).flatmap(
+    lambda values: st.lists(st.sampled_from(values), min_size=4, max_size=4)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    w=_spectra,
+    seed=st.integers(0, 2**32 - 1),
+    rotate=st.booleans(),
+    times=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+)
+@example(w=[0.0, 0.0, 0.0, 0.0], seed=0, rotate=True, times=(1.0, 2.0))
+@example(w=[0.3, 0.0, 0.0, 0.0], seed=0, rotate=False, times=(1.0, 2.0))
+def test_eigh_degenerate_spectra(w, seed, rotate, times):
+    v0 = _haar_unitary(seed) if rotate else np.eye(4, dtype=complex)
+    h = (v0 * np.asarray(w)) @ v0.conj().T
+    h = (h + h.conj().T) / 2.0
+    scale = 1.0 + np.linalg.norm(h)
+    vals, v = eigh(h)
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.allclose(vals, np.sort(w), atol=1e-12 * scale)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= ORTH_TOL
+    assert np.linalg.norm((v * vals) @ v.conj().T - h) <= RECON_TOL * scale
+    t1, t2 = times
+    u12 = expm_unitary(h, t1 + t2)
+    assert np.linalg.norm(expm_unitary(h, t2) @ expm_unitary(h, t1) - u12) <= GROUP_TOL
+    assert not np.any(np.isnan(u12))
