@@ -12,6 +12,8 @@ The package is organised as a small stack:
   accounting, pulse synthesis for rotations and phase blocks, and the CNOT
   sequence.
 * :mod:`capqubit.experiments` — canned device sweeps of the CNOT response.
+* :mod:`capqubit.checks` — the invariants and their tolerances, each stated
+  once; ``capqubit verify`` and the acceptance tests both use them.
 * :mod:`capqubit.cli` — command-line front end (``capqubit``).
 
 Basis ordering everywhere is |11>, |10>, |01>, |00> (first label = qubit 1),

@@ -8,7 +8,7 @@ Commands:
   sweep, emitted as deterministic CSV.
 * ``simulate --config <file>``: compile an explicit gate list from a config
   file, run it, and report the final state plus a verification summary.
-* ``verify``: run the built-in invariant suite.
+* ``verify``: run the invariant suite of :mod:`capqubit.checks`.
 
 Every command accepts ``--config <file>`` with flat ``key = value`` lines
 (``#`` starts a comment); command-line flags override file values, and a
@@ -24,36 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (
-    DeviceParams,
-    QubitParams,
-    build_capacitive,
-    build_capacitive_pauli_form,
-    effective_levels,
-)
-from .evolution import propagate, propagate_rk4
-from .linalg import distance_up_to_global_phase, eigh
-from .pulsecompiler import (
-    MODES,
-    GateSpec,
-    compile_cnot,
-    compile_cnot_gates,
-    compile_phase_block,
-    compile_schedule,
-    ideal_composition,
-    ideal_gate,
-    verify_schedule,
-)
-from .experiments import (
-    INITIAL_STATE,
-    SweepConfig,
-    _sweep_device,
-    cnot_response,
-    levels_table,
-    run_sweep,
-)
+from .checks import ideal_product, run_verify
+from .evolution import propagate
+from .hamiltonian import DeviceParams, QubitParams
+from .pulsecompiler import MODES, GateSpec, compile_schedule, verify_schedule
+from .experiments import SweepConfig, cnot_response, levels_table, run_sweep
 
-__all__ = ["RunConfig", "parse_args", "emit_csv", "run_verify", "main"]
+__all__ = ["RunConfig", "parse_args", "emit_csv", "main"]
 
 CSV_HEADER = "ratio,mode,amplitude,phase_rad,phase_deviation_rad,gate_distance,leakage"
 
@@ -95,6 +72,12 @@ class RunConfig:
     gates: tuple = None
     psi0: tuple = None
     tol: float = None
+
+
+def _check_precision(precision):
+    lo, hi = _PRECISION_RANGE
+    if not (lo <= int(precision) <= hi):
+        raise ValueError(f"precision must be in [{lo}, {hi}], got {precision}")
 
 
 def _fmt(value, precision):
@@ -258,9 +241,10 @@ def parse_args(argv):
         return default
 
     precision = pick("precision", int, default=_DEFAULT_PRECISION)
-    lo, hi = _PRECISION_RANGE
-    if not (lo <= precision <= hi):
-        parser.error(f"precision must be in [{lo}, {hi}], got {precision}")
+    try:
+        _check_precision(precision)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if ns.command == "levels":
         return RunConfig(
@@ -282,16 +266,16 @@ def parse_args(argv):
         return RunConfig(command="cnot", precision=precision, ratio=ratio, mode=mode)
 
     if ns.command == "sweep":
-        sweep_min = ns.sweep_min
-        if sweep_min is None:
-            sweep_min = pick("min", float, required=False)
-        if sweep_min is None:
-            sweep_min = pick("sweep_min", float, required=True)
-        sweep_max = ns.sweep_max
-        if sweep_max is None:
-            sweep_max = pick("max", float, required=False)
-        if sweep_max is None:
-            sweep_max = pick("sweep_max", float, required=True)
+        def pick_bound(short, long):
+            # `min`/`max` are config spellings of `sweep_min`/`sweep_max`.
+            if short in file_values and long in file_values:
+                parser.error(f"sweep: config sets both '{short}' and '{long}'; keep one")
+            if getattr(ns, long) is None and short in file_values:
+                return pick(short, float)
+            return pick(long, float, required=True)
+
+        sweep_min = pick_bound("min", "sweep_min")
+        sweep_max = pick_bound("max", "sweep_max")
         points = pick("points", int, default=50)
         spacing = pick("spacing", str, default="log")
         baseline = pick("baseline_ratio", float, default=1e-3)
@@ -357,9 +341,7 @@ def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
     rows = list(rows)
     if not rows:
         raise ValueError("emit_csv requires at least one row")
-    lo, hi = _PRECISION_RANGE
-    if not (lo <= int(precision) <= hi):
-        raise ValueError(f"precision must be in [{lo}, {hi}], got {precision}")
+    _check_precision(precision)
     ordered = sorted(rows, key=lambda r: (r.mode, r.ratio))
     lines = [CSV_HEADER]
     for r in ordered:
@@ -381,158 +363,6 @@ def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {destination}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# verify: the built-in invariant suite
-# ---------------------------------------------------------------------------
-
-def run_verify(stream=None):
-    """Run the cross-module invariant checks; print a pass/fail table.
-
-    Returns 0 iff every check passes; on failure the first failing check is
-    named in the summary line.
-    """
-    out = stream if stream is not None else sys.stdout
-    failures = []
-
-    def report(name, ok, detail=""):
-        line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail:
-            line += f"  [{detail}]"
-        print(line, file=out)
-        if not ok:
-            failures.append(name)
-
-    rng = np.random.default_rng(20250814)
-
-    # Hamiltonian identity: the two capacitive constructions must agree
-    # entry for entry.
-    worst = 0.0
-    worst_entry = (0, 0)
-    for _ in range(2000):
-        d1, d2, d12 = rng.uniform(-5.0, 5.0, 3)
-        a1, a2 = rng.uniform(0.0, 5.0, 2)
-        dev = DeviceParams(QubitParams(d1, a1), QubitParams(d2, a2), d12)
-        diff = np.abs(build_capacitive(dev) - build_capacitive_pauli_form(dev))
-        idx = np.unravel_index(np.argmax(diff), diff.shape)
-        if diff[idx] > worst:
-            worst, worst_entry = float(diff[idx]), idx
-    report(
-        "hamiltonian identity, tensor vs pauli form (2000 draws)",
-        worst <= 1e-15,
-        f"max diff {worst:.2e} at entry ({worst_entry[0] + 1},{worst_entry[1] + 1})",
-    )
-
-    # Effective levels vs diagonal differences (dyadic draws keep all
-    # arithmetic exact).
-    levels_ok = True
-    for _ in range(500):
-        d1, d2, d12 = rng.integers(-320, 321, 3) / 64.0
-        dev = DeviceParams(QubitParams(d1, 0.0), QubitParams(d2, 0.0), d12)
-        h = build_capacitive(dev)
-        pairs = (
-            ((h[0, 0] - h[2, 2]).real / 2.0, effective_levels(dev, 1, True)),
-            ((h[1, 1] - h[3, 3]).real / 2.0, effective_levels(dev, 1, False)),
-            ((h[0, 0] - h[1, 1]).real / 2.0, effective_levels(dev, 2, True)),
-            ((h[2, 2] - h[3, 3]).real / 2.0, effective_levels(dev, 2, False)),
-        )
-        if any(a != b for a, b in pairs):
-            levels_ok = False
-            break
-    report("effective levels match diagonal differences (500 dyadic draws)", levels_ok)
-
-    # Eigensolver: orthonormal vectors, faithful reconstruction.
-    worst_orth = 0.0
-    worst_recon = 0.0
-    eye = np.eye(4)
-    for _ in range(200):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (m + m.conj().T) / 2.0
-        w, v = eigh(h)
-        worst_orth = max(worst_orth, float(np.linalg.norm(v.conj().T @ v - eye)))
-        worst_recon = max(
-            worst_recon,
-            float(np.linalg.norm((v * w) @ v.conj().T - h) / (1.0 + np.linalg.norm(h))),
-        )
-    report(
-        "eigensolver orthonormality and reconstruction (200 draws)",
-        worst_orth <= 1e-12 and worst_recon <= 1e-12,
-        f"orth {worst_orth:.2e}, recon {worst_recon:.2e}",
-    )
-
-    # Propagator unitarity and norm conservation on random schedules.
-    from .evolution import PulseSegment, Schedule  # local to keep import list short
-
-    worst_unit = 0.0
-    worst_drift = 0.0
-    for _ in range(30):
-        dev = DeviceParams(
-            QubitParams(rng.uniform(-2, 2), rng.uniform(0, 2)),
-            QubitParams(rng.uniform(-2, 2), rng.uniform(0, 2)),
-            rng.uniform(-2, 2),
-        )
-        segs = tuple(
-            PulseSegment(
-                duration=rng.uniform(0.1, 2.0),
-                delta1=rng.uniform(-2, 2),
-                delta2=rng.uniform(-2, 2),
-                a1=rng.uniform(0, 2),
-                a2=rng.uniform(0, 2),
-            )
-            for _ in range(rng.integers(1, 5))
-        )
-        res = propagate(Schedule(segs, dev), INITIAL_STATE)
-        u = res.total_propagator
-        worst_unit = max(worst_unit, float(np.linalg.norm(u.conj().T @ u - eye)))
-        worst_drift = max(worst_drift, res.norm_drift)
-    report(
-        "propagator unitarity and norm conservation (30 random schedules)",
-        worst_unit <= 1e-9 and worst_drift <= 1e-9,
-        f"unitarity {worst_unit:.2e}, drift {worst_drift:.2e}",
-    )
-
-    # Ideal CNOT composition: the compiled sequence's intended unitaries
-    # must multiply to the CNOT matrix up to a global phase.
-    gates = compile_cnot_gates(_sweep_device(0.05), "gated")
-    cnot = ideal_gate(GateSpec("cnot"))
-    comp_dist = distance_up_to_global_phase(ideal_composition(gates), cnot)
-    report("ideal CNOT composition", comp_dist <= 1e-10, f"distance {comp_dist:.2e}")
-
-    # Phase-block convention: the worked block example must land the
-    # documented diagonal phases exactly.
-    block_dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 1.0), 0.25)
-    block = compile_phase_block(-math.pi / 2, math.pi / 2, math.pi / 2,
-                                block_dev, "gated")
-    sched = Schedule(block.segments, block_dev)
-    u = propagate(sched, INITIAL_STATE).total_propagator
-    expected = np.array([-math.pi / 2, math.pi / 2, -math.pi / 2, -math.pi / 2])
-    phases = np.angle(np.diag(u))
-    off_mass = float(np.linalg.norm(u - np.diag(np.diag(u))))
-    phase_err = float(np.max(np.abs(phases - expected)))
-    report(
-        "phase block diagonal phases",
-        off_mass <= 1e-12 and phase_err <= 1e-12,
-        f"off-diagonal {off_mass:.2e}, phase err {phase_err:.2e}",
-    )
-
-    # Integrator cross-check: exact evolver vs RK4 on the CNOT schedule.
-    schedule = compile_cnot(_sweep_device(0.05), "gated")
-    dt = schedule.total_duration / 1e5
-    exact = propagate(schedule, INITIAL_STATE).final_state
-    approx = propagate_rk4(schedule, INITIAL_STATE, dt)
-    rk4_err = float(np.linalg.norm(exact - approx))
-    report(
-        "integrator cross-check, CNOT at coupling 0.05 (dt = T/1e5)",
-        rk4_err <= 1e-6,
-        f"state error {rk4_err:.2e}",
-    )
-
-    if failures:
-        print(f"\nFAILED: {failures[0]}", file=out)
-        return 1
-    print("\nall checks passed", file=out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +419,7 @@ def _cmd_simulate(cfg: RunConfig):
     psi0 = np.array(cfg.psi0, dtype=complex)
     result = propagate(schedule, psi0)
 
-    target = np.eye(4, dtype=complex)
-    for spec in cfg.gates:
-        target = ideal_gate(spec) @ target
-    report = verify_schedule(schedule, target, cfg.tol)
+    report = verify_schedule(schedule, ideal_product(cfg.gates), cfg.tol)
 
     p = cfg.precision
     print(f"segments = {len(schedule.segments)}")

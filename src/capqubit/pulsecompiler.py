@@ -401,7 +401,10 @@ def _full_cycle_parking(a, t, shift, floor_abs):
     om_min = math.hypot(floor_abs + 0.5 * a + abs(shift), a)
     m = math.ceil(om_min * t / math.pi)
     om = math.pi * m / t
-    return math.sqrt(om * om - a * a) - shift
+    delta = math.sqrt(om * om - a * a) - shift
+    if not math.isfinite(delta):
+        raise CompilationError(f"pulse of duration {t:.3g} too short to park the spectator")
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +483,20 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
 
 def compile_y_rotation(qubit, angle, device: DeviceParams, mode,
                        ledger: PhaseLedger = None):
-    """Compile R_y(angle) = R_z(pi/2) R_x(angle) R_z(-pi/2) with the two z
-    rotations folded into the ledger (virtual z); only the x segment is
-    physical.  The brackets become sound once adjacent phase blocks discharge
-    them at their proper time slots, as the CNOT sequence does.
+    """Compile R_y(angle) = R_z(pi/2) R_x(angle) R_z(-pi/2), brackets virtual.
+
+    The leading bracket must act before the drive, so a settle block
+    delivers it (with anything else pending) ahead of the x pulse; the
+    trailing bracket stays pending for whatever follows to deliver.
     """
     if ledger is None:
         ledger = PhaseLedger()
-    leading = ledger.request_z(qubit, -_HALF_PI)
-    core = compile_x_rotation(qubit, angle, device, mode, leading)
-    after = core.ledger_after.request_z(qubit, _HALF_PI)
-    intended = ideal_gate(GateSpec("ry", qubit, angle))
-    return CompiledGate(core.segments, intended, after)
+    settle = compile_phase_block(0.0, 0.0, 0.0, device, mode,
+                                 ledger.request_z(qubit, -_HALF_PI))
+    core = compile_x_rotation(qubit, angle, device, mode, settle.ledger_after)
+    return CompiledGate(settle.segments + core.segments,
+                        core.intended_unitary @ settle.intended_unitary,
+                        core.ledger_after.request_z(qubit, _HALF_PI))
 
 
 def compile_z_rotation(qubit, angle, ledger: PhaseLedger = None):
@@ -652,9 +657,9 @@ def compile_schedule(gates, device: DeviceParams, mode):
 
     Gates share a single ledger.  A drive segment mixes the rotation axes,
     so any pending z/zz phase must be physically settled before one starts:
-    a discharge block is inserted ahead of every rx/ry/cnot whose incoming
-    ledger is not phase-neutral (this is what makes a standalone ry, whose
-    leading virtual-z bracket must act before its x pulse, compose soundly).
+    a discharge block is inserted ahead of every rx/cnot whose incoming
+    ledger is not phase-neutral, and an ry's own settle block does the same
+    (see ``compile_y_rotation``).
     After the last gate any residual pending phase is discharged into a
     closing block.  Returns (schedule, compiled_gates) including any
     inserted discharge blocks.
@@ -671,17 +676,7 @@ def compile_schedule(gates, device: DeviceParams, mode):
         if spec.kind == "rx":
             g = compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger)
         elif spec.kind == "ry":
-            # The leading virtual-z bracket must act before the drive, so it
-            # is discharged into a block of its own; the trailing bracket
-            # stays pending for whatever follows.
-            leading = ledger.request_z(spec.qubit, -_HALF_PI)
-            settle = compile_phase_block(0.0, 0.0, 0.0, device, mode, leading)
-            compiled.append(settle)
-            core = compile_x_rotation(spec.qubit, spec.angle, device, mode,
-                                      settle.ledger_after)
-            compiled.append(core)
-            ledger = core.ledger_after.request_z(spec.qubit, _HALF_PI)
-            continue
+            g = compile_y_rotation(spec.qubit, spec.angle, device, mode, ledger)
         elif spec.kind == "rz":
             g = compile_z_rotation(spec.qubit, spec.angle, ledger)
         elif spec.kind == "zz":

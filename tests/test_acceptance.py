@@ -1,35 +1,24 @@
 """Acceptance gate: the eight end-to-end claims this package is built to.
 
 Each test states one claim with its tolerance pinned; `pytest -v` gives the
-one-line pass/fail verdict per criterion.  The amplitude/phase thresholds in
-criteria 5 and 6 are calibrated values recorded with the build, not free
-parameters.
+one-line pass/fail verdict per criterion.  Criteria 1-4 measure with the
+functions of `capqubit.checks` and compare against its tolerances, the ones
+`capqubit verify` uses, on draws of their own.  The amplitude/phase
+thresholds in criteria 5 and 6 are calibrated values recorded with the
+build, not free parameters.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
+from capqubit import checks
 from capqubit.cli import main
-from capqubit.evolution import PulseSegment, Schedule, propagate, propagate_rk4
+from capqubit.evolution import PulseSegment, Schedule
 from capqubit.experiments import SweepConfig, cnot_response, run_sweep
-from capqubit.hamiltonian import (
-    DeviceParams,
-    QubitParams,
-    build_capacitive,
-    build_capacitive_pauli_form,
-    effective_levels,
-)
-from capqubit.linalg import distance_up_to_global_phase
-from capqubit.pulsecompiler import (
-    GateSpec,
-    compile_cnot,
-    compile_cnot_gates,
-    ideal_composition,
-    ideal_gate,
-)
+from capqubit.hamiltonian import DeviceParams, QubitParams
+from capqubit.pulsecompiler import GateSpec, compile_cnot, compile_cnot_gates
 
 KET_11 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -56,98 +45,77 @@ def sweep_results():
 
 
 def test_criterion_1_hamiltonian_identity():
-    # tensor-product and Pauli-form builders agree to <= 1e-15 elementwise
-    # over 1e4 uniform draws in [-5, 5]; wall clock under 1 s
+    # tensor-product and Pauli-form builders agree elementwise to the
+    # builder-identity tolerance over 1e4 uniform draws in [-5, 5]; wall
+    # clock under 1 s
     rng = np.random.default_rng(20250801)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(10**4):
-        d1, d2, a1, a2, d12 = rng.uniform(-5.0, 5.0, 5)
-        dev = DeviceParams(QubitParams(d1, abs(a1)), QubitParams(d2, abs(a2)), d12)
-        diff = np.max(np.abs(build_capacitive(dev) - build_capacitive_pauli_form(dev)))
-        worst = max(worst, float(diff))
+    worst, _ = checks.builder_identity_error(
+        DeviceParams(QubitParams(d1, abs(a1)), QubitParams(d2, abs(a2)), d12)
+        for d1, d2, a1, a2, d12 in (rng.uniform(-5.0, 5.0, 5) for _ in range(10**4)))
     elapsed = time.perf_counter() - start
     print(f"criterion 1: max elementwise diff {worst:.3e} in {elapsed:.2f}s")
-    assert worst <= 1e-15
+    assert worst <= checks.BUILDER_IDENTITY_TOL
     assert elapsed < 1.0
 
 
 def test_criterion_2_effective_levels_exact():
     # with drives off, conditional splittings from the Hamiltonian diagonal
-    # reproduce effective_levels to <= 1e-15 over 1e3 draws (dyadic inputs,
-    # so the algebra is exact in floating point)
+    # reproduce effective_levels exactly over 1e3 draws (dyadic inputs, so
+    # the algebra is exact in floating point)
     rng = np.random.default_rng(20250802)
-    worst = 0.0
-    for _ in range(10**3):
-        d1, d2, d12 = (float(rng.integers(-320, 321)) / 64.0 for _ in range(3))
-        dev = DeviceParams(QubitParams(d1, 0.0), QubitParams(d2, 0.0), d12)
-        h = np.real(np.diag(build_capacitive(dev)))
-        pairs = [
-            ((h[0] - h[2]) / 2.0, effective_levels(dev, 1, True)),
-            ((h[1] - h[3]) / 2.0, effective_levels(dev, 1, False)),
-            ((h[0] - h[1]) / 2.0, effective_levels(dev, 2, True)),
-            ((h[2] - h[3]) / 2.0, effective_levels(dev, 2, False)),
-        ]
-        worst = max(worst, max(abs(a - b) for a, b in pairs))
+    dyadic = (tuple(float(rng.integers(-320, 321)) / 64.0 for _ in range(3))
+              for _ in range(10**3))
+    worst = checks.effective_levels_error(
+        DeviceParams(QubitParams(d1, 0.0), QubitParams(d2, 0.0), d12) for d1, d2, d12 in dyadic)
     print(f"criterion 2: max level mismatch {worst:.3e}")
-    assert worst <= 1e-15
+    assert worst <= checks.LEVELS_TOL
 
 
 def test_criterion_3_exact_vs_rk4():
     # the diagonalization evolver and fixed-step RK4 (dt = T/1e5) agree to
-    # <= 1e-6 in state error on 100 random schedules and on the compiled
+    # the RK4 state tolerance on 100 random schedules and on the compiled
     # CNOT at coupling ratios 0.05 and 0.1; under 60 s total
     rng = np.random.default_rng(20250803)
-    start = time.perf_counter()
-    worst_random = 0.0
-    for _ in range(100):
+
+    def draw():
         n = int(rng.integers(1, 6))
         segs = tuple(
-            PulseSegment(
-                duration=float(rng.uniform(0.1, 3.0)),
-                delta1=float(rng.uniform(-2.0, 2.0)),
-                delta2=float(rng.uniform(-2.0, 2.0)),
-                a1=float(rng.uniform(0.0, 2.0)),
-                a2=float(rng.uniform(0.0, 2.0)),
-            )
+            PulseSegment(duration=float(rng.uniform(0.1, 3.0)),
+                         delta1=float(rng.uniform(-2.0, 2.0)),
+                         delta2=float(rng.uniform(-2.0, 2.0)),
+                         a1=float(rng.uniform(0.0, 2.0)), a2=float(rng.uniform(0.0, 2.0)))
             for _ in range(n)
         )
         sched = Schedule(segments=segs, device=sweep_device(float(rng.uniform(-0.5, 0.5))))
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        exact = propagate(sched, psi).final_state
-        approx = propagate_rk4(sched, psi, sched.total_duration / 1e5)
-        worst_random = max(worst_random, float(np.linalg.norm(exact - approx)))
+        return sched, psi / np.linalg.norm(psi)
 
-    worst_cnot = 0.0
-    for ratio in (0.05, 0.1):
-        sched = compile_cnot(sweep_device(ratio), "gated")
-        exact = propagate(sched, KET_11).final_state
-        approx = propagate_rk4(sched, KET_11, sched.total_duration / 1e5)
-        worst_cnot = max(worst_cnot, float(np.linalg.norm(exact - approx)))
-
+    start = time.perf_counter()
+    worst_random = checks.rk4_state_error(draw() for _ in range(100))
+    worst_cnot = checks.rk4_state_error(
+        (compile_cnot(sweep_device(ratio), "gated"), KET_11) for ratio in (0.05, 0.1)
+    )
     elapsed = time.perf_counter() - start
     print(
         f"criterion 3: state error {worst_random:.3e} (random), "
         f"{worst_cnot:.3e} (CNOT) in {elapsed:.1f}s"
     )
-    assert worst_random <= 1e-6
-    assert worst_cnot <= 1e-6
+    assert worst_random <= checks.RK4_TOL
+    assert worst_cnot <= checks.RK4_TOL
     assert elapsed < 60.0
 
 
 def test_criterion_4_ideal_composition_is_cnot():
-    # the compiled sequence's intended unitaries compose to CNOT within
-    # 1e-10 (global phase factored out); under 1 s
+    # the compiled sequence's intended unitaries compose to CNOT within the
+    # composition tolerance (global phase factored out); under 1 s
     start = time.perf_counter()
-    cnot = ideal_gate(GateSpec("cnot"))
-    worst = 0.0
-    for ratio in (0.05, 0.1):
-        gates = compile_cnot_gates(sweep_device(ratio), "gated")
-        worst = max(worst, distance_up_to_global_phase(ideal_composition(gates), cnot))
+    worst = max(checks.composition_error([GateSpec("cnot")],
+                                         compile_cnot_gates(sweep_device(ratio), "gated"))
+                for ratio in (0.05, 0.1))
     elapsed = time.perf_counter() - start
     print(f"criterion 4: composition distance {worst:.3e} in {elapsed:.2f}s")
-    assert worst <= 1e-10
+    assert worst <= checks.COMPOSITION_TOL
     assert elapsed < 1.0
 
 

@@ -5,12 +5,13 @@ import math
 
 import pytest
 
+from capqubit import checks
+from capqubit.checks import run_verify
 from capqubit.cli import (
     CSV_HEADER,
     emit_csv,
     main,
     parse_args,
-    run_verify,
     _parse_gate_token,
     _parse_gates,
     _parse_state,
@@ -124,6 +125,20 @@ def test_parse_sweep_cli_range_beats_config(tmp_path):
     assert cfg.sweep_min == 0.02
     assert cfg.sweep_max == 0.5
     assert cfg.points == 7
+
+
+@pytest.mark.parametrize("short, text", [
+    ("min", "min = 0.05\nsweep_min = 0.02\nmax = 0.5\n"),
+    ("max", "min = 0.05\nmax = 0.5\nsweep_max = 0.4\n"),
+], ids=["min", "max"])
+def test_parse_sweep_both_range_spellings_exit_2(tmp_path, capsys, short, text):
+    # `min` and `sweep_min` name one setting; setting both is ambiguous
+    path = write_config(tmp_path, text)
+    with pytest.raises(SystemExit) as err:
+        parse_args(["sweep", "--config", path])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"'{short}'" in message and f"'sweep_{short}'" in message
 
 
 def test_parse_sweep_spacing_flags_conflict():
@@ -266,6 +281,27 @@ def test_run_verify_passes():
     assert text.count("PASS") == 7
     assert "FAIL" not in text.replace("PASS", "")
     assert "all checks passed" in text
+
+
+def test_run_verify_reports_a_failing_check(monkeypatch, capsys):
+    # a Pauli-form builder off by 1e-14 in entry (2,3) must fail the
+    # identity check, name the entry and return 1, also through main
+    exact = checks.build_capacitive_pauli_form
+
+    def perturbed(dev):
+        h = exact(dev)
+        h[1, 2] += 1e-14
+        return h
+
+    monkeypatch.setattr(checks, "build_capacitive_pauli_form", perturbed)
+    buf = io.StringIO()
+    assert run_verify(buf) == 1
+    lines = buf.getvalue().splitlines()
+    assert lines[0].startswith("FAIL  hamiltonian identity")
+    assert "at entry (2,3)" in lines[0]
+    assert lines[-1].startswith("FAILED: hamiltonian identity")
+    assert main(["verify"]) == 1
+    assert "FAILED: hamiltonian identity" in capsys.readouterr().out
 
 
 def test_main_levels(capsys):

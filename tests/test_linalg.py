@@ -281,7 +281,7 @@ _spectra = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     w=_spectra,
     seed=st.integers(0, 2**32 - 1),

@@ -31,6 +31,9 @@ from capqubit.pulsecompiler import (
 HALF_PI = math.pi / 2.0
 EXACT_TOL = 1e-12  # constructions that are exact up to roundoff
 COMPOSE_TOL = 1e-10  # ideal-composition soundness
+# Physical distance of one gated gate per unit |ratio|, reached by an x pulse
+# of nearly 2 pi: the coupling cannot be gated off while a pulse runs.
+GATED_GATE_DISTANCE_PER_RATIO = math.pi / math.sqrt(2.0)
 KET_11 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -262,26 +265,43 @@ def test_x_rotation_errors():
         compile_x_rotation(1, HALF_PI, device(0.0), "pulsed")
 
 
+def test_always_on_x_rotation_too_short_to_park_raises_compilation_error():
+    # A pulse of 5e-161 would need a spectator detuning of ~6e160, whose
+    # square overflows: a named CompilationError, not a non-finite segment.
+    with pytest.raises(CompilationError, match="too short to park"):
+        compile_x_rotation(1, 1e-160, device(0.5), "always_on")
+    assert compile_x_rotation(1, 1e-150, device(0.5), "always_on").segments
+
+
 # ---------------------------------------------------------------------------
 # y and z rotations
 # ---------------------------------------------------------------------------
 
-def test_y_rotation_emits_only_x_segments():
-    g = compile_y_rotation(2, HALF_PI, device(0.05), "gated")
-    assert len(g.segments) == 1
-    assert g.segments[0].a2 > 0.0
-    assert np.array_equal(g.intended_unitary, ideal_gate(GateSpec("ry", 2, HALF_PI)))
-    # bracket content cancels: the ledger carries only coupling surplus
-    assert g.ledger_after.pending_z1 == 0.0
-    assert g.ledger_after.pending_z2 == 0.0
-    assert g.ledger_after.surplus_z2 != 0.0
+def test_y_rotation_settles_its_bracket_before_the_pulse():
+    # The leading virtual-z bracket must act before the drive: a settle
+    # block delivers it, then the x pulse runs.  The trailing bracket stays
+    # pending; a closing block delivers it, and the whole is physically R_y
+    # to within one gated gate's coupling error, on both coupling signs.
+    ry = ideal_gate(GateSpec("ry", 2, HALF_PI))
+    for d12 in (0.05, -0.05):
+        dev = device(d12)
+        g = compile_y_rotation(2, HALF_PI, dev, "gated")
+        block, pulse = g.segments
+        assert block.a1 == block.a2 == 0.0
+        assert pulse.a2 > 0.0 and pulse.label.startswith("rx(q2,")
+        assert g.ledger_after.pending_z2 == -HALF_PI
+        owed = ledger_discharge_unitary(g.ledger_after)
+        assert distance_up_to_global_phase(owed @ g.intended_unitary, ry) <= COMPOSE_TOL
+        closing = compile_phase_block(0.0, 0.0, 0.0, dev, "gated", g.ledger_after)
+        u = propagated(g.segments + closing.segments, dev)
+        assert distance_up_to_global_phase(u, ry) <= GATED_GATE_DISTANCE_PER_RATIO * abs(d12)
 
 
 def test_y_rotation_bracket_composition_oracle():
     # the virtual-z decomposition R_z(pi/2) U_x R_z(-pi/2) = R_y at zero
-    # coupling, where U_x is the emitted core evolved exactly
+    # coupling, where U_x is the x-rotation core evolved exactly
     for theta in (HALF_PI, -1.1, 2.8):
-        g = compile_y_rotation(2, theta, device(0.0), "gated")
+        g = compile_x_rotation(2, theta, device(0.0), "gated")
         core = propagated(g.segments, device(0.0))
         u = (
             ideal_gate(GateSpec("rz", 2, HALF_PI))
