@@ -11,10 +11,11 @@ Commands:
 * ``verify``: run the invariant suite of :mod:`capqubit.checks`.
 
 Every command accepts ``--config <file>`` with flat ``key = value`` lines
-(``#`` starts a comment); command-line flags override file values, and a
-key the command does not read is a usage error.  Exit
-status is 0 on success, 1 on runtime or verification failure, 2 on usage
-errors.
+(``#`` starts a comment), one key per setting, named after its flag
+(``--baseline-ratio`` is ``baseline_ratio``, ``--log``/``--linear`` are
+``spacing``); flags override file values.  An unknown key, a missing setting
+and an invalid value are usage errors.  Exit status is 0 on success, 1 on
+runtime or verification failure, 2 on usage errors.
 """
 
 import argparse
@@ -40,34 +41,22 @@ _PRECISION_RANGE = (6, 17)
 _CONFIG_KEYS = {
     "levels": {"d1", "d2", "d12"},
     "cnot": {"ratio", "mode"},
-    "sweep": {"min", "max", "sweep_min", "sweep_max", "points", "spacing",
-              "mode", "out", "baseline_ratio"},
+    "sweep": {"min", "max", "points", "spacing", "mode", "out", "baseline_ratio"},
     "simulate": {"d12", "a1", "a2", "mode", "gates", "psi0", "tol"},
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: one command plus its validated settings."""
+    """Fully resolved invocation: one command plus the objects it runs."""
 
     command: str
     precision: int = _DEFAULT_PRECISION
-    # levels: d1, d2, d12; simulate: d12, a1, a2
-    d1: float = None
-    d2: float = None
-    d12: float = None
-    a1: float = None
-    a2: float = None
-    # cnot / sweep
-    ratio: float = None
-    mode: str = None
-    modes: tuple = None
-    sweep_min: float = None
-    sweep_max: float = None
-    points: int = None
-    spacing: str = None
-    out: str = None
-    baseline_ratio: float = None
+    device: DeviceParams = None  # levels, simulate
+    ratio: float = None  # cnot
+    mode: str = None  # cnot, simulate
+    sweep: SweepConfig = None
+    out: str = None  # sweep
     # simulate
     gates: tuple = None
     psi0: tuple = None
@@ -189,8 +178,8 @@ def _build_parser():
     add_common(sp)
 
     sp = sub.add_parser("sweep", help="coupling sweep, CSV output")
-    sp.add_argument("--min", type=float, default=None, dest="sweep_min")
-    sp.add_argument("--max", type=float, default=None, dest="sweep_max")
+    sp.add_argument("--min", type=float, default=None)
+    sp.add_argument("--max", type=float, default=None)
     sp.add_argument("--points", type=int, default=None)
     spacing = sp.add_mutually_exclusive_group()
     spacing.add_argument("--log", dest="spacing", action="store_const", const="log")
@@ -209,7 +198,8 @@ def _build_parser():
 
 
 def parse_args(argv):
-    """Parse argv into a RunConfig; usage problems exit with status 2."""
+    """Parse argv into a RunConfig holding the validated objects each command
+    runs; usage problems, invalid values included, exit with status 2."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
 
@@ -234,99 +224,64 @@ def parse_args(argv):
             try:
                 return cast(file_values[key])
             except ValueError as exc:
-                parser.error(f"config key {key}: {exc}")
+                raise ValueError(f"config key {key}: {exc}") from None
         if required:
-            parser.error(f"{ns.command}: missing required setting '{key}' "
-                         f"(flag or config key)")
+            raise ValueError(f"missing required setting '{key}' (flag or config key)")
         return default
 
-    precision = pick("precision", int, default=_DEFAULT_PRECISION)
     try:
+        precision = pick("precision", int, default=_DEFAULT_PRECISION)
         _check_precision(precision)
-    except ValueError as exc:
-        parser.error(str(exc))
 
-    if ns.command == "levels":
-        return RunConfig(
-            command="levels",
-            precision=precision,
-            d1=pick("d1", float, required=True),
-            d2=pick("d2", float, required=True),
-            d12=pick("d12", float, required=True),
-        )
+        if ns.command == "levels":
+            device = DeviceParams(
+                QubitParams(pick("d1", float, required=True), 0.0),
+                QubitParams(pick("d2", float, required=True), 0.0),
+                pick("d12", float, required=True),
+            )
+            return RunConfig(command="levels", precision=precision, device=device)
 
-    if ns.command == "cnot":
-        ratio = pick("ratio", float, required=True)
-        if ratio <= 0.0:
-            parser.error(f"--ratio must be > 0, got {ratio}")
-        try:
+        if ns.command == "cnot":
+            ratio = pick("ratio", float, required=True)
+            if not 0.0 < ratio < math.inf:
+                raise ValueError(f"ratio must be finite and > 0, got {ratio}")
             mode = _normalize_mode(pick("mode", str, default="gated"))
-        except ValueError as exc:
-            parser.error(str(exc))
-        return RunConfig(command="cnot", precision=precision, ratio=ratio, mode=mode)
+            return RunConfig(command="cnot", precision=precision, ratio=ratio, mode=mode)
 
-    if ns.command == "sweep":
-        def pick_bound(short, long):
-            # `min`/`max` are config spellings of `sweep_min`/`sweep_max`.
-            if short in file_values and long in file_values:
-                parser.error(f"sweep: config sets both '{short}' and '{long}'; keep one")
-            if getattr(ns, long) is None and short in file_values:
-                return pick(short, float)
-            return pick(long, float, required=True)
-
-        sweep_min = pick_bound("min", "sweep_min")
-        sweep_max = pick_bound("max", "sweep_max")
-        points = pick("points", int, default=50)
-        spacing = pick("spacing", str, default="log")
-        baseline = pick("baseline_ratio", float, default=1e-3)
-        out = pick("out", str, default=None)
-        try:
+        if ns.command == "sweep":
             modes = _normalize_mode(pick("mode", str, default="gated"), allow_both=True)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if isinstance(modes, str):
-            modes = (modes,)
-        try:
-            sweep_cfg = SweepConfig(sweep_min, sweep_max, points,
-                                    spacing=spacing, modes=modes,
-                                    baseline_ratio=baseline)
-        except ValueError as exc:
-            parser.error(f"sweep: {exc}")
-        return RunConfig(
-            command="sweep",
-            precision=precision,
-            sweep_min=sweep_cfg.ratio_min,
-            sweep_max=sweep_cfg.ratio_max,
-            points=sweep_cfg.points,
-            spacing=sweep_cfg.spacing,
-            modes=sweep_cfg.modes,
-            baseline_ratio=sweep_cfg.baseline_ratio,
-            out=out,
-        )
+            if isinstance(modes, str):
+                modes = (modes,)
+            sweep = SweepConfig(
+                pick("min", float, required=True),
+                pick("max", float, required=True),
+                pick("points", int, default=50),
+                spacing=pick("spacing", str, default="log"),
+                modes=modes,
+                baseline_ratio=pick("baseline_ratio", float, default=1e-3),
+            )
+            return RunConfig(command="sweep", precision=precision, sweep=sweep,
+                             out=pick("out", str))
 
-    if ns.command == "simulate":
-        if not config_path:
-            parser.error("simulate requires --config <file>")
-        try:
+        if ns.command == "simulate":
+            if not config_path:
+                raise ValueError("requires --config <file>")
             gates = _parse_gates(pick("gates", str, required=True))
             psi0 = _parse_state(pick("psi0", str, default="1,0,0,0"))
             mode = _normalize_mode(pick("mode", str, default="gated"))
-        except ValueError as exc:
-            parser.error(str(exc))
-        tol = pick("tol", float, default=0.01)
-        if tol <= 0.0:
-            parser.error(f"tol must be > 0, got {tol}")
-        return RunConfig(
-            command="simulate",
-            precision=precision,
-            d12=pick("d12", float, required=True),
-            a1=pick("a1", float, default=1.0),
-            a2=pick("a2", float, default=1.0),
-            mode=mode,
-            gates=gates,
-            psi0=psi0,
-            tol=tol,
-        )
+            tol = pick("tol", float, default=0.01)
+            if not 0.0 < tol < math.inf:
+                raise ValueError(f"tol must be finite and > 0, got {tol}")
+            # Idle levels stay at zero: the compiler sets every segment's detunings.
+            device = DeviceParams(
+                QubitParams(0.0, pick("a1", float, default=1.0)),
+                QubitParams(0.0, pick("a2", float, default=1.0)),
+                pick("d12", float, required=True),
+            )
+            return RunConfig(command="simulate", precision=precision, device=device,
+                             mode=mode, gates=gates, psi0=psi0, tol=tol)
+    except ValueError as exc:
+        parser.error(f"{ns.command}: {exc}")
 
     return RunConfig(command="verify")
 
@@ -370,11 +325,8 @@ def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
 # ---------------------------------------------------------------------------
 
 def _cmd_levels(cfg: RunConfig):
-    device = DeviceParams(
-        QubitParams(cfg.d1, 0.0), QubitParams(cfg.d2, 0.0), cfg.d12
-    )
     print("qubit  neighbor  E")
-    for qubit, neighbor_state, energy in levels_table(device):
+    for qubit, neighbor_state, energy in levels_table(cfg.device):
         print(f"{qubit:>5}  {neighbor_state:>8}  {_fmt(energy, cfg.precision)}")
     return 0
 
@@ -397,25 +349,12 @@ def _cmd_cnot(cfg: RunConfig):
 
 
 def _cmd_sweep(cfg: RunConfig):
-    sweep_cfg = SweepConfig(
-        cfg.sweep_min,
-        cfg.sweep_max,
-        cfg.points,
-        spacing=cfg.spacing,
-        modes=cfg.modes,
-        baseline_ratio=cfg.baseline_ratio,
-    )
-    rows = run_sweep(sweep_cfg)
-    emit_csv(rows, cfg.out if cfg.out else sys.stdout, cfg.precision)
+    emit_csv(run_sweep(cfg.sweep), cfg.out or sys.stdout, cfg.precision)
     return 0
 
 
 def _cmd_simulate(cfg: RunConfig):
-    # Idle levels stay at zero: the compiler sets every segment's detunings.
-    device = DeviceParams(
-        QubitParams(0.0, cfg.a1), QubitParams(0.0, cfg.a2), cfg.d12
-    )
-    schedule, _compiled = compile_schedule(cfg.gates, device, cfg.mode)
+    schedule, _compiled = compile_schedule(cfg.gates, cfg.device, cfg.mode)
     psi0 = np.array(cfg.psi0, dtype=complex)
     result = propagate(schedule, psi0)
 

@@ -105,7 +105,6 @@ def segment_hamiltonian(seg: PulseSegment, device: DeviceParams, model="capaciti
         q1=QubitParams(delta=seg.delta1, a=seg.a1),
         q2=QubitParams(delta=seg.delta2, a=seg.a2),
         delta12=device.delta12,
-        a_ref=device.a_ref,
     )
     if model == "capacitive":
         return build_capacitive(instant)

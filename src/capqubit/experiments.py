@@ -107,7 +107,6 @@ def _sweep_device(ratio):
         q1=QubitParams(delta=0.0, a=1.0),
         q2=QubitParams(delta=0.0, a=1.0),
         delta12=ratio,
-        a_ref=1.0,
     )
 
 

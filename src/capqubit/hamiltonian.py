@@ -80,19 +80,17 @@ class DeviceParams:
     """Physical constants of the two-qubit device.
 
     ``delta12`` is the capacitive coupling energy (or omega_12 in dipole
-    mode); ``a_ref`` is the unit scale for energies and inverse times.
+    mode).  All energies are in units of the reference drive strength
+    ``a_ref`` and times in 1/``a_ref``; the unit is a convention, not a
+    field, since nothing computed depends on it.
     """
 
     q1: QubitParams
     q2: QubitParams
     delta12: float
-    a_ref: float = 1.0
 
     def __post_init__(self):
         _require_finite("delta12", self.delta12)
-        _require_finite("a_ref", self.a_ref)
-        if self.a_ref <= 0.0:
-            raise ValueError(f"a_ref must be > 0, got {self.a_ref}")
 
 
 def build_single_qubit(p: QubitParams):

@@ -146,22 +146,19 @@ class PhaseLedger:
       block cancels it physically but it never appears in any intended
       unitary -- it is error compensation, not gate content.
 
-    ``global_phase`` is a diagnostic scalar (the identity-term phase), never
-    corrected physically.  Angles are stored unreduced; read them through
-    ``wrapped_pending`` / ``wrapped_pending_zz`` for (-pi, pi]
-    representatives of the physically owed totals.
+    Angles are stored unreduced; read them through ``wrapped_pending`` /
+    ``wrapped_pending_zz`` for (-pi, pi] representatives of the physically
+    owed totals.
     """
 
     pending_z1: float = 0.0
     pending_z2: float = 0.0
     pending_zz: float = 0.0
-    global_phase: float = 0.0
     surplus_z1: float = 0.0
     surplus_z2: float = 0.0
 
     def __post_init__(self):
-        for name in ("pending_z1", "pending_z2", "pending_zz", "global_phase",
-                     "surplus_z1", "surplus_z2"):
+        for name in ("pending_z1", "pending_z2", "pending_zz", "surplus_z1", "surplus_z2"):
             _require_finite(name, getattr(self, name))
 
     def request_z(self, qubit, angle):
@@ -476,7 +473,6 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
         surplus_z1=surp[1],
         surplus_z2=surp[2],
         pending_zz=ledger.pending_zz + surplus,
-        global_phase=ledger.global_phase - device.delta12 * t / 4.0,
     )
     return CompiledGate((segment,), intended, after)
 
@@ -608,10 +604,7 @@ def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
         a2=amps[1],
         label=f"block({theta_z1:.4g},{theta_z2:.4g},{theta_zz:.4g})",
     )
-    after = PhaseLedger(
-        global_phase=ledger.global_phase - d12 * t / 4.0,
-    )
-    return CompiledGate((segment,), intended, after)
+    return CompiledGate((segment,), intended, PhaseLedger())
 
 
 def compile_cnot_gates(device: DeviceParams, mode,

@@ -2,6 +2,7 @@
 
 import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from capqubit.cli import (
     _parse_state,
 )
 from capqubit.experiments import SweepRow
+from capqubit.hamiltonian import DeviceParams, QubitParams
 from capqubit.pulsecompiler import GateSpec
 
 
@@ -26,6 +28,12 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def readme_block(section, lang):
+    """The first ```lang block under the README heading ``## section``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"## {section}\n", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -33,7 +41,7 @@ def write_config(tmp_path, text, name="run.cfg"):
 def test_parse_levels_flags():
     cfg = parse_args(["levels", "--d1", "1", "--d2", "2", "--d12", "0.4"])
     assert cfg.command == "levels"
-    assert (cfg.d1, cfg.d2, cfg.d12) == (1.0, 2.0, 0.4)
+    assert cfg.device == DeviceParams(QubitParams(1.0, 0.0), QubitParams(2.0, 0.0), 0.4)
     assert cfg.precision == 12
 
 
@@ -58,13 +66,13 @@ def test_parse_unknown_flag_exits_2():
 def test_config_file_fills_missing_settings(tmp_path):
     path = write_config(tmp_path, "d1 = 1.5\nd2 = -0.5\nd12 = 0.2  # coupling\n")
     cfg = parse_args(["levels", "--config", path])
-    assert (cfg.d1, cfg.d2, cfg.d12) == (1.5, -0.5, 0.2)
+    assert cfg.device == DeviceParams(QubitParams(1.5, 0.0), QubitParams(-0.5, 0.0), 0.2)
 
 
 def test_cli_flag_overrides_config(tmp_path):
     path = write_config(tmp_path, "d1 = 1.5\nd2 = -0.5\nd12 = 0.2\n")
     cfg = parse_args(["levels", "--config", path, "--d12", "0.9"])
-    assert cfg.d12 == 0.9
+    assert cfg.device.delta12 == 0.9
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -107,10 +115,10 @@ def test_parse_cnot_normalizes_mode():
 def test_parse_sweep_defaults_and_both_modes():
     cfg = parse_args(["sweep", "--min", "0.01", "--max", "0.1", "--mode", "both"])
     assert cfg.command == "sweep"
-    assert cfg.points == 50
-    assert cfg.spacing == "log"
-    assert set(cfg.modes) == {"gated", "always_on"}
-    assert cfg.baseline_ratio == 1e-3
+    assert cfg.sweep.points == 50
+    assert cfg.sweep.spacing == "log"
+    assert set(cfg.sweep.modes) == {"gated", "always_on"}
+    assert cfg.sweep.baseline_ratio == 1e-3
 
 
 def test_parse_sweep_rejects_bad_range():
@@ -122,23 +130,9 @@ def test_parse_sweep_rejects_bad_range():
 def test_parse_sweep_cli_range_beats_config(tmp_path):
     path = write_config(tmp_path, "min = 0.05\nmax = 0.5\npoints = 7\n")
     cfg = parse_args(["sweep", "--config", path, "--min", "0.02"])
-    assert cfg.sweep_min == 0.02
-    assert cfg.sweep_max == 0.5
-    assert cfg.points == 7
-
-
-@pytest.mark.parametrize("short, text", [
-    ("min", "min = 0.05\nsweep_min = 0.02\nmax = 0.5\n"),
-    ("max", "min = 0.05\nmax = 0.5\nsweep_max = 0.4\n"),
-], ids=["min", "max"])
-def test_parse_sweep_both_range_spellings_exit_2(tmp_path, capsys, short, text):
-    # `min` and `sweep_min` name one setting; setting both is ambiguous
-    path = write_config(tmp_path, text)
-    with pytest.raises(SystemExit) as err:
-        parse_args(["sweep", "--config", path])
-    assert err.value.code == 2
-    message = capsys.readouterr().err
-    assert f"'{short}'" in message and f"'sweep_{short}'" in message
+    assert cfg.sweep.ratio_min == 0.02
+    assert cfg.sweep.ratio_max == 0.5
+    assert cfg.sweep.points == 7
 
 
 def test_parse_sweep_spacing_flags_conflict():
@@ -159,11 +153,11 @@ def test_parse_simulate_full_config(tmp_path):
         "d12 = 0.001\ngates = rx2:90deg, cnot\npsi0 = 0,1,0,0\ntol = 0.02\n",
     )
     cfg = parse_args(["simulate", "--config", path])
-    assert cfg.d12 == 0.001
+    # drives default to 1, idle levels are zero
+    assert cfg.device == DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 1.0), 0.001)
     assert cfg.gates == (GateSpec("rx", 2, math.radians(90.0)), GateSpec("cnot"))
     assert cfg.psi0 == (0j, 1 + 0j, 0j, 0j)
     assert cfg.tol == 0.02
-    assert (cfg.a1, cfg.a2) == (1.0, 1.0)  # defaults
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +394,45 @@ def test_config_key_of_another_command_exits_2(tmp_path, capsys):
     assert "ratio" in capsys.readouterr().err
 
 
-def test_parse_sweep_accepts_long_range_keys(tmp_path):
-    path = write_config(tmp_path, "sweep_min = 0.02\nsweep_max = 0.4\n")
-    cfg = parse_args(["sweep", "--config", path])
-    assert (cfg.sweep_min, cfg.sweep_max) == (0.02, 0.4)
+def test_sweep_min_is_an_unknown_key(tmp_path, capsys):
+    # the range keys are spelled like their flags, `min` and `max`, only
+    path = write_config(tmp_path, "sweep_min = 0.02\nmax = 0.5\n")
+    with pytest.raises(SystemExit) as err:
+        parse_args(["sweep", "--config", path])
+    assert err.value.code == 2
+    assert "unknown config key 'sweep_min'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,text,reason",
+    [
+        (["levels", "--d1", "1", "--d2", "2", "--d12", "nan"], None,
+         "delta12 must be a finite real number"),
+        (["simulate"], "d12 = 0.001\ngates = cnot\na1 = -1\n",
+         "drive strength a must be >= 0"),
+        (["cnot", "--ratio", "inf"], None, "ratio must be finite and > 0"),
+        (["simulate"], "d12 = 0.001\ngates = cnot\ntol = nan\n",
+         "tol must be finite and > 0"),
+    ],
+    ids=["levels-d12-nan", "simulate-a1-negative", "cnot-ratio-inf", "simulate-tol-nan"],
+)
+def test_invalid_setting_exits_2_with_its_reason(tmp_path, capsys, argv, text, reason):
+    # values the domain objects reject are usage errors, not runtime failures
+    if text is not None:
+        argv = argv + ["--config", write_config(tmp_path, text)]
+    with pytest.raises(SystemExit) as err:
+        parse_args(argv)
+    assert err.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_readme_command_line_examples_parse(tmp_path):
+    # a documented flag or config key that stops parsing fails here
+    config = write_config(tmp_path, readme_block("Command line", "ini"))
+    lines = [line.split("#", 1)[0].split()
+             for line in readme_block("Command line", "sh").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["capqubit"]]
+    assert len(commands) == 5
+    for argv in commands:
+        argv = [config if word == "run.cfg" else word for word in argv]
+        assert parse_args(argv).command == argv[0]

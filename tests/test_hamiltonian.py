@@ -23,12 +23,11 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 
-def device(d1=0.0, d2=0.0, a1=0.0, a2=0.0, d12=0.0, a_ref=1.0):
+def device(d1=0.0, d2=0.0, a1=0.0, a2=0.0, d12=0.0):
     return DeviceParams(
         q1=QubitParams(delta=d1, a=a1),
         q2=QubitParams(delta=d2, a=a2),
         delta12=d12,
-        a_ref=a_ref,
     )
 
 
@@ -50,10 +49,6 @@ def test_qubit_params_validation():
 def test_device_params_validation():
     with pytest.raises(ValueError):
         device(d12=float("nan"))
-    with pytest.raises(ValueError):
-        device(a_ref=0.0)
-    with pytest.raises(ValueError):
-        device(a_ref=-2.0)
 
 
 def test_single_qubit_examples():

@@ -8,13 +8,31 @@ from hypothesis import strategies as st
 
 from capqubit import checks
 from capqubit.hamiltonian import DeviceParams, QubitParams
-from capqubit.pulsecompiler import CompilationError, GateSpec, compile_schedule, verify_schedule
+from capqubit.pulsecompiler import (
+    _FLIP_CAP,
+    _LEAK_CAP,
+    CompilationError,
+    GateSpec,
+    compile_schedule,
+    verify_schedule,
+)
 
 # Gated physical distance of a gate list per unit |ratio|.  One gate costs at
 # most pi/sqrt(2) |ratio| (an x pulse of nearly 2 pi; a CNOT's two pulses
 # cost 1.7 |ratio|), phase blocks are exact, and distances of a product add
 # at most linearly; the same bound as the gate-list benchmark workload.
 GATE_LIST_DISTANCE_PER_RATIO = 14.0
+# The compiler admits a parking detuning right at its cap, and this test
+# recomputes the flip probability from the stored detuning plus the branch
+# shift, which may differ from the compiler's value by an ulp.  The cap binds
+# only while Omega < a / sqrt(cap), about 32 a; there an ulp of the detuning
+# times t <= 4 pi / 1e-3 moves Omega t by under 5e-11, and sin^2 by under
+# 3e-10 relative.
+CAP_SLACK = 1e-9
+# A rotation spectator sits on a full generalized-Rabi cycle, Omega t = m pi,
+# so its flip probability is zero up to roundoff in Omega t, about
+# (a t eps)^2 < 1e-30 for t <= pi / a.
+SPECTATOR_FLIP_MAX = 1e-20
 
 _angles = st.floats(-math.pi, math.pi, exclude_min=True)
 _gates = st.one_of(
@@ -28,6 +46,13 @@ _ratios = st.builds(lambda r, sign: sign * r, st.floats(1e-3, 0.5), st.sampled_f
 
 def _device(ratio):
     return DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 1.0), ratio)
+
+
+def _flip(detuning, a, t):
+    """Flip probability of a driven qubit at effective detuning D after t:
+    (a/Omega)^2 sin^2(Omega t), Omega = sqrt(D^2 + a^2)."""
+    omega = math.hypot(detuning, a)
+    return (a / omega) ** 2 * math.sin(omega * t) ** 2
 
 
 @settings(max_examples=100)
@@ -50,7 +75,17 @@ def test_gated_gate_lists(gates, ratio):
 def test_always_on_gate_lists_compose(gates, ratio):
     # a parking search may fail, but only with a CompilationError
     try:
-        _, compiled = compile_schedule(gates, _device(ratio), "always_on")
+        schedule, compiled = compile_schedule(gates, _device(ratio), "always_on")
     except CompilationError:
         return
     assert checks.composition_error(gates, compiled) <= checks.COMPOSITION_TOL
+    for seg in schedule.segments:
+        t = seg.duration
+        if seg.label.startswith("block"):
+            # qubit 1 on both neighbour branches, qubit 2 where qubit 1 is excited
+            for d1 in (seg.delta1, seg.delta1 + ratio / 2.0):
+                assert _flip(d1, seg.a1, t) <= _FLIP_CAP * (1.0 + CAP_SLACK)
+            assert _flip(seg.delta2 + ratio / 2.0, seg.a2, t) <= _LEAK_CAP * (1.0 + CAP_SLACK)
+        else:  # an x pulse; the other qubit is its parked spectator
+            d, a = (seg.delta2, seg.a2) if seg.label.startswith("rx(q1") else (seg.delta1, seg.a1)
+            assert _flip(d + ratio / 4.0, a, t) <= SPECTATOR_FLIP_MAX
