@@ -14,12 +14,13 @@ import numpy as np
 from .evolution import PulseSegment, Schedule, propagate, propagate_rk4
 from .experiments import INITIAL_STATE, _sweep_device
 from .hamiltonian import (DeviceParams, QubitParams, build_capacitive,
-                          build_capacitive_pauli_form, effective_levels)
+                          build_capacitive_pauli_form, build_dipole, effective_levels)
 from .linalg import distance_up_to_global_phase, eigh
 from .pulsecompiler import (GateSpec, compile_cnot, compile_cnot_gates, compile_phase_block,
                             ideal_composition, ideal_gate)
 
 BUILDER_IDENTITY_TOL = 1e-15  # largest entry gap between the two builders
+DIPOLE_EQUIVALENCE_TOL = 1e-15  # capacitive vs dipole plus its diagonal shift
 LEVELS_TOL = 0.0  # splittings vs effective_levels: exact on dyadic inputs
 EIGH_TOL = 1e-12  # eigenvector orthonormality and relative reconstruction
 PROPAGATOR_TOL = 1e-9  # propagator unitarity and state norm drift
@@ -47,6 +48,23 @@ def builder_identity_error(devices):
         if diff[idx] > worst:
             worst, entry = float(diff[idx]), idx
     return worst, entry
+
+
+def dipole_equivalence_error(couplings):
+    """Largest entry of capacitive(D) - dipole(D/4) - (D/4)(sigma_z^1 +
+    sigma_z^2 + 1) over the couplings D, both qubits idle: the paper's claim
+    that the capacitive coupling is the dipole-dipole one up to single-qubit
+    shifts and a constant."""
+    idle = QubitParams(0.0, 0.0)
+    sz, i2 = np.diag([1.0, -1.0]), np.eye(2)
+    worst = 0.0
+    for d12 in couplings:
+        quarter = d12 / 4.0
+        diff = (build_capacitive(DeviceParams(idle, idle, d12))
+                - build_dipole(DeviceParams(idle, idle, quarter))
+                - quarter * (np.kron(sz, i2) + np.kron(i2, sz) + np.eye(4)))
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
 
 
 def effective_levels_error(devices):
@@ -179,6 +197,10 @@ def run_verify(stream=None):
     err = rk4_state_error([(compile_cnot(_sweep_device(0.05), "gated"), INITIAL_STATE)])
     report("integrator cross-check, CNOT at coupling 0.05 (dt = T/1e5)",
            err <= RK4_TOL, f"state error {err:.2e}")
+
+    worst = dipole_equivalence_error(rng.uniform(-5.0, 5.0, 500))
+    report("capacitive = dipole at delta12/4 plus diagonal shifts (500 draws)",
+           worst <= DIPOLE_EQUIVALENCE_TOL, f"max diff {worst:.2e}")
 
     if failures:
         print(f"\nFAILED: {failures[0]}", file=out)

@@ -5,7 +5,8 @@ built on three primitives:
 
 * ``eigh``: eigendecomposition of a Hermitian matrix by LAPACK
   (``np.linalg.eigh``) behind validation: square, finite, and Hermitian to
-  a relative 1e-12.  Eigenvalues ascend; eigenvectors are orthonormal.
+  1e-12 of the largest entry.  Eigenvalues ascend; eigenvectors are
+  orthonormal.
 * ``expm_unitary``: the unitary exp(-i H t) assembled from the
   eigendecomposition, V diag(e^{-i lambda t}) V^dagger.
 * ``distance_up_to_global_phase``: Frobenius distance between two matrices
@@ -25,7 +26,8 @@ __all__ = [
     "wrap_angle",
 ]
 
-# Relative tolerance for accepting a matrix as Hermitian.
+# Tolerance for accepting a matrix as Hermitian, relative to its largest
+# entry (a norm would overflow to inf on huge entries and accept anything).
 _HERMITIAN_RTOL = 1e-12
 
 
@@ -49,7 +51,7 @@ def _require_hermitian(m):
     """Raise ValueError naming the worst entry pair if m is not Hermitian."""
     dev = np.abs(m - m.conj().T)
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[i, j] > _HERMITIAN_RTOL * (1.0 + np.linalg.norm(m)):
+    if dev[i, j] > _HERMITIAN_RTOL * (1.0 + np.max(np.abs(m))):
         raise ValueError(
             f"matrix is not Hermitian: entries ({i + 1},{j + 1}) and "
             f"({j + 1},{i + 1}) differ by {dev[i, j]:.3e}"

@@ -82,6 +82,11 @@ _SEPARATION_MIN = 2.0
 # Search bounds for the mod-2pi parking equations.
 _K_MAX = 10**6
 _MAX_PHASE_BRANCHES = 400
+# A zz remainder r below this is delivered as a full 2 pi cycle, as r = 0
+# is: a block of length 2 r / |Delta_12| needs detunings ~ 1 / r (overflow
+# at r ~ 1e-184), and skipping r errs by no more than the 1e-12 rad every
+# block's diagonal phases are held to (checks.PHASE_BLOCK_TOL).
+_ZZ_ROUNDOFF = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = math.pi / 2.0
@@ -146,9 +151,9 @@ class PhaseLedger:
       block cancels it physically but it never appears in any intended
       unitary -- it is error compensation, not gate content.
 
-    Angles are stored unreduced; read them through ``wrapped_pending`` /
-    ``wrapped_pending_zz`` for (-pi, pi] representatives of the physically
-    owed totals.
+    Angles are stored unreduced; the block that delivers them wraps the
+    owed totals to (-pi, pi].  A ledger is immutable, so ``PhaseLedger()``
+    serves as the compilers' default.
     """
 
     pending_z1: float = 0.0
@@ -169,17 +174,6 @@ class PhaseLedger:
             return replace(self, pending_z1=self.pending_z1 - angle)
         return replace(self, pending_z2=self.pending_z2 - angle)
 
-    def wrapped_pending(self, qubit):
-        """Wrapped total z angle owed to a qubit (content plus surplus)."""
-        _require_qubit(qubit)
-        if qubit == 1:
-            return wrap_angle(self.pending_z1 + self.surplus_z1)
-        return wrap_angle(self.pending_z2 + self.surplus_z2)
-
-    @property
-    def wrapped_pending_zz(self):
-        return wrap_angle(self.pending_zz)
-
     @property
     def is_phase_neutral(self):
         """True when every stream is an exact multiple of 2 pi on its own."""
@@ -188,7 +182,7 @@ class PhaseLedger:
             and wrap_angle(self.pending_z2) == 0.0
             and wrap_angle(self.surplus_z1) == 0.0
             and wrap_angle(self.surplus_z2) == 0.0
-            and self.wrapped_pending_zz == 0.0
+            and wrap_angle(self.pending_zz) == 0.0
         )
 
 
@@ -322,80 +316,78 @@ def _phase_unwrapped(detuning, a, t):
     return 2.0 * om * t - 2.0 * math.atan2(im, re)
 
 
-def _exact_detuning(beta, a, t, shift, floor_abs, leak_cap):
-    """Effective detuning delivering z angle beta (mod 2 pi) exactly under an
-    active drive, with |delta| >= floor_abs and leakage <= leak_cap.
+def _exact_detuning(beta, a, t, shift):
+    """Detuning delta delivering z angle beta (mod 2 pi) exactly under an
+    active drive, with |delta| >= the parking floor and leakage <= _LEAK_CAP.
 
-    Solves F(D) = beta + 2 pi m by bisection on the unwrapped phase, walking
-    branches m outward on both signs of D (the phase is odd in D); the first
-    admissible root wins.  The returned value is the detuning delta relative
-    to the coupling shift: D = delta + shift.
+    Solves F(D) = +-beta + 2 pi m (the phase is odd in D) by bisection on
+    branches m from a start radius outward, the positive sign first on
+    each; the first admissible root wins.  The returned value is the
+    detuning delta relative to the coupling shift: D = delta + shift.
     """
-
+    floor_abs = _PARKING_FLOOR * a
     # A solution has leakage ~ (a/Omega)^2 sin^2(beta/2); start the walk at
     # the radius where that can pass the cap instead of crawling to it.
-    om_req = a * abs(math.sin(beta / 2.0)) / math.sqrt(leak_cap)
+    om_req = a * abs(math.sin(beta / 2.0)) / math.sqrt(_LEAK_CAP)
     d_req = math.sqrt(max(om_req * om_req - a * a, 0.0)) * 0.999
-
-    def side_roots(beta_side):
-        lo = max(floor_abs + abs(shift) + 0.05 * a, d_req)
-        m = math.ceil((_phase_unwrapped(lo, a, t) - beta_side) / _TWO_PI)
-        for _ in range(_MAX_PHASE_BRANCHES):
-            y = beta_side + _TWO_PI * m
-            if _phase_unwrapped(lo, a, t) > y:
-                m += 1
-                continue
-            hi = lo
-            while _phase_unwrapped(hi, a, t) < y:
-                hi += math.pi / t
-            b_lo, b_hi = lo, hi
+    start = max(floor_abs + abs(shift) + 0.05 * a, d_req)
+    f_start = _phase_unwrapped(start, a, t)
+    for i in range(_MAX_PHASE_BRANCHES):
+        for sign in (1.0, -1.0):
+            # Branches count from the lowest one at or above F(start).  re > 0
+            # in _phase_unwrapped, so |F - 2 Omega t| < pi: the root has Omega
+            # in [(y - pi) / 2t, (y + pi) / 2t], which brackets it in closed form.
+            y = sign * beta + _TWO_PI * (math.ceil((f_start - sign * beta) / _TWO_PI) + i)
+            om_lo = max((y - math.pi) / (2.0 * t), a)
+            om_hi = (y + math.pi) / (2.0 * t)
+            # sqrt(om^2 - a^2) as a product, which cannot overflow.
+            lo = max(start, math.sqrt(om_lo - a) * math.sqrt(om_lo + a))
+            hi = math.sqrt(om_hi - a) * math.sqrt(om_hi + a)
             for _ in range(90):
-                mid = 0.5 * (b_lo + b_hi)
+                mid = 0.5 * (lo + hi)
                 if _phase_unwrapped(mid, a, t) < y:
-                    b_lo = mid
+                    lo = mid
                 else:
-                    b_hi = mid
-            root = 0.5 * (b_lo + b_hi)
-            yield root
-            m += 1
-            lo = root
-
-    positive = side_roots(beta)
-    negative = side_roots(-beta)
-    try:
-        for _ in range(_MAX_PHASE_BRANCHES):
-            for sign, roots in ((1.0, positive), (-1.0, negative)):
-                d_eff = next(roots)
-                delta = sign * d_eff - shift
-                if abs(delta) < floor_abs:
-                    continue
-                if _leakage(sign * d_eff, a, t) <= leak_cap:
-                    return delta
-    except StopIteration:
-        pass
+                    hi = mid
+            root = 0.5 * (lo + hi)
+            delta = sign * root - shift
+            if abs(delta) >= floor_abs and _leakage(sign * root, a, t) <= _LEAK_CAP:
+                return delta
     raise CompilationError(
         f"no exact parking detuning found (target angle {beta:.4f} rad, "
-        f"duration {t:.4f}, floor {floor_abs:.4f}, leak cap {leak_cap:g})"
+        f"duration {t:.4f}, floor {floor_abs:.4f}, leak cap {_LEAK_CAP:g})"
     )
 
 
-def _booked_candidates(theta, t, shift, floor_abs):
-    """Detunings solving the bare accrual equation 2 (delta + shift) t ==
-    theta (mod 2 pi) with |delta| >= floor_abs, nearest-first on both signs."""
+def _control_parking(theta, a, t, d12, delta2, sep):
+    """Detuning of a block's qubit 1: the solution of the bare accrual
+    equation 2 (delta + Delta_12/4) t == theta (mod 2 pi) nearest the floor,
+    on either sign, that flips within _FLIP_CAP with qubit 2 in either state
+    and sits at least sep away from +-delta2."""
+    shift = d12 / 4.0
+    floor_abs = _PARKING_FLOOR * a
     k_up = math.ceil(((floor_abs + shift) * 2.0 * t - theta) / _TWO_PI)
     k_down = math.floor(((-floor_abs + shift) * 2.0 * t - theta) / _TWO_PI)
     for i in range(_K_MAX):
         for k in (k_up + i, k_down - i):
             delta = (theta + _TWO_PI * k) / (2.0 * t) - shift
-            if abs(delta) >= floor_abs:
-                yield delta
+            if (abs(delta) >= floor_abs
+                    and _leakage(delta, a, t) <= _FLIP_CAP
+                    and _leakage(delta + d12 / 2.0, a, t) <= _FLIP_CAP
+                    and abs(delta - delta2) >= sep and abs(delta + delta2) >= sep):
+                return delta
+    raise CompilationError(
+        f"no admissible always-on parking for qubit 1 within "
+        f"k <= {_K_MAX} (theta {theta:.4f} rad, duration {t:.4f}, "
+        f"floor {floor_abs:.4f})"
+    )
 
 
-def _full_cycle_parking(a, t, shift, floor_abs):
+def _full_cycle_parking(a, t, shift):
     """Detuning parking a rotation spectator on an exact generalized-Rabi
     cycle: Omega t = m pi gives zero flip probability and zero net z phase,
     independent of the drive.  Picks the smallest such m above the floor."""
-    om_min = math.hypot(floor_abs + 0.5 * a + abs(shift), a)
+    om_min = math.hypot(_PARKING_FLOOR * a + 0.5 * a + abs(shift), a)
     m = math.ceil(om_min * t / math.pi)
     om = math.pi * m / t
     delta = math.sqrt(om * om - a * a) - shift
@@ -409,7 +401,7 @@ def _full_cycle_parking(a, t, shift, floor_abs):
 # ---------------------------------------------------------------------------
 
 def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
-                       ledger: PhaseLedger = None):
+                       ledger: PhaseLedger = PhaseLedger()):
     """Compile R_x(angle) on one qubit into a resonant drive segment.
 
     The driven qubit sits at Delta = 0 with its device drive strength for a
@@ -426,8 +418,6 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
         raise CompilationError(
             f"rotation angle must lie in (-2 pi, 2 pi], got {angle}"
         )
-    if ledger is None:
-        ledger = PhaseLedger()
     intended = ideal_gate(GateSpec("rx", qubit, angle))
     if angle == 0.0:
         return CompiledGate((), intended, ledger)
@@ -440,53 +430,44 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
     theta_pos = angle if angle > 0.0 else angle + _TWO_PI
     t = theta_pos / (2.0 * a_drive)
 
-    deltas = [0.0, 0.0]
-    amps = [0.0, 0.0]
-    amps[qubit - 1] = a_drive
-    spectator = 2 if qubit == 1 else 1
-    a_spec = device.q1.a if spectator == 1 else device.q2.a
-
-    surplus = device.delta12 * t / 2.0
-    surp = {1: ledger.surplus_z1, 2: ledger.surplus_z2}
+    a_spec = device.q2.a if qubit == 1 else device.q1.a
     if mode == "always_on" and a_spec > 0.0:
-        amps[spectator - 1] = a_spec
-        deltas[spectator - 1] = _full_cycle_parking(
-            a_spec, t, device.delta12 / 4.0, _PARKING_FLOOR * a_spec
-        )
-        # The full cycle nulls the spectator's net z phase, so only the
-        # driven qubit books surplus.
-        surp[qubit] += surplus
+        d_spec = _full_cycle_parking(a_spec, t, device.delta12 / 4.0)
     else:
-        surp[1] += surplus
-        surp[2] += surplus
-
+        a_spec = d_spec = 0.0
+    if qubit == 1:
+        delta1, delta2, a1, a2 = 0.0, d_spec, a_drive, a_spec
+    else:
+        delta1, delta2, a1, a2 = d_spec, 0.0, a_spec, a_drive
     segment = PulseSegment(
         duration=t,
-        delta1=deltas[0],
-        delta2=deltas[1],
-        a1=amps[0],
-        a2=amps[1],
+        delta1=delta1,
+        delta2=delta2,
+        a1=a1,
+        a2=a2,
         label=f"rx(q{qubit},{angle:.6g})",
     )
+    # The full cycle nulls a parked spectator's net z phase, so only the
+    # driven qubit books surplus; an idle spectator (a_spec = 0) books it too.
+    surplus = device.delta12 * t / 2.0
+    s1, s2 = ledger.surplus_z1, ledger.surplus_z2
     after = replace(
         ledger,
-        surplus_z1=surp[1],
-        surplus_z2=surp[2],
+        surplus_z1=s1 + surplus if qubit == 1 or a_spec == 0.0 else s1,
+        surplus_z2=s2 + surplus if qubit == 2 or a_spec == 0.0 else s2,
         pending_zz=ledger.pending_zz + surplus,
     )
     return CompiledGate((segment,), intended, after)
 
 
 def compile_y_rotation(qubit, angle, device: DeviceParams, mode,
-                       ledger: PhaseLedger = None):
+                       ledger: PhaseLedger = PhaseLedger()):
     """Compile R_y(angle) = R_z(pi/2) R_x(angle) R_z(-pi/2), brackets virtual.
 
     The leading bracket must act before the drive, so a settle block
     delivers it (with anything else pending) ahead of the x pulse; the
     trailing bracket stays pending for whatever follows to deliver.
     """
-    if ledger is None:
-        ledger = PhaseLedger()
     settle = compile_phase_block(0.0, 0.0, 0.0, device, mode,
                                  ledger.request_z(qubit, -_HALF_PI))
     core = compile_x_rotation(qubit, angle, device, mode, settle.ledger_after)
@@ -495,7 +476,7 @@ def compile_y_rotation(qubit, angle, device: DeviceParams, mode,
                         core.ledger_after.request_z(qubit, _HALF_PI))
 
 
-def compile_z_rotation(qubit, angle, ledger: PhaseLedger = None):
+def compile_z_rotation(qubit, angle, ledger: PhaseLedger = PhaseLedger()):
     """Compile R_z(angle): purely virtual, no physical segments.
 
     The intended unitary is the identity -- the rotation exists only as
@@ -506,33 +487,30 @@ def compile_z_rotation(qubit, angle, ledger: PhaseLedger = None):
     """
     _require_qubit(qubit)
     _require_finite("angle", angle)
-    if ledger is None:
-        ledger = PhaseLedger()
     return CompiledGate((), np.eye(4, dtype=complex),
                         ledger.request_z(qubit, angle))
 
 
 def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
-                        mode, ledger: PhaseLedger = None):
+                        mode, ledger: PhaseLedger = PhaseLedger()):
     """Compile one phase block delivering z angles theta_z1/theta_z2 and a zz
     angle theta_zz, absorbing all ledger pendings.
 
     The duration comes from the zz target: t = 2 r / |Delta_12| where r in
-    (0, 2 pi] is the coupling-sign-reduced remaining zz angle; a vanishing
-    remainder is promoted to a full 2 pi cycle so pure-z blocks still have
-    positive duration.  Gated detunings solve the accrual equations in
-    closed form, Delta_i = theta_hat_i / (2 t) - Delta_12 / 4.  Always-on
-    detunings come from the parking helpers: an exact drive-aware solve for
-    qubit 2 (on the qubit-1-excited branch, matching its role as the rotated
-    qubit in the CNOT sequence) and the bare accrual equation with flip caps
-    and a separation constraint for qubit 1.
+    (0, 2 pi] is the coupling-sign-reduced remaining zz angle; a remainder
+    below _ZZ_ROUNDOFF, zero included, is promoted to a full 2 pi cycle so
+    pure-z blocks still have positive duration.  Gated detunings solve the
+    accrual equations in closed form, Delta_i = theta_hat_i / (2 t) -
+    Delta_12 / 4.  In always-on mode the parking helpers replace them for
+    each driven qubit: an exact drive-aware solve for qubit 2 (on the
+    qubit-1-excited branch, matching its role as the rotated qubit in the
+    CNOT sequence) and the bare accrual equation with flip caps and a
+    separation constraint for qubit 1.
     """
     _require_mode(mode)
     for name, value in (("theta_z1", theta_z1), ("theta_z2", theta_z2),
                         ("theta_zz", theta_zz)):
         _require_finite(name, value)
-    if ledger is None:
-        ledger = PhaseLedger()
     # Intended = requested angles plus any owed gate content; coupling
     # surpluses are compensated physically below but are not gate content.
     intended = _block_unitary(
@@ -554,61 +532,35 @@ def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
     th2 = wrap_angle(theta_z2 - ledger.pending_z2 - ledger.surplus_z2)
     sign = 1.0 if d12 > 0.0 else -1.0
     reduced = (sign * (theta_zz - ledger.pending_zz)) % _TWO_PI
-    if reduced == 0.0:
+    if reduced < _ZZ_ROUNDOFF:
         reduced = _TWO_PI
     t = 2.0 * reduced / abs(d12)
     shift = d12 / 4.0
+    delta1 = th1 / (2.0 * t) - shift
+    delta2 = th2 / (2.0 * t) - shift
 
-    if mode == "gated":
-        delta1 = th1 / (2.0 * t) - shift
-        delta2 = th2 / (2.0 * t) - shift
-        amps = (0.0, 0.0)
-    else:
-        a1, a2 = device.q1.a, device.q2.a
-        if a2 > 0.0:
-            # Target the exact parked phase on the branch where qubit 1 is
-            # excited (qubit-2 effective detuning delta2 + Delta_12/2 there);
-            # the zz angle then lands on the complementary branch.
-            beta = wrap_angle(th2 + sign * reduced)
-            delta2 = _exact_detuning(
-                beta, a2, t, d12 / 2.0, _PARKING_FLOOR * a2, _LEAK_CAP
-            )
-        else:
-            delta2 = th2 / (2.0 * t) - shift
-        if a1 > 0.0:
-            sep = _SEPARATION_MIN * max(a1, a2)
-            delta1 = None
-            for cand in _booked_candidates(th1, t, shift, _PARKING_FLOOR * a1):
-                if (_leakage(cand, a1, t) > _FLIP_CAP
-                        or _leakage(cand + d12 / 2.0, a1, t) > _FLIP_CAP):
-                    continue
-                if abs(cand - delta2) < sep or abs(cand + delta2) < sep:
-                    continue
-                delta1 = cand
-                break
-            if delta1 is None:
-                raise CompilationError(
-                    f"no admissible always-on parking for qubit 1 within "
-                    f"k <= {_K_MAX} (theta {th1:.4f} rad, duration {t:.4f}, "
-                    f"floor {_PARKING_FLOOR * a1:.4f})"
-                )
-        else:
-            delta1 = th1 / (2.0 * t) - shift
-        amps = (a1, a2)
+    a1, a2 = (device.q1.a, device.q2.a) if mode == "always_on" else (0.0, 0.0)
+    if a2 > 0.0:
+        # Target the exact parked phase on the branch where qubit 1 is
+        # excited (qubit-2 effective detuning delta2 + Delta_12/2 there);
+        # the zz angle then lands on the complementary branch.
+        delta2 = _exact_detuning(wrap_angle(th2 + sign * reduced), a2, t, d12 / 2.0)
+    if a1 > 0.0:
+        delta1 = _control_parking(th1, a1, t, d12, delta2, _SEPARATION_MIN * max(a1, a2))
 
     segment = PulseSegment(
         duration=t,
         delta1=delta1,
         delta2=delta2,
-        a1=amps[0],
-        a2=amps[1],
+        a1=a1,
+        a2=a2,
         label=f"block({theta_z1:.4g},{theta_z2:.4g},{theta_zz:.4g})",
     )
     return CompiledGate((segment,), intended, PhaseLedger())
 
 
 def compile_cnot_gates(device: DeviceParams, mode,
-                       ledger: PhaseLedger = None):
+                       ledger: PhaseLedger = PhaseLedger()):
     """The CNOT pulse sequence as its four compiled pieces (time order).
 
     Control is qubit 1, target qubit 2.  The sequence is the NMR-style
@@ -627,8 +579,6 @@ def compile_cnot_gates(device: DeviceParams, mode,
         raise CompilationError(
             f"CNOT requires both drives > 0, got a1={device.q1.a}, a2={device.q2.a}"
         )
-    if ledger is None:
-        ledger = PhaseLedger()
     g1 = compile_x_rotation(2, -_HALF_PI, device, mode, ledger)
     g2 = compile_phase_block(-_HALF_PI, _HALF_PI, _HALF_PI, device, mode,
                              g1.ledger_after)
@@ -642,7 +592,7 @@ def compile_cnot(device: DeviceParams, mode):
     """Compile the full CNOT into an executable Schedule."""
     gates = compile_cnot_gates(device, mode)
     segments = tuple(seg for g in gates for seg in g.segments)
-    return Schedule(segments=segments, device=device, model="capacitive")
+    return Schedule(segments=segments, device=device)
 
 
 def compile_schedule(gates, device: DeviceParams, mode):
@@ -692,7 +642,7 @@ def compile_schedule(gates, device: DeviceParams, mode):
         raise CompilationError(
             "compiled schedule has no physical segments (only virtual gates)"
         )
-    return Schedule(segments=segments, device=device, model="capacitive"), tuple(compiled)
+    return Schedule(segments=segments, device=device), tuple(compiled)
 
 
 def verify_schedule(schedule: Schedule, target, tol):

@@ -272,7 +272,7 @@ def test_run_verify_passes():
     buf = io.StringIO()
     assert run_verify(buf) == 0
     text = buf.getvalue()
-    assert text.count("PASS") == 7
+    assert text.count("PASS") == 8
     assert "FAIL" not in text.replace("PASS", "")
     assert "all checks passed" in text
 

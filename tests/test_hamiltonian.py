@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from capqubit import checks
 from capqubit.hamiltonian import (
     DeviceParams,
     QubitParams,
@@ -168,12 +169,8 @@ def test_dipole_and_capacitive_differ_by_diagonal_shift():
     # The capacitive coupling is the dipole sz-sz form at strength
     # Delta12/4 plus single-qubit shifts plus an identity offset.
     rng = np.random.default_rng(37)
-    for _ in range(100):
-        d12 = rng.uniform(-5.0, 5.0)
-        cap = build_capacitive(device(d12=d12))
-        dip = build_dipole(device(d12=d12 / 4.0))
-        shift = (d12 / 4.0) * (np.kron(SZ, I2) + np.kron(I2, SZ) + np.eye(4))
-        assert np.max(np.abs(cap - dip - shift)) <= 1e-15
+    worst = checks.dipole_equivalence_error(rng.uniform(-5.0, 5.0, 100))
+    assert worst <= checks.DIPOLE_EQUIVALENCE_TOL
 
 
 def test_effective_levels_example():

@@ -131,6 +131,13 @@ def test_eigh_rejects_non_hermitian_naming_entries():
     assert "(2,3)" in message and "(3,2)" in message
 
 
+def test_eigh_rejects_non_hermitian_matrix_whose_norm_overflows():
+    # the tolerance scales with the largest entry, which cannot overflow;
+    # the Frobenius norm of this matrix does, and an inf tolerance passes all
+    with pytest.raises(ValueError, match=r"\(1,2\) and \(2,1\) differ by 1\.000e\+190"):
+        eigh([[1e200, 1e190], [0.0, 1e200]])
+
+
 def test_expm_zero_hamiltonian_is_identity():
     u = expm_unitary(np.zeros((4, 4)), 7.3)
     assert np.allclose(u, np.eye(4), atol=1e-14)

@@ -3,12 +3,15 @@ sequence, ledger bookkeeping and schedule-level composition."""
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from capqubit import checks
+from capqubit import checks, pulsecompiler
+from capqubit.cli import _parse_gates
 from capqubit.evolution import PulseSegment, Schedule, propagate
+from capqubit.experiments import _sweep_device
 from capqubit.hamiltonian import DeviceParams, QubitParams
 from capqubit.linalg import distance_up_to_global_phase, wrap_angle
 from capqubit.pulsecompiler import (
@@ -138,20 +141,12 @@ def test_ledger_request_arithmetic():
     assert led.pending_z2 == -0.5
 
 
-def test_ledger_wrapped_pending_combines_content_and_surplus():
-    led = PhaseLedger(pending_z1=HALF_PI, surplus_z1=HALF_PI)
-    assert led.wrapped_pending(1) == pytest.approx(math.pi, abs=1e-15)
-    led = PhaseLedger(pending_z2=5.0 * math.pi)
-    assert led.wrapped_pending(2) == pytest.approx(math.pi, abs=1e-12)
-
-
 def test_ledger_neutrality_is_per_stream():
     assert PhaseLedger().is_phase_neutral
     assert PhaseLedger(pending_z1=2.0 * math.pi).is_phase_neutral
     # content and surplus cancelling in the sum is NOT neutrality: each
     # stream must be a 2 pi multiple on its own
     mixed = PhaseLedger(pending_z1=math.pi, surplus_z1=math.pi)
-    assert mixed.wrapped_pending(1) == 0.0
     assert not mixed.is_phase_neutral
     assert not PhaseLedger(pending_zz=0.5).is_phase_neutral
 
@@ -406,6 +401,18 @@ def test_phase_block_pure_z_promotes_full_cycle():
     assert distance_up_to_global_phase(u, ideal_gate(GateSpec("rz", 1, HALF_PI))) <= EXACT_TOL
 
 
+def test_phase_block_tiny_zz_remainder_takes_the_full_cycle():
+    # a remainder below the roundoff floor is delivered like a zero one;
+    # delivered on its own it would need t = 8.8e-184 and delta1 ~ 6e182
+    dev = device(0.5)
+    specs = [GateSpec("rz", 1, 1.0), GateSpec("zz", None, 2.2e-184)]
+    schedule, _ = compile_schedule(specs, dev, "gated")
+    (block,) = schedule.segments
+    assert block.duration == 8.0 * math.pi
+    u = propagate(schedule, KET_11).total_propagator
+    assert distance_up_to_global_phase(u, requested_product(specs)) <= EXACT_TOL
+
+
 def test_phase_block_trivial_when_nothing_requested():
     g = compile_phase_block(0.0, 0.0, 0.0, device(0.25), "gated")
     assert g.segments == ()
@@ -638,3 +645,121 @@ def test_schedule_rejects_bad_input():
         compile_schedule(["cnot"], device(0.1), "gated")
     with pytest.raises(CompilationError):
         compile_schedule([GateSpec("rz", 1, 0.1), GateSpec("rz", 1, -0.1)], device(0.1), "gated")
+
+
+# ---------------------------------------------------------------------------
+# always-on parking choices, pinned bit for bit
+# ---------------------------------------------------------------------------
+# Each segment is "duration delta1 delta2 a1 a2 label", floats as float.hex.
+# The CNOTs are the sweep device's at ratios around the sweep, the recorded
+# amplitude dip (0.0944975...) and a negative coupling; the list is the
+# README's simulate example at d12 = 0.01 with a1 = 0.5.  Any change in which
+# parking root, branch or candidate wins shows as a changed digit here.
+
+PINNED_CNOTS = {
+    0.001: (
+        '0x1.2d97c7f3321d2p+1 0x1.53d2701743216p+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,-1.5708)',
+        '0x1.88679112ac741p+11 0x1.6713caa710a06p+4 0x1.f9b5dec85c0cdp+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(-1.571,1.571,1.571)',
+        '0x1.921fb54442d18p-1 0x1.7ea806255aca1p+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.8899d50954fc7p+11 0x1.6b496d367ca16p+4 0x1.f9b6a4bc64e77p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(0,1.571,1.571)',
+    ),
+    0.01: (
+        '0x1.2d97c7f3321d2p+1 0x1.53c0017fb5d18p+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,-1.5708)',
+        '0x1.37cd960d6dcf7p+8 -0x1.b1bb91e9de853p+4 0x1.f99efa2fad143p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(-1.571,1.571,1.571)',
+        '0x1.921fb54442d18p-1 0x1.7e95978dcd7a3p+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.395fb5c2b2124p+8 0x1.884d04a52cae6p+4 0x1.f9a6d78f75557p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(0,1.571,1.571)',
+    ),
+    0.0944975075979777: (
+        '0x1.2d97c7f3321d2p+1 0x1.5312f4783800fp+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,-1.5708)',
+        '0x1.ee398b7de0312p+4 0x1.8764748f07252p+4 0x1.f6942d6595fb8p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(-1.571,1.571,1.571)',
+        '0x1.921fb54442d18p-1 0x1.7de88a864fa9ap+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.03adc369122f2p+5 0x1.0d41f054fb49ep+5 -0x1.fa1ed8c62b1d2p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(0,1.571,1.571)',
+    ),
+    0.2336: (
+        '0x1.2d97c7f3321d2p+1 0x1.51f612b3babbcp+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,-1.5708)',
+        '0x1.62f4f9a61e0cap+3 0x1.05cb70420001ep+5 -0x1.e92442b302ef1p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(-1.571,1.571,1.571)',
+        '0x1.921fb54442d18p-1 0x1.7ccba8c1d2647p+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.9538f04ea666dp+3 0x1.a3d2ce34e5afdp+4 0x1.f7dcd165b6741p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(0,1.571,1.571)',
+    ),
+    0.5: (
+        '0x1.2d97c7f3321d2p+1 0x1.7aaa126f15284p+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,-1.5708)',
+        '0x1.f6a7a2955385ep+1 0x1.e133333333333p+4 0x1.a619dd5223550p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(-1.571,1.571,1.571)',
+        '0x1.921fb54442d18p-1 0x1.7aaa126f15284p+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.5fdbbe9bba775p+2 0x1.6bb6db6db6db7p+4 0x1.ed7513ae055a2p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(0,1.571,1.571)',
+    ),
+    -0.05: (
+        '0x1.2d97c7f3321d2p+1 0x1.543ae2c763e5fp+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,-1.5708)',
+        '0x1.74475ad031dc0p+7 -0x1.73fc53d2336a6p+4 0x1.f943f8d414242p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(-1.571,1.571,1.571)',
+        '0x1.921fb54442d18p-1 0x1.7f1078d57b8eap+3 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.776b9a3aba619p+7 -0x1.b8d670aecef15p+4 0x1.fa1f9f9522708p+4 0x1.0000000000000p+0 0x1.0000000000000p+0 block(0,1.571,1.571)',
+    ),
+}
+PINNED_LIST = {
+    'gated': (
+        '0x1.3a28c59d5433bp+10 -0x1.47ae147ae147bp-9 -0x1.999999999999ap-9 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+        '0x1.921fb54442d18p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.39f681a6abab5p+10 -0x1.47e28aa58b208p-9 -0x1.ebd3cff850b0cp-10 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+        '0x1.2d97c7f3321d2p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 rx(q2,-1.5708)',
+        '0x1.37cd960d6dcf7p+8 -0x1.4a27fad76014ap-8 0x0.0p+0 0x0.0p+0 0x0.0p+0 block(-1.571,1.571,1.571)',
+        '0x1.921fb54442d18p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.395fb5c2b2124p+8 -0x1.4880522014881p-9 0x0.0p+0 0x0.0p+0 0x0.0p+0 block(0,1.571,1.571)',
+        '0x1.3a28c59d5433bp+10 -0x1.999999999999ap-9 -0x1.47ae147ae147bp-9 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+        '0x1.657184ae74487p+2 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0 rx(q1,-0.698132)',
+        '0x1.38c35418a5bf6p+10 -0x1.c3ce77cdb15c4p-10 -0x1.4924924924925p-9 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+        '0x1.199999999999ap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 rx(q2,1.1)',
+        '0x1.3a05926a21008p+10 -0x1.47d2cf9e39b2ep-9 -0x1.47d2cf9e39b2ep-9 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+    ),
+    'always_on': (
+        '0x1.3a28c59d5433bp+10 0x1.4028f5c28f5c2p+2 0x1.6583210bbb665p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+        '0x1.921fb54442d18p-1 0x1.fed6ca1d5c95cp+2 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.39f681a6abab5p+10 0x1.400a45a31a819p+2 0x1.641d16b7c9437p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+        '0x1.2d97c7f3321d2p+1 0x1.53ab869e6e236p+2 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q2,-1.5708)',
+        '0x1.37cd960d6dcf7p+8 -0x1.cb48b63476c0cp+3 0x1.f99efa2fad143p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(-1.571,1.571,1.571)',
+        '0x1.921fb54442d18p-1 0x1.fed6ca1d5c95cp+2 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q2,1.5708)',
+        '0x1.395fb5c2b2124p+8 0x1.83c50615188f9p+3 0x1.f9a6d78f75557p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,1.571,1.571)',
+        '0x1.3a28c59d5433bp+10 -0x1.445c28f5c28f6p+2 0x1.419cdbdb15ae5p+3 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+        '0x1.657184ae74487p+2 0x0.0p+0 0x1.546b6d0fae128p+3 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q1,-0.698132)',
+        '0x1.38c35418a5bf6p+10 0x1.44b179f3f0dbdp+2 0x1.419c080c9a05fp+3 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+        '0x1.199999999999ap-1 0x1.6c00fed4687c1p+2 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q2,1.1)',
+        '0x1.3a05926a21008p+10 0x1.4023e357e8c3bp+2 0x1.41acad1c15dffp+3 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+    ),
+}
+
+
+def hex_segments(schedule):
+    return tuple(
+        " ".join([getattr(s, f).hex() for f in ("duration", "delta1", "delta2", "a1", "a2")]
+                 + [s.label])
+        for s in schedule.segments
+    )
+
+
+@pytest.mark.parametrize("ratio", sorted(PINNED_CNOTS))
+def test_always_on_cnot_segments_are_pinned(ratio):
+    schedule = compile_cnot(_sweep_device(ratio), "always_on")
+    assert hex_segments(schedule) == PINNED_CNOTS[ratio]
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_LIST))
+def test_simulate_example_segments_are_pinned(mode):
+    dev = DeviceParams(QubitParams(0.0, 0.5), QubitParams(0.0, 1.0), 0.01)
+    specs = _parse_gates("ry2:90deg, cnot, ry1:-40deg, rz1:0.4, rx2:1.1")
+    schedule, _ = compile_schedule(specs, dev, mode)
+    assert hex_segments(schedule) == PINNED_LIST[mode]
+
+
+def test_exact_parking_search_fails_fast_when_no_branch_is_admissible():
+    # at ratio 1e-5 the block lasts t ~ 3e5, so the branches step Omega by
+    # pi/t ~ 1e-5 and the searched ones all stay under the leakage radius
+    start = time.perf_counter()
+    with pytest.raises(CompilationError, match="no exact parking detuning"):
+        compile_cnot(_sweep_device(1e-5), "always_on")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
+    # with a1 = 1e5 every candidate up to the cap flips qubit 1 past _FLIP_CAP
+    monkeypatch.setattr(pulsecompiler, "_K_MAX", 1000)
+    dev = DeviceParams(QubitParams(0.0, 1e5), QubitParams(0.0, 1.0), 0.5)
+    with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
+        compile_phase_block(0.3, 0.2, HALF_PI, dev, "always_on")
