@@ -57,12 +57,13 @@ def dipole_equivalence_error(couplings):
     shifts and a constant."""
     idle = QubitParams(0.0, 0.0)
     sz, i2 = np.diag([1.0, -1.0]), np.eye(2)
+    shifts = np.kron(sz, i2) + np.kron(i2, sz) + np.eye(4)
     worst = 0.0
     for d12 in couplings:
         quarter = d12 / 4.0
         diff = (build_capacitive(DeviceParams(idle, idle, d12))
                 - build_dipole(DeviceParams(idle, idle, quarter))
-                - quarter * (np.kron(sz, i2) + np.kron(i2, sz) + np.eye(4)))
+                - quarter * shifts)
         worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 

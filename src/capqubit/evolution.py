@@ -3,10 +3,10 @@
 A ``Schedule`` is an ordered list of ``PulseSegment`` settings applied to a
 fixed device; within a segment the Hamiltonian is constant, so the exact
 propagator is a product of matrix exponentials (``propagate``).  An
-independent classical Runge-Kutta integrator (``propagate_rk4``) solves the
-same Schrodinger equation i d psi/dt = H psi by brute force and exists only
-to cross-check the exact route; it shares no code path with ``expm_unitary``
-beyond the Hamiltonian builders.
+independent Runge-Kutta integrator of i d psi/dt = H psi (``propagate_rk4``)
+applies each segment's fixed RK4 step matrix n - 1 times by repeated
+squaring; it exists only to cross-check the exact route and shares no code
+path with ``expm_unitary`` beyond the Hamiltonian builders.
 
 The capacitive coupling is a device constant: it appears in every segment's
 Hamiltonian and is deliberately NOT a per-segment control.
@@ -155,7 +155,9 @@ def _rk4_step_matrix(m, h):
 
 
 def propagate_rk4(schedule: Schedule, psi0, dt):
-    """Fixed-step RK4 integration of the Schrodinger equation.
+    """Fixed-step RK4 integration of the Schrodinger equation: within each
+    segment the one RK4 step matrix is raised to the power n - 1 by repeated
+    squaring, never via ``expm_unitary``; one partial step then ends it.
 
     Args:
         schedule: pulse program (same semantics as ``propagate``).
@@ -177,12 +179,9 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
             f"dt={dt} too coarse: must be <= shortest segment / 10 = {shortest / 10.0}"
         )
     for seg in schedule.segments:
-        h = segment_hamiltonian(seg, schedule.device, schedule.model)
-        m = -1j * h
+        m = -1j * segment_hamiltonian(seg, schedule.device, schedule.model)
         n_steps = max(1, math.ceil(seg.duration / dt - 1e-12))
-        step = _rk4_step_matrix(m, dt)
-        for _ in range(n_steps - 1):
-            psi = step @ psi
+        psi = np.linalg.matrix_power(_rk4_step_matrix(m, dt), n_steps - 1) @ psi
         last = seg.duration - (n_steps - 1) * dt
         psi = _rk4_step_matrix(m, last) @ psi
     return psi
