@@ -49,11 +49,9 @@ from .pulsecompiler import (
     compile_phase_block,
     compile_schedule,
     compile_x_rotation,
-    compile_y_rotation,
     compile_z_rotation,
     ideal_composition,
     ideal_gate,
-    ledger_discharge_unitary,
     verify_schedule,
 )
 from .experiments import (
@@ -98,11 +96,9 @@ __all__ = [
     "compile_phase_block",
     "compile_schedule",
     "compile_x_rotation",
-    "compile_y_rotation",
     "compile_z_rotation",
     "ideal_composition",
     "ideal_gate",
-    "ledger_discharge_unitary",
     "verify_schedule",
     # experiments
     "SweepConfig",

@@ -13,9 +13,9 @@ Commands:
 Every command accepts ``--config <file>`` with flat ``key = value`` lines
 (``#`` starts a comment), one key per setting, named after its flag
 (``--baseline-ratio`` is ``baseline_ratio``, ``--log``/``--linear`` are
-``spacing``); flags override file values.  An unknown key, a missing setting
-and an invalid value are usage errors.  Exit status is 0 on success, 1 on
-runtime or verification failure, 2 on usage errors.
+``spacing``); flags override file values.  An unknown key, a repeated key, a
+missing setting and an invalid value are usage errors.  Exit status is 0 on
+success, 1 on runtime or verification failure, 2 on usage errors.
 """
 
 import argparse
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import ideal_product, run_verify
-from .evolution import propagate
+from .evolution import _check_initial_state, propagate
 from .hamiltonian import DeviceParams, QubitParams
 from .pulsecompiler import MODES, GateSpec, compile_schedule, verify_schedule
 from .experiments import SweepConfig, cnot_response, levels_table, run_sweep
@@ -123,23 +123,23 @@ def _parse_gates(text):
 
 
 def _parse_state(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"psi0 needs 4 comma-separated components, got {len(parts)}")
     try:
-        return tuple(complex(p) for p in parts)
+        psi0 = tuple(complex(p.strip()) for p in text.split(","))
     except ValueError:
         raise ValueError(f"psi0: malformed component in {text!r}") from None
+    _check_initial_state(psi0)
+    return psi0
 
 
 def _load_config_file(path):
-    """Flat `key = value` file; `#` starts a comment; keys lowercased."""
+    """Flat `key = value` file; `#` starts a comment; keys lowercased and
+    each given at most once."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,7 +149,9 @@ def _load_config_file(path):
         value = value.strip()
         if not sep or not key or not value:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        values[key] = value
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key '{key}' repeats line {first_line[key]}")
+        values[key], first_line[key] = value, lineno
     return values
 
 

@@ -117,6 +117,10 @@ def _check_initial_state(psi0):
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (4,):
         raise ValueError(f"initial state must be a length-4 vector, got shape {psi.shape}")
+    # A NaN norm would pass the normalization test below.
+    if not np.isfinite(psi).all():
+        i = int(np.flatnonzero(~np.isfinite(psi))[0])
+        raise ValueError(f"initial state entry {i + 1} is not finite: {psi[i]}")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, got norm {norm!r}")

@@ -54,9 +54,7 @@ __all__ = [
     "CompiledGate",
     "ideal_gate",
     "ideal_composition",
-    "ledger_discharge_unitary",
     "compile_x_rotation",
-    "compile_y_rotation",
     "compile_z_rotation",
     "compile_phase_block",
     "compile_cnot_gates",
@@ -263,21 +261,6 @@ def ideal_composition(gates):
     return u
 
 
-def ledger_discharge_unitary(ledger: PhaseLedger):
-    """Ideal unitary owed by the ledger's undelivered gate content.
-
-    Content pendings are gate requests delivered ahead (negative when owed),
-    so the settlement is R_z(-pending) per qubit.  Coupling surpluses are
-    physical compensation, not gate content, and are excluded: composing this
-    with the intended unitaries audits a gate sequence at the ideal layer.
-    """
-    return _block_unitary(
-        -wrap_angle(ledger.pending_z1),
-        -wrap_angle(ledger.pending_z2),
-        0.0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Always-on parking helpers
 # ---------------------------------------------------------------------------
@@ -302,10 +285,11 @@ def _phase_unwrapped(detuning, a, t):
 
     Writing U_00 = e^{-i Omega t} (cos^2 + (D/Omega) sin^2 ... ) in the
     rotating frame of Omega, the returned value F(D) = 2 Omega t - 2 arg(z)
-    with z = e^{i Omega t} U_00 is continuous and strictly increasing in
-    D > 0, and F mod 2 pi equals the physical z angle.  Solving on F instead
-    of the wrapped angle keeps bisection away from branch cuts even when the
-    drive-induced shift spans many turns.
+    with z = e^{i Omega t} U_00 is continuous in D > 0, and F mod 2 pi
+    equals the physical z angle.  F strictly increases wherever
+    D^2 Omega t >= a^2 / 2, so from the parking floor up once a t >= 5e-4.
+    Solving on F instead of the wrapped angle keeps bisection away from
+    branch cuts even when the drive-induced shift spans many turns.
     """
     om = math.hypot(detuning, a)
     wt = om * t
@@ -460,22 +444,6 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
     return CompiledGate((segment,), intended, after)
 
 
-def compile_y_rotation(qubit, angle, device: DeviceParams, mode,
-                       ledger: PhaseLedger = PhaseLedger()):
-    """Compile R_y(angle) = R_z(pi/2) R_x(angle) R_z(-pi/2), brackets virtual.
-
-    The leading bracket must act before the drive, so a settle block
-    delivers it (with anything else pending) ahead of the x pulse; the
-    trailing bracket stays pending for whatever follows to deliver.
-    """
-    settle = compile_phase_block(0.0, 0.0, 0.0, device, mode,
-                                 ledger.request_z(qubit, -_HALF_PI))
-    core = compile_x_rotation(qubit, angle, device, mode, settle.ledger_after)
-    return CompiledGate(settle.segments + core.segments,
-                        core.intended_unitary @ settle.intended_unitary,
-                        core.ledger_after.request_z(qubit, _HALF_PI))
-
-
 def compile_z_rotation(qubit, angle, ledger: PhaseLedger = PhaseLedger()):
     """Compile R_z(angle): purely virtual, no physical segments.
 
@@ -590,52 +558,51 @@ def compile_cnot_gates(device: DeviceParams, mode,
 
 def compile_cnot(device: DeviceParams, mode):
     """Compile the full CNOT into an executable Schedule."""
-    gates = compile_cnot_gates(device, mode)
-    segments = tuple(seg for g in gates for seg in g.segments)
-    return Schedule(segments=segments, device=device)
+    return compile_schedule((GateSpec("cnot"),), device, mode)[0]
 
 
 def compile_schedule(gates, device: DeviceParams, mode):
     """Compile a list of GateSpec requests into one Schedule.
 
-    Gates share a single ledger.  A drive segment mixes the rotation axes,
-    so any pending z/zz phase must be physically settled before one starts:
-    a discharge block is inserted ahead of every rx/cnot whose incoming
-    ledger is not phase-neutral, and an ry's own settle block does the same
-    (see ``compile_y_rotation``).
-    After the last gate any residual pending phase is discharged into a
-    closing block.  Returns (schedule, compiled_gates) including any
-    inserted discharge blocks.
+    Gates share a single ledger.  Each ry(theta) is first expanded into
+    rz(-pi/2), rx(theta), rz(+pi/2), brackets virtual.  A drive segment
+    mixes the rotation axes, so any pending z/zz phase must be physically
+    settled before one starts: a discharge block is inserted ahead of every
+    rx/cnot whose incoming ledger is not phase-neutral, which also delivers
+    an ry's leading bracket.  After the last gate any residual pending phase
+    is discharged into a closing block.  Returns (schedule, compiled_gates)
+    including any inserted discharge blocks.
     """
-    ledger = PhaseLedger()
-    compiled = []
+    expanded = []
     for spec in gates:
         if not isinstance(spec, GateSpec):
             raise ValueError(f"expected GateSpec, got {spec!r}")
+        if spec.kind == "ry":
+            expanded += [GateSpec("rz", spec.qubit, -_HALF_PI),
+                         GateSpec("rx", spec.qubit, spec.angle),
+                         GateSpec("rz", spec.qubit, _HALF_PI)]
+        else:
+            expanded.append(spec)
+    ledger = PhaseLedger()
+    compiled = []
+    for spec in expanded:
         if spec.kind in ("rx", "cnot") and not ledger.is_phase_neutral:
             settle = compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger)
             compiled.append(settle)
             ledger = settle.ledger_after
         if spec.kind == "rx":
-            g = compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger)
-        elif spec.kind == "ry":
-            g = compile_y_rotation(spec.qubit, spec.angle, device, mode, ledger)
+            pieces = (compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger),)
         elif spec.kind == "rz":
-            g = compile_z_rotation(spec.qubit, spec.angle, ledger)
+            pieces = (compile_z_rotation(spec.qubit, spec.angle, ledger),)
         elif spec.kind == "zz":
-            g = compile_phase_block(0.0, 0.0, spec.angle, device, mode, ledger)
+            pieces = (compile_phase_block(0.0, 0.0, spec.angle, device, mode, ledger),)
         else:  # cnot
             pieces = compile_cnot_gates(device, mode, ledger)
-            compiled.extend(pieces)
-            ledger = pieces[-1].ledger_after
-            continue
-        compiled.append(g)
-        ledger = g.ledger_after
+        compiled.extend(pieces)
+        ledger = pieces[-1].ledger_after
 
     if not ledger.is_phase_neutral:
-        closing = compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger)
-        compiled.append(closing)
-        ledger = closing.ledger_after
+        compiled.append(compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger))
 
     segments = tuple(seg for g in compiled for seg in g.segments)
     if not segments:

@@ -81,6 +81,15 @@ def test_missing_config_file_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+def test_repeated_config_key_exits_2_naming_both_lines(tmp_path, capsys):
+    # the later value used to win silently
+    path = write_config(tmp_path, "d12 = 0.01\ngates = cnot\n\nd12 = 0.5\n")
+    with pytest.raises(SystemExit) as err:
+        parse_args(["simulate", "--config", path])
+    assert err.value.code == 2
+    assert "run.cfg:4: key 'd12' repeats line 1" in capsys.readouterr().err
+
+
 def test_malformed_config_line_exits_2(tmp_path):
     path = write_config(tmp_path, "d1 = 1.5\nnonsense line\n")
     with pytest.raises(SystemExit) as err:
@@ -197,6 +206,8 @@ def test_parse_state():
         _parse_state("1,0,0")
     with pytest.raises(ValueError):
         _parse_state("1,0,0,zebra")
+    with pytest.raises(ValueError, match="entry 4 is not finite"):
+        _parse_state("1,0,0,nan")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +424,13 @@ def test_sweep_min_is_an_unknown_key(tmp_path, capsys):
         (["cnot", "--ratio", "inf"], None, "ratio must be finite and > 0"),
         (["simulate"], "d12 = 0.001\ngates = cnot\ntol = nan\n",
          "tol must be finite and > 0"),
+        (["simulate"], "d12 = 0.001\ngates = cnot\npsi0 = 1,1,0,0\n",
+         "initial state must be normalized"),
+        (["simulate"], "d12 = 0.001\ngates = cnot\npsi0 = nan,0,0,0\n",
+         "initial state entry 1 is not finite"),
     ],
-    ids=["levels-d12-nan", "simulate-a1-negative", "cnot-ratio-inf", "simulate-tol-nan"],
+    ids=["levels-d12-nan", "simulate-a1-negative", "cnot-ratio-inf", "simulate-tol-nan",
+         "simulate-psi0-unnormalized", "simulate-psi0-nan"],
 )
 def test_invalid_setting_exits_2_with_its_reason(tmp_path, capsys, argv, text, reason):
     # values the domain objects reject are usage errors, not runtime failures

@@ -186,6 +186,19 @@ def test_propagate_rejects_unnormalized_state():
         propagate(sched, np.zeros(3))
 
 
+@pytest.mark.parametrize("evolve", [propagate, lambda s, psi: propagate_rk4(s, psi, 0.01)],
+                         ids=["propagate", "propagate_rk4"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)],
+                         ids=["nan", "inf", "imag-nan"])
+def test_non_finite_initial_state_is_rejected_naming_its_entry(evolve, bad):
+    # a NaN norm fails no inequality, so the normalization test alone
+    # would let this state through and print NaN amplitudes
+    seg = PulseSegment(duration=1.0, delta1=0.0, delta2=0.0, a1=0.0, a2=0.0)
+    sched = Schedule(segments=(seg,), device=device())
+    with pytest.raises(ValueError, match="initial state entry 2 is not finite"):
+        evolve(sched, np.array([1.0, bad, 0.0, 0.0]))
+
+
 def test_rk4_zero_hamiltonian_is_exact():
     seg = PulseSegment(duration=1.0, delta1=0.0, delta2=0.0, a1=0.0, a2=0.0)
     sched = Schedule(segments=(seg,), device=device())
