@@ -80,6 +80,10 @@ _SEPARATION_MIN = 2.0
 # Search bounds for the mod-2pi parking equations.
 _K_MAX = 10**6
 _MAX_PHASE_BRANCHES = 400
+# The searches' array screens admit candidates this far (relative) past a
+# cap or radius, since numpy's sin and hypot may differ from math's by an
+# ulp; a scalar test then decides.
+_SCREEN_SLACK = 1e-6
 # A zz remainder r below this is delivered as a full 2 pi cycle, as r = 0
 # is: a block of length 2 r / |Delta_12| needs detunings ~ 1 / r (overflow
 # at r ~ 1e-184), and skipping r errs by no more than the 1e-12 rad every
@@ -268,16 +272,31 @@ def ideal_composition(gates):
 # D sigma_z + a sigma_x with D its effective detuning.  Over a time t it
 # flips with probability (a/Omega)^2 sin^2(Omega t) and acquires a z phase
 # angle theta_phys = -2 arg U_00, where Omega = sqrt(D^2 + a^2).  The helpers
-# below choose D.
+# below choose D.  The two searches walk their candidates in a fixed order
+# and take the first that passes a scalar test.  They screen the walk in
+# numpy blocks that double in length, so a search that ends early stays
+# cheap: each block's candidates are screened as arrays, with
+# _SCREEN_SLACK of relative margin past each cap and radius, and only the
+# candidates the screen admits meet the scalar test, in the walk's order.
+# The scalar test alone decides, so each pick is the walk's own float.
 
 
-def _leakage(detuning, a, t):
-    """Spin-flip probability of a parked qubit after time t."""
-    om = math.hypot(detuning, a)
-    if om == 0.0:
-        return 0.0
+def _blocks(count, first, largest):
+    """Consecutive ranges (i0, i1) covering range(count), their length
+    doubling from first up to largest."""
+    i0, n = 0, first
+    while i0 < count:
+        yield i0, min(i0 + n, count)
+        i0 += n
+        n = min(2 * n, largest)
+
+
+def _leakage(detuning, a, t, xp=math):
+    """Spin-flip probability of a parked qubit after time t (a > 0); xp is
+    math for a float or numpy for an array of detunings."""
+    om = xp.hypot(detuning, a)
     ratio = a / om
-    return ratio * ratio * math.sin(om * t) ** 2
+    return ratio * ratio * xp.sin(om * t) ** 2
 
 
 def _phase_unwrapped(detuning, a, t):
@@ -306,8 +325,15 @@ def _exact_detuning(beta, a, t, shift):
 
     Solves F(D) = +-beta + 2 pi m (the phase is odd in D) by bisection on
     branches m from a start radius outward, the positive sign first on
-    each; the first admissible root wins.  The returned value is the
-    detuning delta relative to the coupling shift: D = delta + shift.
+    each; the first admissible root wins.  A branch's root lies in a
+    closed-form bracket [lo, hi], built for a block of branches at once, and
+    at the root the leakage is q / (1 + q) with q = (a sin(beta/2) / D)^2, so
+    it passes the cap only if hi reaches the leak radius
+    a |sin(beta/2)| sqrt(1/cap - 1).  Only the branches whose bracket
+    reaches it are bisected and tested, in the walk's order; the start
+    clears the floor on either sign, so the floor screens none.  The
+    returned value is the detuning delta relative to the coupling shift:
+    D = delta + shift.
     """
     floor_abs = _PARKING_FLOOR * a
     # A solution has leakage ~ (a/Omega)^2 sin^2(beta/2); start the walk at
@@ -316,26 +342,37 @@ def _exact_detuning(beta, a, t, shift):
     d_req = math.sqrt(max(om_req * om_req - a * a, 0.0)) * 0.999
     start = max(floor_abs + abs(shift) + 0.05 * a, d_req)
     f_start = _phase_unwrapped(start, a, t)
-    for i in range(_MAX_PHASE_BRANCHES):
-        for sign in (1.0, -1.0):
-            # Branches count from the lowest one at or above F(start).  re > 0
-            # in _phase_unwrapped, so |F - 2 Omega t| < pi: the root has Omega
-            # in [(y - pi) / 2t, (y + pi) / 2t], which brackets it in closed form.
-            y = sign * beta + _TWO_PI * (math.ceil((f_start - sign * beta) / _TWO_PI) + i)
-            om_lo = max((y - math.pi) / (2.0 * t), a)
-            om_hi = (y + math.pi) / (2.0 * t)
-            # sqrt(om^2 - a^2) as a product, which cannot overflow.
-            lo = max(start, math.sqrt(om_lo - a) * math.sqrt(om_lo + a))
-            hi = math.sqrt(om_hi - a) * math.sqrt(om_hi + a)
+    radius = a * abs(math.sin(beta / 2.0)) * math.sqrt(1.0 / _LEAK_CAP - 1.0)
+
+    for i0, i1 in _blocks(_MAX_PHASE_BRANCHES, 1, 200):
+        # Branches count from the lowest one at or above F(start), + before -
+        # on each.  re > 0 in _phase_unwrapped, so |F - 2 Omega t| < pi: the
+        # root has Omega in [(y - pi) / 2t, (y + pi) / 2t], which brackets it
+        # in closed form.  numpy's ceil, sqrt and arithmetic round as math's
+        # do, so these arrays hold the scalar walk's floats.
+        i = np.arange(i0, i1)[:, None]
+        sign = np.array([1.0, -1.0])
+        y = sign * beta + _TWO_PI * (np.ceil((f_start - sign * beta) / _TWO_PI) + i)
+        om_lo = np.maximum((y - math.pi) / (2.0 * t), a)
+        om_hi = (y + math.pi) / (2.0 * t)
+        # sqrt(om^2 - a^2) as a product, which cannot overflow.
+        lo = np.maximum(start, np.sqrt(om_lo - a) * np.sqrt(om_lo + a))
+        hi = np.sqrt(om_hi - a) * np.sqrt(om_hi + a)
+        for j in np.flatnonzero(hi >= radius * (1.0 - _SCREEN_SLACK)).tolist():
+            target, r_lo, r_hi = float(y.flat[j]), float(lo.flat[j]), float(hi.flat[j])
             for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                if _phase_unwrapped(mid, a, t) < y:
-                    lo = mid
+                mid = 0.5 * (r_lo + r_hi)
+                if _phase_unwrapped(mid, a, t) < target:
+                    if mid == r_lo:
+                        break  # a fixed point: the halvings left change nothing
+                    r_lo = mid
                 else:
-                    hi = mid
-            root = 0.5 * (lo + hi)
-            delta = sign * root - shift
-            if abs(delta) >= floor_abs and _leakage(sign * root, a, t) <= _LEAK_CAP:
+                    if mid == r_hi:
+                        break
+                    r_hi = mid
+            root = float(sign[j % 2]) * (0.5 * (r_lo + r_hi))
+            delta = root - shift
+            if abs(delta) >= floor_abs and _leakage(root, a, t) <= _LEAK_CAP:
                 return delta
     raise CompilationError(
         f"no exact parking detuning found (target angle {beta:.4f} rad, "
@@ -347,18 +384,38 @@ def _control_parking(theta, a, t, d12, delta2, sep):
     """Detuning of a block's qubit 1: the solution of the bare accrual
     equation 2 (delta + Delta_12/4) t == theta (mod 2 pi) nearest the floor,
     on either sign, that flips within _FLIP_CAP with qubit 2 in either state
-    and sits at least sep away from +-delta2."""
+    and sits at least sep away from +-delta2.
+
+    Candidates k alternate k_up + i, k_down - i outward from the floor.  A
+    block of them is screened as arrays with the scalar test's own formula,
+    the flip caps widened by _SCREEN_SLACK; the admitted candidates then
+    meet the scalar test in that order.
+    """
     shift = d12 / 4.0
     floor_abs = _PARKING_FLOOR * a
     k_up = math.ceil(((floor_abs + shift) * 2.0 * t - theta) / _TWO_PI)
     k_down = math.floor(((-floor_abs + shift) * 2.0 * t - theta) / _TWO_PI)
-    for i in range(_K_MAX):
-        for k in (k_up + i, k_down - i):
-            delta = (theta + _TWO_PI * k) / (2.0 * t) - shift
-            if (abs(delta) >= floor_abs
-                    and _leakage(delta, a, t) <= _FLIP_CAP
-                    and _leakage(delta + d12 / 2.0, a, t) <= _FLIP_CAP
-                    and abs(delta - delta2) >= sep and abs(delta + delta2) >= sep):
+
+    def admissible(k, xp, cap):
+        # the floor, both flip probabilities (qubit 2 in its ground and its
+        # excited state) and the separation from +-delta2; & serves floats
+        # and arrays alike
+        delta = (theta + _TWO_PI * k) / (2.0 * t) - shift
+        return delta, ((abs(delta) >= floor_abs)
+                       & (_leakage(delta, a, t, xp) <= cap)
+                       & (_leakage(delta + d12 / 2.0, a, t, xp) <= cap)
+                       & (abs(delta - delta2) >= sep) & (abs(delta + delta2) >= sep))
+
+    for i0, i1 in _blocks(_K_MAX, 32, 2048):
+        # row i holds k_up + i, k_down - i; floats, so no k overflows
+        i = np.arange(i0, i1, dtype=float)[:, None]
+        k = np.array([k_up, k_down], dtype=float) + np.array([1.0, -1.0]) * i
+        _, screen = admissible(k, np, _FLIP_CAP * (1.0 + _SCREEN_SLACK))
+        for j in np.flatnonzero(screen).tolist():
+            row, down = divmod(j, 2)
+            delta, ok = admissible(k_down - i0 - row if down else k_up + i0 + row,
+                                   math, _FLIP_CAP)
+            if ok:
                 return delta
     raise CompilationError(
         f"no admissible always-on parking for qubit 1 within "

@@ -70,7 +70,7 @@ def test_gated_gate_lists(gates, ratio):
     assert report["distance"] <= GATE_LIST_DISTANCE_PER_RATIO * abs(ratio)
 
 
-@settings(max_examples=20)
+@settings(max_examples=100)
 @given(gates=_gate_lists, ratio=_ratios)
 def test_always_on_gate_lists_compose(gates, ratio):
     # a parking search may fail, but only with a CompilationError
