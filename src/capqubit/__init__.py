@@ -28,7 +28,6 @@ from .hamiltonian import (
     build_capacitive,
     build_capacitive_pauli_form,
     build_dipole,
-    build_single_qubit,
     effective_levels,
 )
 from .evolution import (
@@ -77,7 +76,6 @@ __all__ = [
     "build_capacitive",
     "build_capacitive_pauli_form",
     "build_dipole",
-    "build_single_qubit",
     "effective_levels",
     # evolution
     "EvolutionResult",

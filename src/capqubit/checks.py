@@ -13,7 +13,7 @@ import numpy as np
 
 from .evolution import PulseSegment, Schedule, propagate, propagate_rk4
 from .experiments import INITIAL_STATE, _sweep_device
-from .hamiltonian import (DeviceParams, QubitParams, build_capacitive,
+from .hamiltonian import (_Z1, _Z2, DeviceParams, QubitParams, build_capacitive,
                           build_capacitive_pauli_form, build_dipole, effective_levels)
 from .linalg import distance_up_to_global_phase, eigh
 from .pulsecompiler import (GateSpec, compile_cnot, compile_cnot_gates, compile_phase_block,
@@ -56,8 +56,7 @@ def dipole_equivalence_error(couplings):
     that the capacitive coupling is the dipole-dipole one up to single-qubit
     shifts and a constant."""
     idle = QubitParams(0.0, 0.0)
-    sz, i2 = np.diag([1.0, -1.0]), np.eye(2)
-    shifts = np.kron(sz, i2) + np.kron(i2, sz) + np.eye(4)
+    shifts = np.diag(np.add(_Z1, _Z2) + 1.0)
     worst = 0.0
     for d12 in couplings:
         quarter = d12 / 4.0

@@ -15,6 +15,7 @@ auditable.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,9 +67,13 @@ class SweepConfig:
             raise ValueError(
                 f"ratio_min must be < ratio_max, got {self.ratio_min} >= {self.ratio_max}"
             )
-        if not (2 <= int(self.points) <= _MAX_POINTS):
-            raise ValueError(f"points must be in [2, {_MAX_POINTS}], got {self.points}")
-        object.__setattr__(self, "points", int(self.points))
+        try:
+            points = operator.index(self.points)
+        except TypeError:
+            raise ValueError(f"points must be an integer, got {self.points!r}") from None
+        if not (2 <= points <= _MAX_POINTS):
+            raise ValueError(f"points must be in [2, {_MAX_POINTS}], got {points}")
+        object.__setattr__(self, "points", points)
         if self.spacing not in _SPACINGS:
             raise ValueError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
         modes = tuple(dict.fromkeys(self.modes))

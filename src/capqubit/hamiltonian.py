@@ -37,7 +37,6 @@ from .linalg import _require_finite
 __all__ = [
     "QubitParams",
     "DeviceParams",
-    "build_single_qubit",
     "build_capacitive",
     "build_capacitive_pauli_form",
     "build_dipole",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 # sigma_z eigenvalue of qubit 1 / qubit 2 in each basis state, in the fixed
-# ordering above.
+# ordering above; the package's only copy of this sign pattern.
 _Z1 = (1.0, 1.0, -1.0, -1.0)
 _Z2 = (1.0, -1.0, 1.0, -1.0)
 
@@ -91,11 +90,6 @@ class DeviceParams:
 
     def __post_init__(self):
         _require_finite("delta12", self.delta12)
-
-
-def build_single_qubit(p: QubitParams):
-    """2x2 single-qubit Hamiltonian [[Delta, a], [a, -Delta]]."""
-    return np.array([[p.delta, p.a], [p.a, -p.delta]], dtype=complex)
 
 
 def _place_drives(h, a1, a2):

@@ -47,6 +47,24 @@ def _require_square(m):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
 
 
+def _require_finite_entries(name, m):
+    # LAPACK and norms pass NaN along instead of failing, and nan > tol is False.
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"{name} entry ({i + 1},{j + 1}) is not finite: {m[i, j]}")
+
+
+def _require_unitary(name, u, tol):
+    """Raise ValueError if the square u has a non-finite entry or
+    ||u^dagger u - I||_F > tol."""
+    _require_finite_entries(name, u)
+    # Huge entries overflow u^dagger u to inf and nan; "not <=" fails both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
+    if not dev <= tol:
+        raise ValueError(f"{name} fails unitarity by {dev:.3e}")
+
+
 def _require_hermitian(m):
     """Raise ValueError naming the worst entry pair if m is not Hermitian."""
     dev = np.abs(m - m.conj().T)
@@ -72,10 +90,7 @@ def eigh(matrix):
     """
     m = np.asarray(matrix, dtype=complex)
     _require_square(m)
-    # LAPACK returns NaN eigenvalues for non-finite input instead of failing.
-    if not np.isfinite(m).all():
-        i, j = np.argwhere(~np.isfinite(m))[0]
-        raise ValueError(f"matrix entry ({i + 1},{j + 1}) is not finite: {m[i, j]}")
+    _require_finite_entries("matrix", m)
     _require_hermitian(m)
     # LAPACK reads only one triangle, so hand it the Hermitian part.
     return np.linalg.eigh((m + m.conj().T) / 2.0)

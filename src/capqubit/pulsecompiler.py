@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import PulseSegment, Schedule, propagate
-from .hamiltonian import DeviceParams, _require_qubit
-from .linalg import _require_finite, distance_up_to_global_phase, wrap_angle
+from .hamiltonian import _Z1, _Z2, DeviceParams, _place_drives, _require_qubit
+from .linalg import _require_finite, _require_unitary, distance_up_to_global_phase, wrap_angle
 
 __all__ = [
     "CompilationError",
@@ -110,7 +110,8 @@ class GateSpec:
     Kinds: ``rx``/``ry``/``rz`` (qubit and angle required), ``zz`` (angle
     only) and ``cnot`` (control is qubit 1, target qubit 2, no parameters).
     Conventions: R_n(theta) = exp(-i (theta/2) sigma_n), U_zz(theta) =
-    exp(-i (theta/2) sigma_z^1 sigma_z^2); angles in radians.
+    exp(-i (theta/2) sigma_z^1 sigma_z^2); angles in radians.  ``ideal_gate``
+    builds each from one rule, stated in the ideal-gate section below.
     """
 
     kind: str
@@ -203,58 +204,46 @@ class CompiledGate:
         object.__setattr__(self, "segments", tuple(self.segments))
         u = np.asarray(self.intended_unitary, dtype=complex)
         object.__setattr__(self, "intended_unitary", u)
-        dev = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-        if dev > 1e-12:
-            raise ValueError(f"intended unitary fails unitarity by {dev:.3e}")
+        _require_unitary("intended unitary", u, 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # Ideal (noise-free) gate matrices
 # ---------------------------------------------------------------------------
+# Every gate but the CNOT is exp(-i (theta/2) P) about a Pauli string P, and
+# P @ P = I makes it cos(theta/2) I - i sin(theta/2) P.  The seven strings
+# are built once from hamiltonian's conventions: z signs from _Z1/_Z2,
+# sigma_x^q from the drive placement, and sigma_y^q = i sigma_x^q sigma_z^q.
 
-def _rotation_2x2(kind, angle):
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    if kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "ry":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    # rz
-    return np.array([[np.exp(-1j * angle / 2.0), 0.0], [0.0, np.exp(1j * angle / 2.0)]])
+_Z_SIGNS = np.array([_Z1, _Z2, np.multiply(_Z1, _Z2)])  # rows z1, z2, z1 z2
+_I4 = np.eye(4)
+_X1, _X2 = np.zeros((4, 4)), np.zeros((4, 4))
+_place_drives(_X1, 1.0, 0.0)
+_place_drives(_X2, 0.0, 1.0)
+_PAULI = {
+    ("rx", 1): _X1, ("ry", 1): 1j * _X1 * _Z_SIGNS[0], ("rz", 1): np.diag(_Z_SIGNS[0]),
+    ("rx", 2): _X2, ("ry", 2): 1j * _X2 * _Z_SIGNS[1], ("rz", 2): np.diag(_Z_SIGNS[1]),
+    ("zz", None): np.diag(_Z_SIGNS[2]),
+}
+# The pure permutation |1>|1> <-> |1>|0>, no scalar prefactor.
+_CNOT = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 def ideal_gate(g: GateSpec):
-    """Exact 4x4 matrix of a gate request in the fixed product basis.
-
-    CNOT is the pure permutation |1>|1> <-> |1>|0> (no scalar prefactor);
-    rotations follow the exponential conventions stated on ``GateSpec``.
-    """
+    """Exact 4x4 matrix of a gate request in the fixed product basis: the
+    CNOT permutation, or for every other kind the Pauli-string rotation
+    stated once at the head of this section."""
     if g.kind == "cnot":
-        return np.array(
-            [
-                [0, 1, 0, 0],
-                [1, 0, 0, 0],
-                [0, 0, 1, 0],
-                [0, 0, 0, 1],
-            ],
-            dtype=complex,
-        )
-    if g.kind == "zz":
-        half = g.angle / 2.0
-        lo = np.exp(-1j * half)
-        hi = np.exp(1j * half)
-        return np.diag([lo, hi, hi, lo])
-    r = _rotation_2x2(g.kind, g.angle)
-    eye = np.eye(2, dtype=complex)
-    return np.kron(r, eye) if g.qubit == 1 else np.kron(eye, r)
+        return _CNOT.copy()
+    half = g.angle / 2.0
+    return math.cos(half) * _I4 - 1j * math.sin(half) * _PAULI[g.kind, g.qubit]
 
 
 def _block_unitary(theta_z1, theta_z2, theta_zz):
-    """Ideal diagonal unitary of a phase block: Rz1 Rz2 Uzz of the given
-    angles (all diagonal, so order is immaterial)."""
-    u = ideal_gate(GateSpec("rz", 1, theta_z1))
-    u = u @ ideal_gate(GateSpec("rz", 2, theta_z2))
-    return u @ ideal_gate(GateSpec("zz", angle=theta_zz))
+    """Ideal diagonal unitary of a phase block, Rz1 Rz2 Uzz of the given
+    angles: the entrywise product of the three diagonals exp(-i theta/2 z)."""
+    thetas = np.array([theta_z1, theta_z2, theta_zz])
+    return np.diag(np.exp(-0.5j * thetas[:, None] * _Z_SIGNS).prod(axis=0))
 
 
 def ideal_composition(gates):
@@ -678,9 +667,7 @@ def verify_schedule(schedule: Schedule, target, tol):
     target = np.asarray(target, dtype=complex)
     if target.shape != (4, 4):
         raise ValueError(f"target must be 4x4, got shape {target.shape}")
-    unit_dev = np.linalg.norm(target.conj().T @ target - np.eye(4))
-    if unit_dev > 1e-10:
-        raise ValueError(f"target fails unitarity by {unit_dev:.3e}")
+    _require_unitary("target", target, 1e-10)
     _require_finite("tol", tol)
     psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     u = propagate(schedule, psi0).total_propagator

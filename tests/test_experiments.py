@@ -24,6 +24,9 @@ def test_sweep_config_validation():
         SweepConfig(ratio_min=0.01, ratio_max=0.1, points=1)
     with pytest.raises(ValueError):
         SweepConfig(ratio_min=0.01, ratio_max=0.1, points=10**5)
+    for points in (2.7, "7"):
+        with pytest.raises(ValueError, match=f"points must be an integer, got {points!r}"):
+            SweepConfig(ratio_min=0.01, ratio_max=0.1, points=points)
     with pytest.raises(ValueError):
         SweepConfig(ratio_min=0.01, ratio_max=0.1, points=5, spacing="sqrt")
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from capqubit.hamiltonian import (
     build_capacitive,
     build_capacitive_pauli_form,
     build_dipole,
-    build_single_qubit,
     effective_levels,
 )
 
@@ -52,13 +51,6 @@ def test_device_params_validation():
         device(d12=float("nan"))
 
 
-def test_single_qubit_examples():
-    assert np.array_equal(build_single_qubit(QubitParams(0.0, 0.0)), np.zeros((2, 2)))
-    assert np.array_equal(build_single_qubit(QubitParams(1.0, 0.0)), SZ)
-    h = build_single_qubit(QubitParams(0.5, 1.0))
-    assert np.array_equal(h, np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex))
-
-
 def test_capacitive_coupling_only():
     d12 = 0.37
     h = build_capacitive(device(d12=d12))
@@ -95,8 +87,8 @@ def test_capacitive_matches_kron_oracle():
         a1, a2 = abs(a1), abs(a2)
         h = build_capacitive(device(d1, d2, a1, a2, d12))
         oracle = (
-            np.kron(build_single_qubit(QubitParams(d1, a1)), I2)
-            + np.kron(I2, build_single_qubit(QubitParams(d2, a2)))
+            np.kron(np.array([[d1, a1], [a1, -d1]]), I2)
+            + np.kron(I2, np.array([[d2, a2], [a2, -d2]]))
             + np.diag([d12, 0.0, 0.0, 0.0])
         )
         # the oracle rounds (d1+d2)+d12 pairwise while the builder sums the

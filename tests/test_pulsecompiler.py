@@ -102,12 +102,47 @@ def test_ideal_zz_diagonal():
     assert np.max(np.abs(u - expected)) <= 1e-15
 
 
-def test_ideal_rotation_embedding():
-    # rx on qubit 1 acts as the 2x2 rotation tensored with identity
-    theta = 0.7
-    r = math.cos(theta / 2.0) * I2 - 1j * math.sin(theta / 2.0) * SX
-    assert np.max(np.abs(ideal_gate(GateSpec("rx", 1, theta)) - np.kron(r, I2))) <= 1e-15
-    assert np.max(np.abs(ideal_gate(GateSpec("rx", 2, theta)) - np.kron(I2, r))) <= 1e-15
+def reference_rotation_2x2(kind, angle):
+    """R_n(angle) written out per kind as a 2x2 matrix, independent of the
+    compiler's Pauli-string table."""
+    c = math.cos(angle / 2.0)
+    s = math.sin(angle / 2.0)
+    if kind == "rx":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if kind == "ry":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array([[np.exp(-1j * angle / 2.0), 0.0], [0.0, np.exp(1j * angle / 2.0)]])
+
+
+def reference_ideal_gate(kind, qubit, angle):
+    """A rotation embedded with kron, or the zz diagonal written out."""
+    if kind == "zz":
+        lo, hi = np.exp(-1j * angle / 2.0), np.exp(1j * angle / 2.0)
+        return np.diag([lo, hi, hi, lo])
+    r = reference_rotation_2x2(kind, angle)
+    return np.kron(r, I2) if qubit == 1 else np.kron(I2, r)
+
+
+def reference_block_unitary(theta_z1, theta_z2, theta_zz):
+    """A phase block's unitary as the product of its three gates."""
+    return (reference_ideal_gate("rz", 1, theta_z1) @ reference_ideal_gate("rz", 2, theta_z2)
+            @ reference_ideal_gate("zz", None, theta_zz))
+
+
+_gate_angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, exclude_min=True)
+
+
+@settings(max_examples=300)
+@given(kind_qubit=st.sampled_from([(k, q) for k in ("rx", "ry", "rz") for q in (1, 2)]
+                                  + [("zz", None)]),
+       angle=_gate_angles, block=st.tuples(_gate_angles, _gate_angles, _gate_angles))
+def test_ideal_rotation_embedding(kind_qubit, angle, block):
+    # every rotation and every phase block matches its 2x2-and-kron reference
+    kind, qubit = kind_qubit
+    u = ideal_gate(GateSpec(kind, qubit, angle))
+    assert np.max(np.abs(u - reference_ideal_gate(kind, qubit, angle))) <= 1e-15
+    u = pulsecompiler._block_unitary(*block)
+    assert np.max(np.abs(u - reference_block_unitary(*block))) <= 1e-15
 
 
 def test_euler_identity_for_x_from_yz():
@@ -521,6 +556,19 @@ def test_verify_schedule_input_checks():
         verify_schedule(schedule, 2.0 * np.eye(4), tol=0.1)
     with pytest.raises(ValueError):
         verify_schedule(schedule, np.eye(4), tol=float("nan"))
+    for bad in (float("nan"), float("inf")):
+        target = np.eye(4, dtype=complex)
+        target[1, 2] = bad
+        with pytest.raises(ValueError, match=r"target entry \(2,3\) is not finite"):
+            verify_schedule(schedule, target, tol=0.1)
+
+
+def test_compiled_gate_rejects_a_non_unitary_intended_unitary():
+    for scale in (2.0, 1e200):
+        with pytest.raises(ValueError, match="intended unitary fails unitarity"):
+            CompiledGate((), scale * np.eye(4), PhaseLedger())
+    with pytest.raises(ValueError, match=r"intended unitary entry \(1,1\) is not finite"):
+        CompiledGate((), np.full((4, 4), np.nan), PhaseLedger())
 
 
 def test_verify_schedule_zero_hamiltonian_identity():
