@@ -44,13 +44,13 @@ from .pulsecompiler import (
     GateSpec,
     PhaseLedger,
     compile_cnot,
-    compile_cnot_gates,
     compile_phase_block,
     compile_schedule,
     compile_x_rotation,
     compile_z_rotation,
     ideal_composition,
     ideal_gate,
+    ideal_product,
     verify_schedule,
 )
 from .experiments import (
@@ -90,13 +90,13 @@ __all__ = [
     "GateSpec",
     "PhaseLedger",
     "compile_cnot",
-    "compile_cnot_gates",
     "compile_phase_block",
     "compile_schedule",
     "compile_x_rotation",
     "compile_z_rotation",
     "ideal_composition",
     "ideal_gate",
+    "ideal_product",
     "verify_schedule",
     # experiments
     "SweepConfig",

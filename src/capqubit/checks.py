@@ -16,8 +16,8 @@ from .experiments import INITIAL_STATE, _sweep_device
 from .hamiltonian import (_Z1, _Z2, DeviceParams, QubitParams, build_capacitive,
                           build_capacitive_pauli_form, build_dipole, effective_levels)
 from .linalg import distance_up_to_global_phase, eigh
-from .pulsecompiler import (GateSpec, compile_cnot, compile_cnot_gates, compile_phase_block,
-                            ideal_composition, ideal_gate)
+from .pulsecompiler import (GateSpec, compile_cnot, compile_phase_block, compile_schedule,
+                            ideal_composition, ideal_product)
 
 BUILDER_IDENTITY_TOL = 1e-15  # largest entry gap between the two builders
 DIPOLE_EQUIVALENCE_TOL = 1e-15  # capacitive vs dipole plus its diagonal shift
@@ -28,14 +28,6 @@ COMPOSITION_TOL = 1e-10  # ideal composition vs requested product, global phase 
 PHASE_BLOCK_TOL = 1e-12  # phase block off-diagonal mass and diagonal phase error
 RK4_TOL = 1e-6  # exact vs RK4 final-state error at dt = T / RK4_STEPS
 RK4_STEPS = 10**5
-
-
-def ideal_product(specs):
-    """Ideal unitary of a gate list: later gates act on the left."""
-    u = np.eye(4, dtype=complex)
-    for spec in specs:
-        u = ideal_gate(spec) @ u
-    return u
 
 
 def builder_identity_error(devices):
@@ -181,8 +173,8 @@ def run_verify(stream=None):
            unit <= PROPAGATOR_TOL and drift <= PROPAGATOR_TOL,
            f"unitarity {unit:.2e}, drift {drift:.2e}")
 
-    dist = composition_error([GateSpec("cnot")],
-                             compile_cnot_gates(_sweep_device(0.05), "gated"))
+    cnot = [GateSpec("cnot")]
+    dist = composition_error(cnot, compile_schedule(cnot, _sweep_device(0.05), "gated")[1])
     report("ideal CNOT composition", dist <= COMPOSITION_TOL, f"distance {dist:.2e}")
 
     # The worked block example lands its documented diagonal phases exactly.

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import ideal_product, run_verify
+from .checks import run_verify
 from .evolution import _check_initial_state, propagate
 from .hamiltonian import DeviceParams, QubitParams
-from .pulsecompiler import MODES, GateSpec, compile_schedule, verify_schedule
+from .pulsecompiler import MODES, GateSpec, compile_schedule, ideal_product, verify_schedule
 from .experiments import SweepConfig, cnot_response, levels_table, run_sweep
 
 __all__ = ["RunConfig", "parse_args", "emit_csv", "main"]

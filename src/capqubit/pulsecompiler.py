@@ -10,11 +10,11 @@ shapes the whole design:
   They accumulate in a ``PhaseLedger`` and are discharged by the detuning
   choice of the next phase block.  The ledger keeps two separate streams:
   gate content (virtual z requests, which surface in the delivering block's
-  intended unitary) and coupling surplus (the deterministic z/zz phases,
+  gate content) and coupling surplus (the deterministic z/zz phases,
   Delta_12 t / 2 each, that the always-present coupling accrues during
   rotation segments; blocks cancel these physically and they never appear in
-  intended unitaries).  The split keeps composed intended unitaries equal to
-  the requested ideal product at any coupling strength.
+  gate content).  The split keeps the composed gate content equal to the
+  requested ideal product at any coupling strength.
 * Phase blocks: with drives off (gated mode) the Hamiltonian is diagonal,
   so a block of duration t delivers exact z angles 2 (Delta_i + Delta_12/4) t
   and a zz angle Delta_12 t / 2.  The block duration is fixed by the zz
@@ -30,12 +30,13 @@ shapes the whole design:
   drive-induced level shift integrated over the block -- is the dominant,
   intentionally unmodeled always-on phase error.
 
-The CNOT sequence is the NMR-style decomposition: x(-pi/2) on the target, a
-phase block (-pi/2, +pi/2, +pi/2), x(+pi/2) on the target, and a closing
-block (0, +pi/2, +pi/2).  The closing block's angles fold in the virtual-z
-brackets that turn bare x rotations into y rotations; the composition is
-checked against the ideal CNOT by ``verify_schedule`` and the
-ideal-composition oracle rather than assumed.
+The CNOT is the NMR-style gate list ``_CNOT_SEQUENCE``: x(-pi/2) on the
+target, virtual z's and a zz(pi/2) block, x(+pi/2) on the target, a virtual
+z and a second zz(pi/2) block.  The virtual z's are the brackets that turn
+bare x rotations into y rotations; ``compile_schedule`` expands the CNOT into
+this list and compiles it like any other.  The composition is checked
+against the ideal CNOT by ``verify_schedule`` and the ideal-composition
+oracle rather than assumed.
 """
 
 import math
@@ -53,11 +54,11 @@ __all__ = [
     "PhaseLedger",
     "CompiledGate",
     "ideal_gate",
+    "ideal_product",
     "ideal_composition",
     "compile_x_rotation",
     "compile_z_rotation",
     "compile_phase_block",
-    "compile_cnot_gates",
     "compile_cnot",
     "compile_schedule",
     "verify_schedule",
@@ -146,13 +147,13 @@ class PhaseLedger:
       yet delivered.  ``request_z`` subtracts the requested angle (pending is
       the angle delivered ahead of requests, so owing a rotation makes it
       negative).  The next phase block delivers the balance physically AND
-      shows it in its intended unitary: this is where a virtual z becomes
-      part of the ideal composition.
+      lists it in its gate content: this is where a virtual z becomes part
+      of the ideal composition.
     * ``surplus_z1``/``surplus_z2``/``pending_zz`` -- coupling surplus: the
       deterministic extra z and zz phase (Delta_12 t / 2 each) that a drive
       segment accrues because the coupling cannot be gated off.  The next
-      block cancels it physically but it never appears in any intended
-      unitary -- it is error compensation, not gate content.
+      block cancels it physically but it never appears in any gate content
+      -- it is error compensation, not gate content.
 
     Angles are stored unreduced; the block that delivers them wraps the
     owed totals to (-pi, pi].  A ledger is immutable, so ``PhaseLedger()``
@@ -192,19 +193,19 @@ class PhaseLedger:
 @dataclass(frozen=True)
 class CompiledGate:
     """The physical realization of one gate request: emitted segments, the
-    gate's contribution to the ideal composition at this time slot, and the
-    ledger after compilation.  Virtual z content contributes at the block
-    that delivers it, so a bare rz shows the identity here."""
+    gate content they deliver at this time slot (GateSpecs in time order),
+    and the ledger after compilation.  Virtual z content is delivered by the
+    next phase block, so a bare rz delivers nothing here."""
 
     segments: tuple
-    intended_unitary: np.ndarray
+    content: tuple
     ledger_after: PhaseLedger
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        u = np.asarray(self.intended_unitary, dtype=complex)
-        object.__setattr__(self, "intended_unitary", u)
-        _require_unitary("intended unitary", u, 1e-12)
+        if not (isinstance(self.content, tuple)
+                and all(isinstance(spec, GateSpec) for spec in self.content)):
+            raise ValueError(f"content must be a tuple of GateSpecs, got {self.content!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +240,18 @@ def ideal_gate(g: GateSpec):
     return math.cos(half) * _I4 - 1j * math.sin(half) * _PAULI[g.kind, g.qubit]
 
 
-def _block_unitary(theta_z1, theta_z2, theta_zz):
-    """Ideal diagonal unitary of a phase block, Rz1 Rz2 Uzz of the given
-    angles: the entrywise product of the three diagonals exp(-i theta/2 z)."""
-    thetas = np.array([theta_z1, theta_z2, theta_zz])
-    return np.diag(np.exp(-0.5j * thetas[:, None] * _Z_SIGNS).prod(axis=0))
+def ideal_product(specs):
+    """Ideal unitary of a gate list: later gates act on the left."""
+    u = np.eye(4, dtype=complex)
+    for spec in specs:
+        u = ideal_gate(spec) @ u
+    return u
 
 
 def ideal_composition(gates):
-    """Product of the intended unitaries of compiled gates in time order."""
-    u = np.eye(4, dtype=complex)
-    for g in gates:
-        u = g.intended_unitary @ u
-    return u
+    """Ideal unitary of the gate content that compiled gates deliver, in
+    time order."""
+    return ideal_product([spec for g in gates for spec in g.content])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,12 @@ def _full_cycle_parking(a, t, shift):
     om = math.pi * m / t
     delta = math.sqrt(om * om - a * a) - shift
     if not math.isfinite(delta):
-        raise CompilationError(f"pulse of duration {t:.3g} too short to park the spectator")
+        if math.isfinite(om_min * om_min):
+            raise CompilationError(f"pulse of duration {t:.3g} too short to park the spectator")
+        raise CompilationError(
+            f"spectator parking overflows: its Rabi frequency {om_min:.3g} squared is "
+            f"not finite (coupling shift {shift:.3g}, drive {a:.3g})"
+        )
     return delta
 
 
@@ -448,9 +453,9 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
         raise CompilationError(
             f"rotation angle must lie in (-2 pi, 2 pi], got {angle}"
         )
-    intended = ideal_gate(GateSpec("rx", qubit, angle))
+    content = (GateSpec("rx", qubit, angle),)
     if angle == 0.0:
-        return CompiledGate((), intended, ledger)
+        return CompiledGate((), content, ledger)
 
     a_drive = device.q1.a if qubit == 1 else device.q2.a
     if a_drive <= 0.0:
@@ -480,6 +485,11 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
     # The full cycle nulls a parked spectator's net z phase, so only the
     # driven qubit books surplus; an idle spectator (a_spec = 0) books it too.
     surplus = device.delta12 * t / 2.0
+    if not math.isfinite(surplus):
+        raise CompilationError(
+            f"coupling phase delta12 t / 2 overflows (delta12 {device.delta12:.3g}, "
+            f"pulse duration {t:.3g})"
+        )
     s1, s2 = ledger.surplus_z1, ledger.surplus_z2
     after = replace(
         ledger,
@@ -487,28 +497,28 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
         surplus_z2=s2 + surplus if qubit == 2 or a_spec == 0.0 else s2,
         pending_zz=ledger.pending_zz + surplus,
     )
-    return CompiledGate((segment,), intended, after)
+    return CompiledGate((segment,), content, after)
 
 
 def compile_z_rotation(qubit, angle, ledger: PhaseLedger = PhaseLedger()):
     """Compile R_z(angle): purely virtual, no physical segments.
 
-    The intended unitary is the identity -- the rotation exists only as
-    ledger content here, and becomes part of the ideal composition at the
-    phase block that delivers it (whose intended unitary shows it).  This
-    keeps composed intended unitaries in one-to-one correspondence with the
-    physical time line.
+    The gate content is empty -- the rotation exists only as ledger content
+    here, and becomes part of the ideal composition at the phase block that
+    delivers it (whose content lists it).  This keeps the composed gate
+    content in one-to-one correspondence with the physical time line.
     """
     _require_qubit(qubit)
     _require_finite("angle", angle)
-    return CompiledGate((), np.eye(4, dtype=complex),
-                        ledger.request_z(qubit, angle))
+    return CompiledGate((), (), ledger.request_z(qubit, angle))
 
 
 def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
                         mode, ledger: PhaseLedger = PhaseLedger()):
     """Compile one phase block delivering z angles theta_z1/theta_z2 and a zz
-    angle theta_zz, absorbing all ledger pendings.
+    angle theta_zz, absorbing all ledger pendings.  Its gate content and its
+    label show the z angles it delivers, owed virtual z's included:
+    wrap(theta_zi - pending_zi).
 
     The duration comes from the zz target: t = 2 r / |Delta_12| where r in
     (0, 2 pi] is the coupling-sign-reduced remaining zz angle; a remainder
@@ -525,17 +535,15 @@ def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
     for name, value in (("theta_z1", theta_z1), ("theta_z2", theta_z2),
                         ("theta_zz", theta_zz)):
         _require_finite(name, value)
-    # Intended = requested angles plus any owed gate content; coupling
+    # Content = requested angles plus any owed gate content; coupling
     # surpluses are compensated physically below but are not gate content.
-    intended = _block_unitary(
-        wrap_angle(theta_z1 - ledger.pending_z1),
-        wrap_angle(theta_z2 - ledger.pending_z2),
-        theta_zz,
-    )
+    z1 = wrap_angle(theta_z1 - ledger.pending_z1)
+    z2 = wrap_angle(theta_z2 - ledger.pending_z2)
+    content = (GateSpec("rz", 1, z1), GateSpec("rz", 2, z2), GateSpec("zz", None, theta_zz))
 
     if (theta_z1 == 0.0 and theta_z2 == 0.0 and theta_zz == 0.0
             and ledger.is_phase_neutral):
-        return CompiledGate((), intended, ledger)
+        return CompiledGate((), content, ledger)
     if device.delta12 == 0.0:
         raise CompilationError(
             "coupling absent (delta12 = 0); zz angle unreachable"
@@ -568,38 +576,25 @@ def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
         delta2=delta2,
         a1=a1,
         a2=a2,
-        label=f"block({theta_z1:.4g},{theta_z2:.4g},{theta_zz:.4g})",
+        label=f"block({z1:.4g},{z2:.4g},{theta_zz:.4g})",
     )
-    return CompiledGate((segment,), intended, PhaseLedger())
+    return CompiledGate((segment,), content, PhaseLedger())
 
 
-def compile_cnot_gates(device: DeviceParams, mode,
-                       ledger: PhaseLedger = PhaseLedger()):
-    """The CNOT pulse sequence as its four compiled pieces (time order).
-
-    Control is qubit 1, target qubit 2.  The sequence is the NMR-style
-    y(-90) . U . y(+90) . U' structure with the y rotations' virtual-z
-    brackets folded into the two blocks' angle triples; what remains is two
-    bare x pulses on the target and two phase blocks.  The closing block
-    discharges all residual ledger phase.  The pieces' intended unitaries
-    compose to the ideal CNOT up to a global phase (see
-    ``ideal_composition``); acceptance checks that product, not this
-    docstring.
-    """
-    _require_mode(mode)
-    if device.delta12 == 0.0:
-        raise CompilationError("CNOT requires a nonzero coupling delta12")
-    if device.q1.a <= 0.0 or device.q2.a <= 0.0:
-        raise CompilationError(
-            f"CNOT requires both drives > 0, got a1={device.q1.a}, a2={device.q2.a}"
-        )
-    g1 = compile_x_rotation(2, -_HALF_PI, device, mode, ledger)
-    g2 = compile_phase_block(-_HALF_PI, _HALF_PI, _HALF_PI, device, mode,
-                             g1.ledger_after)
-    g3 = compile_x_rotation(2, _HALF_PI, device, mode, g2.ledger_after)
-    g4 = compile_phase_block(0.0, _HALF_PI, _HALF_PI, device, mode,
-                             g3.ledger_after)
-    return (g1, g2, g3, g4)
+# The CNOT (control qubit 1, target qubit 2) as the NMR sequence of bare x
+# pulses on the target between z and zz evolutions: y(-90) . U . y(+90) . U'
+# with the y rotations' virtual-z brackets folded into the z requests.  It
+# composes to the ideal CNOT up to a global phase; acceptance checks that
+# product, not this comment.
+_CNOT_SEQUENCE = (
+    GateSpec("rx", 2, -_HALF_PI),
+    GateSpec("rz", 1, -_HALF_PI),
+    GateSpec("rz", 2, _HALF_PI),
+    GateSpec("zz", None, _HALF_PI),
+    GateSpec("rx", 2, _HALF_PI),
+    GateSpec("rz", 2, _HALF_PI),
+    GateSpec("zz", None, _HALF_PI),
+)
 
 
 def compile_cnot(device: DeviceParams, mode):
@@ -611,13 +606,14 @@ def compile_schedule(gates, device: DeviceParams, mode):
     """Compile a list of GateSpec requests into one Schedule.
 
     Gates share a single ledger.  Each ry(theta) is first expanded into
-    rz(-pi/2), rx(theta), rz(+pi/2), brackets virtual.  A drive segment
-    mixes the rotation axes, so any pending z/zz phase must be physically
-    settled before one starts: a discharge block is inserted ahead of every
-    rx/cnot whose incoming ledger is not phase-neutral, which also delivers
-    an ry's leading bracket.  After the last gate any residual pending phase
-    is discharged into a closing block.  Returns (schedule, compiled_gates)
-    including any inserted discharge blocks.
+    rz(-pi/2), rx(theta), rz(+pi/2), brackets virtual, and each cnot into
+    ``_CNOT_SEQUENCE``.  A drive segment mixes the rotation axes, so any
+    pending z/zz phase must be physically settled before one starts: a
+    discharge block is inserted ahead of every rx whose incoming ledger is
+    not phase-neutral, which also delivers an ry's leading bracket.  After
+    the last gate any residual pending phase is discharged into a closing
+    block.  Returns (schedule, compiled_gates) including any inserted
+    discharge blocks.
     """
     expanded = []
     for spec in gates:
@@ -627,25 +623,25 @@ def compile_schedule(gates, device: DeviceParams, mode):
             expanded += [GateSpec("rz", spec.qubit, -_HALF_PI),
                          GateSpec("rx", spec.qubit, spec.angle),
                          GateSpec("rz", spec.qubit, _HALF_PI)]
+        elif spec.kind == "cnot":
+            expanded += _CNOT_SEQUENCE
         else:
             expanded.append(spec)
     ledger = PhaseLedger()
     compiled = []
     for spec in expanded:
-        if spec.kind in ("rx", "cnot") and not ledger.is_phase_neutral:
+        if spec.kind == "rx" and not ledger.is_phase_neutral:
             settle = compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger)
             compiled.append(settle)
             ledger = settle.ledger_after
         if spec.kind == "rx":
-            pieces = (compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger),)
+            gate = compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger)
         elif spec.kind == "rz":
-            pieces = (compile_z_rotation(spec.qubit, spec.angle, ledger),)
-        elif spec.kind == "zz":
-            pieces = (compile_phase_block(0.0, 0.0, spec.angle, device, mode, ledger),)
-        else:  # cnot
-            pieces = compile_cnot_gates(device, mode, ledger)
-        compiled.extend(pieces)
-        ledger = pieces[-1].ledger_after
+            gate = compile_z_rotation(spec.qubit, spec.angle, ledger)
+        else:  # zz
+            gate = compile_phase_block(0.0, 0.0, spec.angle, device, mode, ledger)
+        compiled.append(gate)
+        ledger = gate.ledger_after
 
     if not ledger.is_phase_neutral:
         compiled.append(compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger))

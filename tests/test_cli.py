@@ -321,6 +321,26 @@ def test_main_cnot(capsys):
     assert "amplitude" in out and "gate_distance" in out
 
 
+def parking_overflow(shift):
+    return (f"spectator parking overflows: its Rabi frequency {shift} squared is not "
+            f"finite (coupling shift {shift}, drive 1)")
+
+
+@pytest.mark.parametrize("ratio,mode,reason", [
+    # the coupling shift ratio / 4 squared overflows the spectator's parking
+    ("1e155", "always_on", parking_overflow("2.5e+154")),
+    ("1e200", "always_on", parking_overflow("2.5e+199")),
+    ("1e300", "always_on", parking_overflow("2.5e+299")),
+    ("1e308", "always_on", parking_overflow("2.5e+307")),
+    # an x pulse's coupling phase delta12 t / 2 overflows
+    ("1e308", "gated", "coupling phase delta12 t / 2 overflows (delta12 1e+308, "
+                       "pulse duration 2.36)"),
+])
+def test_main_cnot_names_an_overflowing_coupling(capsys, ratio, mode, reason):
+    assert main(["cnot", "--ratio", ratio, "--mode", mode]) == 1
+    assert capsys.readouterr().err == f"error: ratio {float(ratio):g}, mode {mode}: {reason}\n"
+
+
 def test_main_sweep_writes_identical_files(tmp_path):
     args = ["sweep", "--min", "0.01", "--max", "0.05", "--points", "3"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -14,6 +14,7 @@ from capqubit.pulsecompiler import (
     CompilationError,
     GateSpec,
     compile_schedule,
+    ideal_product,
     verify_schedule,
 )
 
@@ -66,7 +67,7 @@ def test_gated_gate_lists(gates, ratio):
         return
     assert checks.composition_error(gates, compiled) <= checks.COMPOSITION_TOL
     assert compiled[-1].ledger_after.is_phase_neutral
-    report = verify_schedule(schedule, checks.ideal_product(gates), 1.0)
+    report = verify_schedule(schedule, ideal_product(gates), 1.0)
     assert report["distance"] <= GATE_LIST_DISTANCE_PER_RATIO * abs(ratio)
 
 

@@ -3,6 +3,7 @@ sequence, ledger bookkeeping and schedule-level composition."""
 
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -22,13 +23,13 @@ from capqubit.pulsecompiler import (
     GateSpec,
     PhaseLedger,
     compile_cnot,
-    compile_cnot_gates,
     compile_phase_block,
     compile_schedule,
     compile_x_rotation,
     compile_z_rotation,
     ideal_composition,
     ideal_gate,
+    ideal_product,
     verify_schedule,
 )
 
@@ -137,11 +138,13 @@ _gate_angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, exclude_min=True)
                                   + [("zz", None)]),
        angle=_gate_angles, block=st.tuples(_gate_angles, _gate_angles, _gate_angles))
 def test_ideal_rotation_embedding(kind_qubit, angle, block):
-    # every rotation and every phase block matches its 2x2-and-kron reference
+    # every rotation and every phase block's content matches its
+    # 2x2-and-kron reference
     kind, qubit = kind_qubit
     u = ideal_gate(GateSpec(kind, qubit, angle))
     assert np.max(np.abs(u - reference_ideal_gate(kind, qubit, angle))) <= 1e-15
-    u = pulsecompiler._block_unitary(*block)
+    z1, z2, zz = block
+    u = ideal_product([GateSpec("rz", 1, z1), GateSpec("rz", 2, z2), GateSpec("zz", None, zz)])
     assert np.max(np.abs(u - reference_block_unitary(*block))) <= 1e-15
 
 
@@ -194,12 +197,15 @@ def test_ledger_rejects_bad_values():
 def test_closing_block_intends_content_only():
     led = PhaseLedger(pending_z1=-0.4, surplus_z1=0.9, pending_zz=0.3)
     g = compile_phase_block(0.0, 0.0, 0.0, device(0.05), "gated", led)
-    # the block cancels all three streams physically, but it intends only
-    # R_z(0.4) on qubit 1: surplus and zz streams are compensation, not gate
-    # content, and stay out of the ideal layer
+    # the block cancels all three streams physically, but it delivers only
+    # R_z(0.4) on qubit 1 as content: surplus and zz streams are
+    # compensation, not gate content, and stay out of the ideal layer
     assert g.segments
+    assert g.content == (GateSpec("rz", 1, wrap_angle(0.4)), GateSpec("rz", 2, 0.0),
+                         GateSpec("zz", None, 0.0))
+    assert g.segments[0].label == "block(0.4,0,0)"
     assert distance_up_to_global_phase(
-        g.intended_unitary, ideal_gate(GateSpec("rz", 1, 0.4))) <= EXACT_TOL
+        ideal_composition([g]), ideal_gate(GateSpec("rz", 1, 0.4))) <= EXACT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,7 @@ def test_x_rotation_zero_angle_is_free():
     g = compile_x_rotation(1, 0.0, device(0.1), "gated", led)
     assert g.segments == ()
     assert g.ledger_after == led
-    assert np.array_equal(g.intended_unitary, np.eye(4))
+    assert g.content == (GateSpec("rx", 1, 0.0),)
 
 
 def test_x_rotation_coupling_error_is_first_order():
@@ -337,7 +343,7 @@ def test_y_rotation_bracket_composition_oracle():
 def test_z_rotation_is_virtual():
     g = compile_z_rotation(1, 0.8)
     assert g.segments == ()
-    assert np.array_equal(g.intended_unitary, np.eye(4))
+    assert g.content == ()
     assert g.ledger_after.pending_z1 == -0.8
     with pytest.raises(ValueError):
         compile_z_rotation(3, 0.1)
@@ -432,13 +438,13 @@ def test_phase_block_tiny_zz_remainder_takes_the_full_cycle():
     (block,) = schedule.segments
     assert block.duration == 8.0 * math.pi
     u = propagate(schedule, KET_11).total_propagator
-    assert distance_up_to_global_phase(u, checks.ideal_product(specs)) <= EXACT_TOL
+    assert distance_up_to_global_phase(u, ideal_product(specs)) <= EXACT_TOL
 
 
 def test_phase_block_trivial_when_nothing_requested():
     g = compile_phase_block(0.0, 0.0, 0.0, device(0.25), "gated")
     assert g.segments == ()
-    assert np.array_equal(g.intended_unitary, np.eye(4))
+    assert np.array_equal(ideal_composition([g]), np.eye(4))
 
 
 def test_phase_block_negative_coupling():
@@ -486,30 +492,111 @@ def test_phase_block_always_on_structure():
 # ---------------------------------------------------------------------------
 
 def test_cnot_gates_structure():
-    gates = compile_cnot_gates(device(0.1), "gated")
-    assert len(gates) == 4
-    for g in gates:
-        assert isinstance(g, CompiledGate)
-        assert len(g.segments) == 1
-    # x(-pi/2), block, x(+pi/2), block with the documented durations
-    assert gates[0].segments[0].duration == pytest.approx(3.0 * math.pi / 4.0, abs=1e-15)
-    assert gates[2].segments[0].duration == pytest.approx(math.pi / 4.0, abs=1e-15)
-    assert gates[1].segments[0].a1 == 0.0 and gates[1].segments[0].a2 == 0.0
-    assert gates[3].ledger_after.is_phase_neutral
+    # the CNOT compiles as its seven-gate list: x(-pi/2), two virtual z's, a
+    # zz block, x(+pi/2), a virtual z, a zz block; no settle or closing block
+    _, gates = compile_schedule([GateSpec("cnot")], device(0.1), "gated")
+    assert len(gates) == 7
+    assert [len(g.segments) for g in gates] == [1, 0, 0, 1, 1, 0, 1]
+    x1, _, _, block1, x2, _, block2 = gates
+    # the documented durations, and each block's delivered content
+    assert x1.segments[0].duration == pytest.approx(3.0 * math.pi / 4.0, abs=1e-15)
+    assert x2.segments[0].duration == pytest.approx(math.pi / 4.0, abs=1e-15)
+    assert block1.segments[0].a1 == 0.0 and block1.segments[0].a2 == 0.0
+    assert block1.content == (GateSpec("rz", 1, -HALF_PI), GateSpec("rz", 2, HALF_PI),
+                              GateSpec("zz", None, HALF_PI))
+    assert block2.content == (GateSpec("rz", 1, 0.0), GateSpec("rz", 2, HALF_PI),
+                              GateSpec("zz", None, HALF_PI))
+    assert [s.label for s in (block1.segments + block2.segments)] == [
+        "block(-1.571,1.571,1.571)", "block(0,1.571,1.571)"]
+    assert block2.ledger_after.is_phase_neutral
+
+
+def reference_cnot_pieces(device: DeviceParams, mode, ledger: PhaseLedger = PhaseLedger()):
+    """Reference: the CNOT compiled by hand as four pieces, x(-pi/2) on the
+    target, block(-pi/2, pi/2, pi/2), x(+pi/2), block(0, pi/2, pi/2), with
+    its own coupling and drive guards."""
+    pulsecompiler._require_mode(mode)
+    if device.delta12 == 0.0:
+        raise CompilationError("CNOT requires a nonzero coupling delta12")
+    if device.q1.a <= 0.0 or device.q2.a <= 0.0:
+        raise CompilationError(
+            f"CNOT requires both drives > 0, got a1={device.q1.a}, a2={device.q2.a}"
+        )
+    g1 = compile_x_rotation(2, -HALF_PI, device, mode, ledger)
+    g2 = compile_phase_block(-HALF_PI, HALF_PI, HALF_PI, device, mode, g1.ledger_after)
+    g3 = compile_x_rotation(2, HALF_PI, device, mode, g2.ledger_after)
+    g4 = compile_phase_block(0.0, HALF_PI, HALF_PI, device, mode, g3.ledger_after)
+    return (g1, g2, g3, g4)
+
+
+def segments_or_error(compile_gates, dev):
+    """The compiled gates' segments as float.hex lines, or the
+    CompilationError message."""
+    try:
+        gates = compile_gates()
+    except CompilationError as err:
+        return str(err)
+    return hex_segments(Schedule(tuple(s for g in gates for s in g.segments), dev))
+
+
+@settings(max_examples=100)
+@given(a1=st.floats(0.05, 20.0), a2=st.floats(0.05, 20.0),
+       ratio=st.builds(lambda e, sign: sign * 10.0 ** e,
+                       st.floats(-3.0, math.log10(0.5)), st.sampled_from([1.0, -1.0])),
+       mode=st.sampled_from(["gated", "always_on"]))
+def test_cnot_gate_list_is_the_four_hand_compiled_pieces(a1, a2, ratio, mode):
+    # compiling the CNOT's gate list emits the hand-compiled pieces' segments
+    # bit for bit, labels included, or fails with the same message
+    dev = DeviceParams(QubitParams(0.0, a1), QubitParams(0.0, a2), ratio)
+    listed = segments_or_error(lambda: compile_schedule([GateSpec("cnot")], dev, mode)[1], dev)
+    assert listed == segments_or_error(lambda: reference_cnot_pieces(dev, mode), dev)
+
+
+def test_compiling_builds_no_matrix(monkeypatch):
+    # gate content stays GateSpecs until ideal_composition asks for the
+    # matrix: compiling a mixed list calls ideal_gate nowhere
+    def no_matrix(spec):
+        raise AssertionError(f"compiling built the matrix of {spec}")
+
+    specs = [GateSpec("ry", 2, 0.7), GateSpec("cnot"), GateSpec("rz", 1, -0.4),
+             GateSpec("zz", None, 1.2), GateSpec("rx", 1, -2.0), GateSpec("cnot")]
+    monkeypatch.setattr(pulsecompiler, "ideal_gate", no_matrix)
+    compiled = {mode: compile_schedule(specs, device(0.05), mode)[1]
+                for mode in ("gated", "always_on")}
+    monkeypatch.undo()
+    for gates in compiled.values():
+        assert checks.composition_error(specs, gates) <= checks.COMPOSITION_TOL
 
 
 def test_cnot_ideal_composition():
-    for d12 in (0.001, 0.05, 0.3):
-        gates = compile_cnot_gates(device(d12), "gated")
-        u = ideal_composition(gates)
-        assert distance_up_to_global_phase(u, ideal_gate(GateSpec("cnot"))) <= checks.COMPOSITION_TOL
+    cnot = [GateSpec("cnot")]
+    for mode in ("gated", "always_on"):
+        for d12 in (0.001, 0.05, 0.3, -0.05):
+            _, gates = compile_schedule(cnot, device(d12), mode)
+            assert checks.composition_error(cnot, gates) <= checks.COMPOSITION_TOL
 
 
 def test_cnot_errors():
-    with pytest.raises(CompilationError):
-        compile_cnot_gates(device(0.0), "gated")
-    with pytest.raises(CompilationError):
-        compile_cnot_gates(device(0.1, a=0.0), "gated")
+    # no coupling or no target drive: the primitive that fails names why
+    no_target_drive = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 0.0), 0.1)
+    for mode in ("gated", "always_on"):
+        with pytest.raises(CompilationError,
+                           match=r"^coupling absent \(delta12 = 0\); zz angle unreachable$"):
+            compile_cnot(device(0.0), mode)
+        with pytest.raises(CompilationError,
+                           match=r"^qubit 2 has no drive \(a = 0\); x rotation unreachable$"):
+            compile_cnot(no_target_drive, mode)
+
+
+@pytest.mark.parametrize("mode", ["gated", "always_on"])
+def test_cnot_with_an_undriven_control_compiles(mode):
+    # the control is never pulsed, so a1 = 0 is no obstacle: the CNOT
+    # compiles in both modes and flips the target on the excited control
+    dev = DeviceParams(QubitParams(0.0, 0.0), QubitParams(0.0, 1.0), 1e-3)
+    schedule, gates = compile_schedule([GateSpec("cnot")], dev, mode)
+    assert all(seg.a1 == 0.0 for seg in schedule.segments)
+    assert checks.composition_error([GateSpec("cnot")], gates) <= checks.COMPOSITION_TOL
+    assert abs(propagate(schedule, KET_11).final_state[1]) >= 0.99
 
 
 def test_cnot_verify_weak_coupling():
@@ -563,12 +650,12 @@ def test_verify_schedule_input_checks():
             verify_schedule(schedule, target, tol=0.1)
 
 
-def test_compiled_gate_rejects_a_non_unitary_intended_unitary():
-    for scale in (2.0, 1e200):
-        with pytest.raises(ValueError, match="intended unitary fails unitarity"):
-            CompiledGate((), scale * np.eye(4), PhaseLedger())
-    with pytest.raises(ValueError, match=r"intended unitary entry \(1,1\) is not finite"):
-        CompiledGate((), np.full((4, 4), np.nan), PhaseLedger())
+def test_compiled_gate_rejects_content_that_is_not_gatespecs():
+    # content is a tuple of GateSpecs; a matrix or a string is named
+    for bad in (np.eye(4), "rx(q1,0.5)", (np.eye(4),), (GateSpec("rz", 1, 0.5), "zz")):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            CompiledGate((), bad, PhaseLedger())
+    assert CompiledGate((), (GateSpec("rz", 1, 0.5),), PhaseLedger()).content
 
 
 def test_verify_schedule_zero_hamiltonian_identity():
@@ -642,8 +729,8 @@ def test_schedule_neutral_ledger_adds_no_blocks():
 
 
 def test_schedule_ideal_composition_matches_request():
-    # the composed intended unitaries of a compiled schedule equal the
-    # product of the requested ideals -- at any coupling, to roundoff
+    # the composed gate content of a compiled schedule equals the product
+    # of the requested ideals -- at any coupling, to roundoff
     rng = np.random.default_rng(227)
     kinds = ("rx", "ry", "rz", "zz", "cnot")
     for _ in range(20):
@@ -661,7 +748,7 @@ def test_schedule_ideal_composition_matches_request():
         d12 = float(rng.uniform(0.005, 0.3))
         _, compiled = compile_schedule(specs, device(d12), "gated")
         u = ideal_composition(compiled)
-        assert distance_up_to_global_phase(u, checks.ideal_product(specs)) <= EXACT_TOL
+        assert distance_up_to_global_phase(u, ideal_product(specs)) <= EXACT_TOL
 
 
 def test_schedule_physical_accuracy_weak_coupling():
@@ -670,7 +757,7 @@ def test_schedule_physical_accuracy_weak_coupling():
     dev = device(1e-3)
     schedule, _ = compile_schedule(specs, dev, "gated")
     u = propagate(schedule, KET_11).total_propagator
-    assert distance_up_to_global_phase(u, checks.ideal_product(specs)) <= 0.02
+    assert distance_up_to_global_phase(u, ideal_product(specs)) <= 0.02
 
 
 def test_schedule_rejects_bad_input():
@@ -732,7 +819,8 @@ def test_leakage_at_a_root_follows_from_its_angle():
 # ---------------------------------------------------------------------------
 # always-on parking choices, pinned bit for bit
 # ---------------------------------------------------------------------------
-# Each segment is "duration delta1 delta2 a1 a2 label", floats as float.hex.
+# Each segment is "duration delta1 delta2 a1 a2 label", floats as float.hex;
+# a block's label shows the z and zz angles it delivers, virtual z's included.
 # The CNOTs are the sweep device's at ratios around the sweep, the recorded
 # amplitude dip (0.0944975...) and a negative coupling; the list is the
 # README's simulate example at d12 = 0.01 with a1 = 0.5.  Any change in which
@@ -778,30 +866,30 @@ PINNED_CNOTS = {
 }
 PINNED_LIST = {
     'gated': (
-        '0x1.3a28c59d5433bp+10 -0x1.47ae147ae147bp-9 -0x1.999999999999ap-9 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+        '0x1.3a28c59d5433bp+10 -0x1.47ae147ae147bp-9 -0x1.999999999999ap-9 0x0.0p+0 0x0.0p+0 block(0,-1.571,0)',
         '0x1.921fb54442d18p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
-        '0x1.39f681a6abab5p+10 -0x1.47e28aa58b208p-9 -0x1.ebd3cff850b0cp-10 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+        '0x1.39f681a6abab5p+10 -0x1.47e28aa58b208p-9 -0x1.ebd3cff850b0cp-10 0x0.0p+0 0x0.0p+0 block(0,1.571,0)',
         '0x1.2d97c7f3321d2p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 rx(q2,-1.5708)',
         '0x1.37cd960d6dcf7p+8 -0x1.4a27fad76014ap-8 0x0.0p+0 0x0.0p+0 0x0.0p+0 block(-1.571,1.571,1.571)',
         '0x1.921fb54442d18p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 rx(q2,1.5708)',
         '0x1.395fb5c2b2124p+8 -0x1.4880522014881p-9 0x0.0p+0 0x0.0p+0 0x0.0p+0 block(0,1.571,1.571)',
-        '0x1.3a28c59d5433bp+10 -0x1.999999999999ap-9 -0x1.47ae147ae147bp-9 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+        '0x1.3a28c59d5433bp+10 -0x1.999999999999ap-9 -0x1.47ae147ae147bp-9 0x0.0p+0 0x0.0p+0 block(-1.571,0,0)',
         '0x1.657184ae74487p+2 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0 rx(q1,-0.698132)',
-        '0x1.38c35418a5bf6p+10 -0x1.c3ce77cdb15c4p-10 -0x1.4924924924925p-9 0x0.0p+0 0x0.0p+0 block(0,0,0)',
+        '0x1.38c35418a5bf6p+10 -0x1.c3ce77cdb15c4p-10 -0x1.4924924924925p-9 0x0.0p+0 0x0.0p+0 block(1.971,0,0)',
         '0x1.199999999999ap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 rx(q2,1.1)',
         '0x1.3a05926a21008p+10 -0x1.47d2cf9e39b2ep-9 -0x1.47d2cf9e39b2ep-9 0x0.0p+0 0x0.0p+0 block(0,0,0)',
     ),
     'always_on': (
-        '0x1.3a28c59d5433bp+10 0x1.4028f5c28f5c2p+2 0x1.6583210bbb665p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+        '0x1.3a28c59d5433bp+10 0x1.4028f5c28f5c2p+2 0x1.6583210bbb665p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,-1.571,0)',
         '0x1.921fb54442d18p-1 0x1.fed6ca1d5c95cp+2 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q2,1.5708)',
-        '0x1.39f681a6abab5p+10 0x1.400a45a31a819p+2 0x1.641d16b7c9437p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+        '0x1.39f681a6abab5p+10 0x1.400a45a31a819p+2 0x1.641d16b7c9437p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,1.571,0)',
         '0x1.2d97c7f3321d2p+1 0x1.53ab869e6e236p+2 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q2,-1.5708)',
         '0x1.37cd960d6dcf7p+8 -0x1.cb48b63476c0cp+3 0x1.f99efa2fad143p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(-1.571,1.571,1.571)',
         '0x1.921fb54442d18p-1 0x1.fed6ca1d5c95cp+2 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q2,1.5708)',
         '0x1.395fb5c2b2124p+8 0x1.83c50615188f9p+3 0x1.f9a6d78f75557p+4 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,1.571,1.571)',
-        '0x1.3a28c59d5433bp+10 -0x1.445c28f5c28f6p+2 0x1.419cdbdb15ae5p+3 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+        '0x1.3a28c59d5433bp+10 -0x1.445c28f5c28f6p+2 0x1.419cdbdb15ae5p+3 0x1.0000000000000p-1 0x1.0000000000000p+0 block(-1.571,0,0)',
         '0x1.657184ae74487p+2 0x0.0p+0 0x1.546b6d0fae128p+3 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q1,-0.698132)',
-        '0x1.38c35418a5bf6p+10 0x1.44b179f3f0dbdp+2 0x1.419c080c9a05fp+3 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
+        '0x1.38c35418a5bf6p+10 0x1.44b179f3f0dbdp+2 0x1.419c080c9a05fp+3 0x1.0000000000000p-1 0x1.0000000000000p+0 block(1.971,0,0)',
         '0x1.199999999999ap-1 0x1.6c00fed4687c1p+2 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 rx(q2,1.1)',
         '0x1.3a05926a21008p+10 0x1.4023e357e8c3bp+2 0x1.41acad1c15dffp+3 0x1.0000000000000p-1 0x1.0000000000000p+0 block(0,0,0)',
     ),
