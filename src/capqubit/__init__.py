@@ -21,87 +21,20 @@ with sigma_z eigenvalue +1 on the excited state.  hbar = 1; energies are in
 units of the reference drive amplitude.
 """
 
-from .linalg import distance_up_to_global_phase, eigh, expm_unitary, wrap_angle
-from .hamiltonian import (
-    DeviceParams,
-    QubitParams,
-    build_capacitive,
-    build_capacitive_pauli_form,
-    build_dipole,
-    effective_levels,
-)
-from .evolution import (
-    EvolutionResult,
-    PulseSegment,
-    Schedule,
-    propagate,
-    propagate_rk4,
-    segment_hamiltonian,
-)
-from .pulsecompiler import (
-    CompilationError,
-    CompiledGate,
-    GateSpec,
-    PhaseLedger,
-    compile_cnot,
-    compile_phase_block,
-    compile_schedule,
-    compile_x_rotation,
-    compile_z_rotation,
-    ideal_composition,
-    ideal_gate,
-    ideal_product,
-    verify_schedule,
-)
-from .experiments import (
-    SweepConfig,
-    SweepRow,
-    cnot_response,
-    levels_table,
-    run_sweep,
-)
+from . import evolution, experiments, hamiltonian, linalg, pulsecompiler
+from .linalg import *
+from .hamiltonian import *
+from .evolution import *
+from .pulsecompiler import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # linalg
-    "distance_up_to_global_phase",
-    "eigh",
-    "expm_unitary",
-    "wrap_angle",
-    # hamiltonian
-    "DeviceParams",
-    "QubitParams",
-    "build_capacitive",
-    "build_capacitive_pauli_form",
-    "build_dipole",
-    "effective_levels",
-    # evolution
-    "EvolutionResult",
-    "PulseSegment",
-    "Schedule",
-    "propagate",
-    "propagate_rk4",
-    "segment_hamiltonian",
-    # pulse compiler
-    "CompilationError",
-    "CompiledGate",
-    "GateSpec",
-    "PhaseLedger",
-    "compile_cnot",
-    "compile_phase_block",
-    "compile_schedule",
-    "compile_x_rotation",
-    "compile_z_rotation",
-    "ideal_composition",
-    "ideal_gate",
-    "ideal_product",
-    "verify_schedule",
-    # experiments
-    "SweepConfig",
-    "SweepRow",
-    "cnot_response",
-    "levels_table",
-    "run_sweep",
+    *linalg.__all__,
+    *hamiltonian.__all__,
+    *evolution.__all__,
+    *pulsecompiler.__all__,
+    *experiments.__all__,
 ]

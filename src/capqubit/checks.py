@@ -16,8 +16,8 @@ from .experiments import INITIAL_STATE, _sweep_device
 from .hamiltonian import (_Z1, _Z2, DeviceParams, QubitParams, build_capacitive,
                           build_capacitive_pauli_form, build_dipole, effective_levels)
 from .linalg import distance_up_to_global_phase, eigh
-from .pulsecompiler import (GateSpec, compile_cnot, compile_phase_block, compile_schedule,
-                            ideal_composition, ideal_product)
+from .pulsecompiler import (GateSpec, compile_cnot, compile_schedule, ideal_composition,
+                            ideal_product)
 
 BUILDER_IDENTITY_TOL = 1e-15  # largest entry gap between the two builders
 DIPOLE_EQUIVALENCE_TOL = 1e-15  # capacitive vs dipole plus its diagonal shift
@@ -102,9 +102,13 @@ def composition_error(specs, compiled):
 
 def phase_block_errors(thetas, device, expected_phases):
     """Off-diagonal mass and worst diagonal phase error (vs expected_phases)
-    of one gated phase block with angles (z1, z2, zz), propagated exactly."""
-    block = compile_phase_block(*thetas, device, "gated")
-    u = propagate(Schedule(block.segments, device), INITIAL_STATE).total_propagator
+    of one gated phase block with angles (z1, z2, zz), propagated exactly.
+    The z angles reach the block as virtual rz requests, so the gate list
+    rz1(z1), rz2(z2), zz(zz) compiles to that one block."""
+    z1, z2, zz = thetas
+    specs = [GateSpec("rz", 1, z1), GateSpec("rz", 2, z2), GateSpec("zz", None, zz)]
+    schedule, _ = compile_schedule(specs, device, "gated")
+    u = propagate(schedule, INITIAL_STATE).total_propagator
     off_mass = float(np.linalg.norm(u - np.diag(np.diag(u))))
     return off_mass, float(np.max(np.abs(np.angle(np.diag(u)) - expected_phases)))
 

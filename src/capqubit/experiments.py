@@ -37,7 +37,6 @@ __all__ = [
     "cnot_response",
     "run_sweep",
     "levels_table",
-    "INITIAL_STATE",
 ]
 
 INITIAL_STATE = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)

@@ -7,26 +7,29 @@ coupling Delta_12 is a device constant that can never be switched off, which
 shapes the whole design:
 
 * Virtual z policy: z rotations are never emitted as physical segments.
-  They accumulate in a ``PhaseLedger`` and are discharged by the detuning
-  choice of the next phase block.  The ledger keeps two separate streams:
-  gate content (virtual z requests, which surface in the delivering block's
-  gate content) and coupling surplus (the deterministic z/zz phases,
-  Delta_12 t / 2 each, that the always-present coupling accrues during
-  rotation segments; blocks cancel these physically and they never appear in
-  gate content).  The split keeps the composed gate content equal to the
-  requested ideal product at any coupling strength.
+  They accumulate in a ``PhaseLedger``, the only way a z request reaches a
+  phase block, and are discharged by the detuning choice of the next
+  block.  The ledger keeps two separate streams: gate content (virtual z
+  requests, which surface in the delivering block's gate content) and
+  coupling surplus (the deterministic z/zz phases, Delta_12 t / 2 each,
+  that the always-present coupling accrues during rotation segments; blocks
+  cancel these physically and they never appear in gate content).  The
+  split keeps the composed gate content equal to the requested ideal
+  product at any coupling strength.
 * Phase blocks: with drives off (gated mode) the Hamiltonian is diagonal,
   so a block of duration t delivers exact z angles 2 (Delta_i + Delta_12/4) t
   and a zz angle Delta_12 t / 2.  The block duration is fixed by the zz
-  target; the two detunings then solve the z targets in closed form.
+  target; the two detunings then solve the ledger's z balances in closed
+  form.
 * Drive modes: ``gated`` switches drives off outside rotations.
   ``always_on`` keeps both drives running, so undriven qubits must be parked
   at large detuning.  Parking is where an always-on drive leaves its
   fingerprint; see the parking helpers below for the strategy (full-cycle
   parking for rotation spectators, an exact phase solve for the block's
-  target qubit, and the mod-2pi accrual equation with flip caps for the
-  block's control qubit).  The control's accrual equation books the bare
-  detuning phase, not the drive-dressed one, and the difference -- the
+  target qubit, walked branch by branch, and the mod-2pi accrual equation
+  with flip caps for the block's control qubit, whose long candidate walk
+  is screened in numpy blocks).  The control's accrual equation books the
+  bare detuning phase, not the drive-dressed one, and the difference -- the
   drive-induced level shift integrated over the block -- is the dominant,
   intentionally unmodeled always-on phase error.
 
@@ -57,7 +60,6 @@ __all__ = [
     "ideal_product",
     "ideal_composition",
     "compile_x_rotation",
-    "compile_z_rotation",
     "compile_phase_block",
     "compile_cnot",
     "compile_schedule",
@@ -81,9 +83,10 @@ _SEPARATION_MIN = 2.0
 # Search bounds for the mod-2pi parking equations.
 _K_MAX = 10**6
 _MAX_PHASE_BRANCHES = 400
-# The searches' array screens admit candidates this far (relative) past a
-# cap or radius, since numpy's sin and hypot may differ from math's by an
-# ulp; a scalar test then decides.
+# The parking searches skip a candidate only when it misses its cap or
+# radius by this much (relative): numpy's sin and hypot may differ from
+# math's by an ulp, and qubit 2's radius bound holds in exact arithmetic, not
+# to the last bit; a scalar test then decides.
 _SCREEN_SLACK = 1e-6
 # A zz remainder r below this is delivered as a full 2 pi cycle, as r = 0
 # is: a block of length 2 r / |Delta_12| needs detunings ~ 1 / r (overflow
@@ -262,12 +265,14 @@ def ideal_composition(gates):
 # flips with probability (a/Omega)^2 sin^2(Omega t) and acquires a z phase
 # angle theta_phys = -2 arg U_00, where Omega = sqrt(D^2 + a^2).  The helpers
 # below choose D.  The two searches walk their candidates in a fixed order
-# and take the first that passes a scalar test.  They screen the walk in
-# numpy blocks that double in length, so a search that ends early stays
-# cheap: each block's candidates are screened as arrays, with
-# _SCREEN_SLACK of relative margin past each cap and radius, and only the
-# candidates the screen admits meet the scalar test, in the walk's order.
-# The scalar test alone decides, so each pick is the walk's own float.
+# and take the first that passes a scalar test, each skipping cheaply what
+# cannot pass: qubit 2's walk skips, one branch at a time, the branches
+# whose closed-form bracket stays short of the leak radius, and qubit 1's
+# walk, tens of thousands of candidates long at weak coupling, is screened
+# in numpy blocks that double in length, so a search that ends early stays
+# cheap.  Both skips keep _SCREEN_SLACK of relative margin past their cap or
+# radius, and the scalar test alone decides, so each pick is the walk's own
+# float.
 
 
 def _blocks(count, first, largest):
@@ -315,12 +320,12 @@ def _exact_detuning(beta, a, t, shift):
     Solves F(D) = +-beta + 2 pi m (the phase is odd in D) by bisection on
     branches m from a start radius outward, the positive sign first on
     each; the first admissible root wins.  A branch's root lies in a
-    closed-form bracket [lo, hi], built for a block of branches at once, and
-    at the root the leakage is q / (1 + q) with q = (a sin(beta/2) / D)^2, so
-    it passes the cap only if hi reaches the leak radius
-    a |sin(beta/2)| sqrt(1/cap - 1).  Only the branches whose bracket
-    reaches it are bisected and tested, in the walk's order; the start
-    clears the floor on either sign, so the floor screens none.  The
+    closed-form bracket [lo, hi], and at the root the leakage is q / (1 + q)
+    with q = (a sin(beta/2) / D)^2, so it passes the cap only if hi reaches
+    the leak radius a |sin(beta/2)| sqrt(1/cap - 1).  A branch whose hi
+    stays short of it is skipped before lo is built, but still counts toward
+    _MAX_PHASE_BRANCHES; the bisection stops at its fixed point.  The start
+    clears the floor on either sign, so only the scalar test checks it.  The
     returned value is the detuning delta relative to the coupling shift:
     D = delta + shift.
     """
@@ -330,36 +335,39 @@ def _exact_detuning(beta, a, t, shift):
     om_req = a * abs(math.sin(beta / 2.0)) / math.sqrt(_LEAK_CAP)
     d_req = math.sqrt(max(om_req * om_req - a * a, 0.0)) * 0.999
     start = max(floor_abs + abs(shift) + 0.05 * a, d_req)
+    if not math.isfinite(2.0 * math.hypot(start, a) * t):
+        raise CompilationError(
+            f"exact parking overflows: the parked phase 2 Omega t at detuning "
+            f"{start:.3g} over duration {t:.3g} is not finite"
+        )
     f_start = _phase_unwrapped(start, a, t)
     radius = a * abs(math.sin(beta / 2.0)) * math.sqrt(1.0 / _LEAK_CAP - 1.0)
 
-    for i0, i1 in _blocks(_MAX_PHASE_BRANCHES, 1, 200):
-        # Branches count from the lowest one at or above F(start), + before -
-        # on each.  re > 0 in _phase_unwrapped, so |F - 2 Omega t| < pi: the
-        # root has Omega in [(y - pi) / 2t, (y + pi) / 2t], which brackets it
-        # in closed form.  numpy's ceil, sqrt and arithmetic round as math's
-        # do, so these arrays hold the scalar walk's floats.
-        i = np.arange(i0, i1)[:, None]
-        sign = np.array([1.0, -1.0])
-        y = sign * beta + _TWO_PI * (np.ceil((f_start - sign * beta) / _TWO_PI) + i)
-        om_lo = np.maximum((y - math.pi) / (2.0 * t), a)
-        om_hi = (y + math.pi) / (2.0 * t)
-        # sqrt(om^2 - a^2) as a product, which cannot overflow.
-        lo = np.maximum(start, np.sqrt(om_lo - a) * np.sqrt(om_lo + a))
-        hi = np.sqrt(om_hi - a) * np.sqrt(om_hi + a)
-        for j in np.flatnonzero(hi >= radius * (1.0 - _SCREEN_SLACK)).tolist():
-            target, r_lo, r_hi = float(y.flat[j]), float(lo.flat[j]), float(hi.flat[j])
+    for i in range(_MAX_PHASE_BRANCHES):
+        for sign in (1.0, -1.0):
+            # Branches count from the lowest one at or above F(start), + before
+            # - on each.  re > 0 in _phase_unwrapped, so |F - 2 Omega t| < pi:
+            # the root has Omega in [(y - pi) / 2t, (y + pi) / 2t], which
+            # brackets it in closed form; sqrt(om^2 - a^2) is taken as a
+            # product, which cannot overflow.
+            y = sign * beta + _TWO_PI * (math.ceil((f_start - sign * beta) / _TWO_PI) + i)
+            om_hi = (y + math.pi) / (2.0 * t)
+            hi = math.sqrt(om_hi - a) * math.sqrt(om_hi + a)
+            if hi < radius * (1.0 - _SCREEN_SLACK):
+                continue  # the root's leakage is past the cap
+            om_lo = max((y - math.pi) / (2.0 * t), a)
+            lo = max(start, math.sqrt(om_lo - a) * math.sqrt(om_lo + a))
             for _ in range(90):
-                mid = 0.5 * (r_lo + r_hi)
-                if _phase_unwrapped(mid, a, t) < target:
-                    if mid == r_lo:
+                mid = 0.5 * (lo + hi)
+                if _phase_unwrapped(mid, a, t) < y:
+                    if mid == lo:
                         break  # a fixed point: the halvings left change nothing
-                    r_lo = mid
+                    lo = mid
                 else:
-                    if mid == r_hi:
+                    if mid == hi:
                         break
-                    r_hi = mid
-            root = float(sign[j % 2]) * (0.5 * (r_lo + r_hi))
+                    hi = mid
+            root = sign * (0.5 * (lo + hi))
             delta = root - shift
             if abs(delta) >= floor_abs and _leakage(root, a, t) <= _LEAK_CAP:
                 return delta
@@ -418,7 +426,13 @@ def _full_cycle_parking(a, t, shift):
     cycle: Omega t = m pi gives zero flip probability and zero net z phase,
     independent of the drive.  Picks the smallest such m above the floor."""
     om_min = math.hypot(_PARKING_FLOOR * a + 0.5 * a + abs(shift), a)
-    m = math.ceil(om_min * t / math.pi)
+    cycles = om_min * t / math.pi
+    if not math.isfinite(cycles):
+        raise CompilationError(
+            f"spectator parking overflows: its Rabi frequency {om_min:.3g} times the "
+            f"pulse duration {t:.3g} is not finite"
+        )
+    m = math.ceil(cycles)
     om = math.pi * m / t
     delta = math.sqrt(om * om - a * a) - shift
     if not math.isfinite(delta):
@@ -500,49 +514,34 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
     return CompiledGate((segment,), content, after)
 
 
-def compile_z_rotation(qubit, angle, ledger: PhaseLedger = PhaseLedger()):
-    """Compile R_z(angle): purely virtual, no physical segments.
-
-    The gate content is empty -- the rotation exists only as ledger content
-    here, and becomes part of the ideal composition at the phase block that
-    delivers it (whose content lists it).  This keeps the composed gate
-    content in one-to-one correspondence with the physical time line.
-    """
-    _require_qubit(qubit)
-    _require_finite("angle", angle)
-    return CompiledGate((), (), ledger.request_z(qubit, angle))
-
-
-def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
-                        mode, ledger: PhaseLedger = PhaseLedger()):
-    """Compile one phase block delivering z angles theta_z1/theta_z2 and a zz
-    angle theta_zz, absorbing all ledger pendings.  Its gate content and its
-    label show the z angles it delivers, owed virtual z's included:
-    wrap(theta_zi - pending_zi).
+def compile_phase_block(theta_zz, device: DeviceParams, mode,
+                        ledger: PhaseLedger = PhaseLedger()):
+    """Compile one phase block delivering a zz angle theta_zz and every
+    ledger pending.  z rotations reach a block only as virtual requests in
+    the ledger (``PhaseLedger.request_z``); its gate content and its label
+    show the z angles it delivers, wrap(-pending_zi).
 
     The duration comes from the zz target: t = 2 r / |Delta_12| where r in
     (0, 2 pi] is the coupling-sign-reduced remaining zz angle; a remainder
     below _ZZ_ROUNDOFF, zero included, is promoted to a full 2 pi cycle so
     pure-z blocks still have positive duration.  Gated detunings solve the
     accrual equations in closed form, Delta_i = theta_hat_i / (2 t) -
-    Delta_12 / 4.  In always-on mode the parking helpers replace them for
-    each driven qubit: an exact drive-aware solve for qubit 2 (on the
-    qubit-1-excited branch, matching its role as the rotated qubit in the
-    CNOT sequence) and the bare accrual equation with flip caps and a
-    separation constraint for qubit 1.
+    Delta_12 / 4, where theta_hat_i = wrap(-pending_zi - surplus_zi) is the
+    physical angle owed, coupling surplus included.  In always-on mode the
+    parking helpers replace them for each driven qubit: an exact drive-aware
+    solve for qubit 2 (on the qubit-1-excited branch, matching its role as
+    the rotated qubit in the CNOT sequence) and the bare accrual equation
+    with flip caps and a separation constraint for qubit 1.
     """
     _require_mode(mode)
-    for name, value in (("theta_z1", theta_z1), ("theta_z2", theta_z2),
-                        ("theta_zz", theta_zz)):
-        _require_finite(name, value)
-    # Content = requested angles plus any owed gate content; coupling
-    # surpluses are compensated physically below but are not gate content.
-    z1 = wrap_angle(theta_z1 - ledger.pending_z1)
-    z2 = wrap_angle(theta_z2 - ledger.pending_z2)
+    _require_finite("theta_zz", theta_zz)
+    # Content = the owed virtual z's; coupling surpluses are compensated
+    # physically below but are not gate content.
+    z1 = wrap_angle(-ledger.pending_z1)
+    z2 = wrap_angle(-ledger.pending_z2)
     content = (GateSpec("rz", 1, z1), GateSpec("rz", 2, z2), GateSpec("zz", None, theta_zz))
 
-    if (theta_z1 == 0.0 and theta_z2 == 0.0 and theta_zz == 0.0
-            and ledger.is_phase_neutral):
+    if theta_zz == 0.0 and ledger.is_phase_neutral:
         return CompiledGate((), content, ledger)
     if device.delta12 == 0.0:
         raise CompilationError(
@@ -550,8 +549,8 @@ def compile_phase_block(theta_z1, theta_z2, theta_zz, device: DeviceParams,
         )
 
     d12 = device.delta12
-    th1 = wrap_angle(theta_z1 - ledger.pending_z1 - ledger.surplus_z1)
-    th2 = wrap_angle(theta_z2 - ledger.pending_z2 - ledger.surplus_z2)
+    th1 = wrap_angle(-ledger.pending_z1 - ledger.surplus_z1)
+    th2 = wrap_angle(-ledger.pending_z2 - ledger.surplus_z2)
     sign = 1.0 if d12 > 0.0 else -1.0
     reduced = (sign * (theta_zz - ledger.pending_zz)) % _TWO_PI
     if reduced < _ZZ_ROUNDOFF:
@@ -613,8 +612,10 @@ def compile_schedule(gates, device: DeviceParams, mode):
     not phase-neutral, which also delivers an ry's leading bracket.  After
     the last gate any residual pending phase is discharged into a closing
     block.  Returns (schedule, compiled_gates) including any inserted
-    discharge blocks.
+    discharge blocks.  An rz emits nothing: it is a virtual request booked
+    in the ledger, and its content is delivered by the next phase block.
     """
+    _require_mode(mode)
     expanded = []
     for spec in gates:
         if not isinstance(spec, GateSpec):
@@ -631,20 +632,20 @@ def compile_schedule(gates, device: DeviceParams, mode):
     compiled = []
     for spec in expanded:
         if spec.kind == "rx" and not ledger.is_phase_neutral:
-            settle = compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger)
+            settle = compile_phase_block(0.0, device, mode, ledger)
             compiled.append(settle)
             ledger = settle.ledger_after
         if spec.kind == "rx":
             gate = compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger)
         elif spec.kind == "rz":
-            gate = compile_z_rotation(spec.qubit, spec.angle, ledger)
+            gate = CompiledGate((), (), ledger.request_z(spec.qubit, spec.angle))
         else:  # zz
-            gate = compile_phase_block(0.0, 0.0, spec.angle, device, mode, ledger)
+            gate = compile_phase_block(spec.angle, device, mode, ledger)
         compiled.append(gate)
         ledger = gate.ledger_after
 
     if not ledger.is_phase_neutral:
-        compiled.append(compile_phase_block(0.0, 0.0, 0.0, device, mode, ledger))
+        compiled.append(compile_phase_block(0.0, device, mode, ledger))
 
     segments = tuple(seg for g in compiled for seg in g.segments)
     if not segments:

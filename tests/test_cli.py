@@ -385,6 +385,15 @@ def test_main_simulate_compile_failure_returns_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_simulate_names_an_overflowing_spectator_cycle_count(tmp_path, capsys):
+    # a2 = 1e-308 stretches the x pulse to 5e307, past any countable cycle
+    path = write_config(tmp_path, "d12 = 0.5\na2 = 1e-308\nmode = always_on\ngates = rx2:1\n")
+    assert main(["simulate", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: spectator parking overflows: its Rabi frequency 10.7 times the pulse "
+        "duration 5e+307 is not finite\n")
+
+
 # ---------------------------------------------------------------------------
 # config keys: only the keys a command reads are accepted
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from capqubit.pulsecompiler import (
     compile_phase_block,
     compile_schedule,
     compile_x_rotation,
-    compile_z_rotation,
     ideal_composition,
     ideal_gate,
     ideal_product,
@@ -50,6 +49,12 @@ def device(d12, a=1.0, d1=0.0, d2=0.0):
         q2=QubitParams(delta=d2, a=a),
         delta12=d12,
     )
+
+
+def owing(z1, z2):
+    """A fresh ledger owing virtual R_z(z1) on qubit 1 and R_z(z2) on qubit 2,
+    the only way z angles reach a phase block."""
+    return PhaseLedger().request_z(1, z1).request_z(2, z2)
 
 
 def propagated(segments, dev):
@@ -196,7 +201,7 @@ def test_ledger_rejects_bad_values():
 
 def test_closing_block_intends_content_only():
     led = PhaseLedger(pending_z1=-0.4, surplus_z1=0.9, pending_zz=0.3)
-    g = compile_phase_block(0.0, 0.0, 0.0, device(0.05), "gated", led)
+    g = compile_phase_block(0.0, device(0.05), "gated", led)
     # the block cancels all three streams physically, but it delivers only
     # R_z(0.4) on qubit 1 as content: surplus and zz streams are
     # compensation, not gate content, and stay out of the ideal layer
@@ -302,6 +307,17 @@ def test_always_on_x_rotation_too_short_to_park_raises_compilation_error():
     assert compile_x_rotation(1, 1e-150, device(0.5), "always_on").segments
 
 
+def test_always_on_x_rotation_too_long_to_park_raises_compilation_error():
+    # With a2 = 1e-308 an x pulse on qubit 2 lasts 5e307, and the spectator's
+    # cycle count Omega t / pi overflows: a named CompilationError, not an
+    # OverflowError from rounding it up.
+    dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 1e-308), 0.5)
+    with pytest.raises(CompilationError, match=re.escape(
+            "spectator parking overflows: its Rabi frequency 10.7 times the pulse "
+            "duration 5e+307 is not finite")):
+        compile_x_rotation(2, 1.0, dev, "always_on")
+
+
 # ---------------------------------------------------------------------------
 # y and z rotations
 # ---------------------------------------------------------------------------
@@ -341,12 +357,13 @@ def test_y_rotation_bracket_composition_oracle():
 
 
 def test_z_rotation_is_virtual():
-    g = compile_z_rotation(1, 0.8)
-    assert g.segments == ()
-    assert g.content == ()
-    assert g.ledger_after.pending_z1 == -0.8
-    with pytest.raises(ValueError):
-        compile_z_rotation(3, 0.1)
+    # an rz emits nothing and delivers nothing: it is a ledger request, and
+    # the closing block delivers it
+    _, (rz, block) = compile_schedule([GateSpec("rz", 1, 0.8)], device(0.05), "gated")
+    assert rz.segments == ()
+    assert rz.content == ()
+    assert rz.ledger_after.pending_z1 == -0.8
+    assert block.content[0] == GateSpec("rz", 1, wrap_angle(0.8))
 
 
 @pytest.mark.parametrize(
@@ -371,11 +388,12 @@ def test_per_gate_discharge_reproduces_ideal(spec):
 # ---------------------------------------------------------------------------
 
 def test_phase_block_worked_example():
-    # block(-pi/2, +pi/2, +pi/2) at Delta12 = 0.25, empty ledger, gated:
-    # zz remainder pi/2 fixes t = 2 (pi/2) / 0.25 = 4 pi, and the detunings
-    # solve theta_i = (2 Delta_i + Delta12/2) t exactly.
+    # a zz(pi/2) block owing R_z(-pi/2) and R_z(+pi/2) at Delta12 = 0.25,
+    # gated, labelled block(-pi/2, +pi/2, +pi/2): zz remainder pi/2 fixes
+    # t = 2 (pi/2) / 0.25 = 4 pi, and the detunings solve
+    # theta_i = (2 Delta_i + Delta12/2) t exactly.
     dev = device(0.25)
-    g = compile_phase_block(-HALF_PI, HALF_PI, HALF_PI, dev, "gated")
+    g = compile_phase_block(HALF_PI, dev, "gated", owing(-HALF_PI, HALF_PI))
     assert len(g.segments) == 1
     seg = g.segments[0]
     assert seg.duration == 4.0 * math.pi
@@ -397,7 +415,7 @@ def test_phase_block_matches_ideal_triple():
         th1, th2, thzz = rng.uniform(-math.pi, math.pi, 3)
         d12 = float(rng.choice([0.25, -0.1, 0.04]))
         dev = device(d12)
-        g = compile_phase_block(th1, th2, thzz, dev, "gated")
+        g = compile_phase_block(thzz, dev, "gated", owing(th1, th2))
         u = propagated(g.segments, dev)
         ideal = (
             ideal_gate(GateSpec("rz", 1, th1))
@@ -409,10 +427,10 @@ def test_phase_block_matches_ideal_triple():
 
 
 def test_phase_block_absorbs_pending_phase():
-    # a block delivers requested angles MINUS what the ledger already owes
+    # a block delivers its zz angle and what the ledger owes
     dev = device(0.25)
     led = PhaseLedger().request_z(1, 0.9)  # owes R_z(0.9) on qubit 1
-    g = compile_phase_block(0.0, 0.0, HALF_PI, dev, "gated", led)
+    g = compile_phase_block(HALF_PI, dev, "gated", led)
     u = propagated(g.segments, dev)
     ideal = ideal_gate(GateSpec("rz", 1, 0.9)) @ ideal_gate(GateSpec("zz", None, HALF_PI))
     assert distance_up_to_global_phase(u, ideal) <= EXACT_TOL
@@ -423,7 +441,7 @@ def test_phase_block_pure_z_promotes_full_cycle():
     # zero zz remainder is promoted to a full 2 pi coupling cycle so the
     # segment keeps a positive duration
     dev = device(0.25)
-    g = compile_phase_block(HALF_PI, 0.0, 0.0, dev, "gated")
+    g = compile_phase_block(0.0, dev, "gated", owing(HALF_PI, 0.0))
     assert g.segments[0].duration == 16.0 * math.pi
     u = propagated(g.segments, dev)
     assert distance_up_to_global_phase(u, ideal_gate(GateSpec("rz", 1, HALF_PI))) <= EXACT_TOL
@@ -442,14 +460,14 @@ def test_phase_block_tiny_zz_remainder_takes_the_full_cycle():
 
 
 def test_phase_block_trivial_when_nothing_requested():
-    g = compile_phase_block(0.0, 0.0, 0.0, device(0.25), "gated")
+    g = compile_phase_block(0.0, device(0.25), "gated")
     assert g.segments == ()
     assert np.array_equal(ideal_composition([g]), np.eye(4))
 
 
 def test_phase_block_negative_coupling():
     dev = device(-0.2)
-    g = compile_phase_block(0.3, -0.7, 1.1, dev, "gated")
+    g = compile_phase_block(1.1, dev, "gated", owing(0.3, -0.7))
     u = propagated(g.segments, dev)
     ideal = (
         ideal_gate(GateSpec("rz", 1, 0.3))
@@ -461,7 +479,7 @@ def test_phase_block_negative_coupling():
 
 def test_phase_block_requires_coupling():
     with pytest.raises(CompilationError) as err:
-        compile_phase_block(0.0, 0.0, HALF_PI, device(0.0), "gated")
+        compile_phase_block(HALF_PI, device(0.0), "gated")
     assert "coupling" in str(err.value)
 
 
@@ -470,7 +488,7 @@ def test_phase_block_always_on_structure():
     # flips are capped, and the control-excited branch phase (the one the
     # CNOT sequence uses) is delivered to the solver's accuracy
     dev = device(0.05)
-    g = compile_phase_block(-HALF_PI, HALF_PI, HALF_PI, dev, "always_on")
+    g = compile_phase_block(HALF_PI, dev, "always_on", owing(-HALF_PI, HALF_PI))
     seg = g.segments[0]
     assert seg.a1 == 1.0 and seg.a2 == 1.0
     assert abs(seg.delta1) >= 10.0 and abs(seg.delta2) >= 10.0
@@ -514,7 +532,8 @@ def test_cnot_gates_structure():
 def reference_cnot_pieces(device: DeviceParams, mode, ledger: PhaseLedger = PhaseLedger()):
     """Reference: the CNOT compiled by hand as four pieces, x(-pi/2) on the
     target, block(-pi/2, pi/2, pi/2), x(+pi/2), block(0, pi/2, pi/2), with
-    its own coupling and drive guards."""
+    its own coupling and drive guards; each block's z angles are requested
+    on the ledger it receives."""
     pulsecompiler._require_mode(mode)
     if device.delta12 == 0.0:
         raise CompilationError("CNOT requires a nonzero coupling delta12")
@@ -523,9 +542,10 @@ def reference_cnot_pieces(device: DeviceParams, mode, ledger: PhaseLedger = Phas
             f"CNOT requires both drives > 0, got a1={device.q1.a}, a2={device.q2.a}"
         )
     g1 = compile_x_rotation(2, -HALF_PI, device, mode, ledger)
-    g2 = compile_phase_block(-HALF_PI, HALF_PI, HALF_PI, device, mode, g1.ledger_after)
+    g2 = compile_phase_block(HALF_PI, device, mode,
+                             g1.ledger_after.request_z(1, -HALF_PI).request_z(2, HALF_PI))
     g3 = compile_x_rotation(2, HALF_PI, device, mode, g2.ledger_after)
-    g4 = compile_phase_block(0.0, HALF_PI, HALF_PI, device, mode, g3.ledger_after)
+    g4 = compile_phase_block(HALF_PI, device, mode, g3.ledger_after.request_z(2, HALF_PI))
     return (g1, g2, g3, g4)
 
 
@@ -769,6 +789,12 @@ def test_schedule_rejects_bad_input():
         compile_schedule([GateSpec("rz", 1, 0.1), GateSpec("rz", 1, -0.1)], device(0.1), "gated")
 
 
+def test_schedule_checks_its_mode_first():
+    # an unknown mode is named even for a list that emits no segment
+    with pytest.raises(ValueError, match="mode must be one of"):
+        compile_schedule([GateSpec("rz", 1, 0.0)], device(0.1), "bogus")
+
+
 # ---------------------------------------------------------------------------
 # always-on parking physics
 # ---------------------------------------------------------------------------
@@ -927,12 +953,22 @@ def test_exact_parking_search_fails_fast_when_no_branch_is_admissible():
     assert time.perf_counter() - start < 1.0
 
 
+def test_exact_parking_search_names_an_overflowing_phase():
+    # at |Delta_12| = 1e-307 a zz(1) block lasts 2e307, and qubit 2's parked
+    # phase 2 Omega t overflows before its walk starts (a2 = 0.7 overflows
+    # Omega t itself)
+    for a2 in (0.5, 0.7):
+        dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, a2), 1e-307)
+        with pytest.raises(CompilationError, match="exact parking overflows"):
+            compile_phase_block(1.0, dev, "always_on")
+
+
 def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
     # with a1 = 1e5 every candidate up to the cap flips qubit 1 past _FLIP_CAP
     monkeypatch.setattr(pulsecompiler, "_K_MAX", 1000)
     dev = DeviceParams(QubitParams(0.0, 1e5), QubitParams(0.0, 1.0), 0.5)
     with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
-        compile_phase_block(0.3, 0.2, HALF_PI, dev, "always_on")
+        compile_phase_block(HALF_PI, dev, "always_on", owing(0.3, 0.2))
 
 
 def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
@@ -941,7 +977,7 @@ def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
     dev = DeviceParams(QubitParams(0.0, 1e5), QubitParams(0.0, 1.0), 0.5)
     start = time.perf_counter()
     with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
-        compile_phase_block(0.3, 0.2, HALF_PI, dev, "always_on")
+        compile_phase_block(HALF_PI, dev, "always_on", owing(0.3, 0.2))
     assert time.perf_counter() - start < 1.0
 
 
@@ -1040,3 +1076,20 @@ def test_parking_searches_pick_the_scalar_walks_float(theta, beta, a1, a2, d12, 
     args = (theta, a1, t, d12, delta2, pulsecompiler._SEPARATION_MIN * max(a1, a2))
     assert (search_outcome(pulsecompiler._control_parking, *args)
             == search_outcome(reference_control_parking, *args))
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_qubit_2_search_picks_the_scalar_walks_float_at_weak_coupling(seed):
+    # |Delta_12| log-uniform in [1e-5, 1e-3], drawn by numpy because
+    # hypothesis's floats crowd the ends of a range.  A block is then long,
+    # so its branches step Omega finely: the walk skips hundreds of them, and
+    # most solves run out of branches and must fail with the reference's
+    # message.
+    rng = np.random.default_rng(seed)
+    beta, a2, remainder = (float(x) for x in rng.uniform(
+        (-math.pi, 0.05, pulsecompiler._ZZ_ROUNDOFF), (math.pi, 20.0, 2.0 * math.pi)))
+    d12 = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-5.0, -3.0))
+    t = 2.0 * remainder / abs(d12)
+    assert (search_outcome(pulsecompiler._exact_detuning, beta, a2, t, d12 / 2.0)
+            == search_outcome(reference_exact_detuning, beta, a2, t, d12 / 2.0))
