@@ -73,10 +73,11 @@ def effective_levels_error(devices):
 
 
 def eigh_residuals(matrices):
-    """Worst orthonormality and relative reconstruction errors of ``eigh``."""
+    """Worst orthonormality and relative reconstruction errors of ``eigh``,
+    called once on the matrices as a stack."""
+    hs = np.array(list(matrices))
     orth = recon = 0.0
-    for h in matrices:
-        w, v = eigh(h)
+    for h, w, v in zip(hs, *eigh(hs)):
         orth = max(orth, float(np.linalg.norm(v.conj().T @ v - np.eye(4))))
         recon = max(recon, float(np.linalg.norm((v * w) @ v.conj().T - h)
                                  / (1.0 + np.linalg.norm(h))))

@@ -2,7 +2,8 @@
 
 A ``Schedule`` is an ordered list of ``PulseSegment`` settings applied to a
 fixed device; within a segment the Hamiltonian is constant, so the exact
-propagator is a product of matrix exponentials (``propagate``).  An
+propagator is a product of matrix exponentials (``propagate``), all of a
+schedule's computed by one stacked ``expm_unitary`` call.  An
 independent Runge-Kutta integrator of i d psi/dt = H psi (``propagate_rk4``)
 applies each segment's fixed RK4 step matrix n - 1 times by repeated
 squaring; it exists only to cross-check the exact route and shares no code
@@ -128,16 +129,19 @@ def _check_initial_state(psi0):
 
 
 def propagate(schedule: Schedule, psi0):
-    """Exact evolution: apply U_k = exp(-i H_k t_k) segment by segment.
+    """Exact evolution: U_k = exp(-i H_k t_k) for every segment from one
+    stacked ``expm_unitary`` call (one LAPACK eigendecomposition per
+    schedule), then multiplied in time order.
 
     Segments act in list order (first element first in time), so the total
     propagator is U_n ... U_2 U_1.
     """
     psi = _check_initial_state(psi0)
+    segs = schedule.segments
+    hs = np.array([segment_hamiltonian(seg, schedule.device, schedule.model) for seg in segs])
     u_total = np.eye(4, dtype=complex)
-    for seg in schedule.segments:
-        h = segment_hamiltonian(seg, schedule.device, schedule.model)
-        u_total = expm_unitary(h, seg.duration) @ u_total
+    for u in expm_unitary(hs, np.array([seg.duration for seg in segs])):
+        u_total = u @ u_total
     final = u_total @ psi
     drift = abs(float(np.linalg.norm(final)) - 1.0)
     return EvolutionResult(final_state=final, total_propagator=u_total, norm_drift=drift)

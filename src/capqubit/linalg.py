@@ -3,15 +3,20 @@
 Everything downstream -- propagators, gate distances, verification -- is
 built on three primitives:
 
-* ``eigh``: eigendecomposition of a Hermitian matrix by LAPACK
-  (``np.linalg.eigh``) behind validation: square, finite, and Hermitian to
-  1e-12 of the largest entry.  Eigenvalues ascend; eigenvectors are
-  orthonormal.
+* ``eigh``: eigendecomposition of a Hermitian matrix, or of a stack of them
+  in one call, by LAPACK (``np.linalg.eigh``) behind validation: square,
+  finite, and each matrix Hermitian to 1e-12 of its own largest entry.
+  Eigenvalues ascend; eigenvectors are orthonormal.
 * ``expm_unitary``: the unitary exp(-i H t) assembled from the
-  eigendecomposition, V diag(e^{-i lambda t}) V^dagger.
+  eigendecomposition, V diag(e^{-i lambda t}) V^dagger, for one matrix or a
+  stack with one duration each.
 * ``distance_up_to_global_phase``: Frobenius distance between two matrices
   minimized over a global phase, min_phi || A - e^{i phi} B ||_F.
 
+A stack is an array of shape (..., n, n); its matrices are computed
+independently, so each comes out bit for bit as from a call on it alone.
+An error about a stack names the offending matrix by its index, as in
+``matrix (2,) is not Hermitian``; an error about a lone matrix names none.
 Angles are radians, hbar = 1 throughout.
 """
 
@@ -42,16 +47,24 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
+def _at(index):
+    """How an error names matrix ``index`` of a stack: " (k,)", or "" for a
+    lone matrix, whose index is ()."""
+    return f" {tuple(int(k) for k in index)}" if len(index) else ""
+
+
 def _require_square(m):
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
 
 
 def _require_finite_entries(name, m):
     # LAPACK and norms pass NaN along instead of failing, and nan > tol is False.
     if not np.isfinite(m).all():
-        i, j = np.argwhere(~np.isfinite(m))[0]
-        raise ValueError(f"{name} entry ({i + 1},{j + 1}) is not finite: {m[i, j]}")
+        first = np.argwhere(~np.isfinite(m))[0]
+        i, j = first[-2:]
+        raise ValueError(f"{name}{_at(first[:-2])} entry ({i + 1},{j + 1}) is not finite: "
+                         f"{m[tuple(first)]}")
 
 
 def _require_unitary(name, u, tol):
@@ -66,48 +79,78 @@ def _require_unitary(name, u, tol):
 
 
 def _require_hermitian(m):
-    """Raise ValueError naming the worst entry pair if m is not Hermitian."""
-    dev = np.abs(m - m.conj().T)
-    i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[i, j] > _HERMITIAN_RTOL * (1.0 + np.max(np.abs(m))):
+    """Raise ValueError naming the worst entry pair of the first matrix that
+    is not Hermitian to _HERMITIAN_RTOL of its own largest entry (a stack-wide
+    scale or argmax would let a small bad matrix hide behind a large one)."""
+    dev = np.abs(m - m.conj().swapaxes(-1, -2))
+    bad = dev.max(axis=(-2, -1)) > _HERMITIAN_RTOL * (1.0 + np.abs(m).max(axis=(-2, -1)))
+    if bad.any():
+        k = tuple(np.argwhere(bad)[0])
+        i, j = np.unravel_index(np.argmax(dev[k]), m.shape[-2:])
         raise ValueError(
-            f"matrix is not Hermitian: entries ({i + 1},{j + 1}) and "
-            f"({j + 1},{i + 1}) differ by {dev[i, j]:.3e}"
+            f"matrix{_at(k)} is not Hermitian: entries ({i + 1},{j + 1}) and "
+            f"({j + 1},{i + 1}) differ by {dev[k][i, j]:.3e}"
         )
 
 
+def _require_durations(t, shape):
+    """Return t, a finite duration >= 0 or an array of them of the stack's
+    leading ``shape``, ready to scale the eigenvalues; never broadcast."""
+    if np.ndim(t) == 0:
+        _require_finite("duration", t)
+        if t < 0.0:
+            raise ValueError(f"duration must be nonnegative, got {t}")
+        return t
+    ts = np.asarray(t)
+    if ts.shape != shape:
+        raise ValueError(f"expected one duration per matrix, shape {shape}, "
+                         f"got shape {ts.shape}")
+    if ts.dtype.kind not in "iuf":
+        raise ValueError(f"durations must be real numbers, got dtype {ts.dtype}")
+    bad = ~(np.isfinite(ts) & (ts >= 0.0))
+    if bad.any():
+        k = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"duration{_at(k)} must be finite and nonnegative, got {ts[k]}")
+    return ts[..., None]
+
+
 def eigh(matrix):
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them, by
+    LAPACK (``np.linalg.eigh``) in one call.
 
     Args:
-        matrix: square Hermitian array-like with finite entries (validated;
-            the offending entry, or worst entry pair, is named in the error).
+        matrix: array-like of shape (n, n), or (..., n, n) for a stack, with
+            finite entries, each matrix Hermitian (validated; the error names
+            the offending entry, or worst entry pair, and for a stack the
+            index of its matrix).
 
     Returns:
-        (eigenvalues, eigenvectors): eigenvalues ascending as a real 1-D
-        array; eigenvectors as a unitary matrix whose k-th column belongs to
-        the k-th eigenvalue.
+        (eigenvalues, eigenvectors): eigenvalues ascending as a real array of
+        shape (..., n); eigenvectors as unitary matrices of shape (..., n, n)
+        whose k-th column belongs to the k-th eigenvalue.
     """
     m = np.asarray(matrix, dtype=complex)
     _require_square(m)
     _require_finite_entries("matrix", m)
     _require_hermitian(m)
     # LAPACK reads only one triangle, so hand it the Hermitian part.
-    return np.linalg.eigh((m + m.conj().T) / 2.0)
+    return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def expm_unitary(hamiltonian, t):
     """Unitary propagator exp(-i H t) of a Hermitian H for duration t >= 0.
 
     Computed spectrally: V diag(e^{-i lambda t}) V^dagger from ``eigh``.
-    Negative durations are rejected -- schedules only move forward in time.
+    ``hamiltonian`` may be a stack of shape (..., n, n); ``t`` is then one
+    duration for all of them or an array of shape (...), one per matrix, and
+    the result is the stack of propagators.  Negative durations are rejected
+    -- schedules only move forward in time -- and a duration array is named
+    by the index of its bad entry.
     """
-    _require_finite("duration", t)
-    if t < 0.0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
+    t = _require_durations(t, np.shape(hamiltonian)[:-2])
     w, v = eigh(hamiltonian)
     phases = np.exp(-1j * w * t)
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def distance_up_to_global_phase(a, b):

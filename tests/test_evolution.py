@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capqubit.evolution
 import capqubit.linalg
@@ -22,6 +24,7 @@ from capqubit.hamiltonian import (
     build_capacitive,
     build_dipole,
 )
+from capqubit.linalg import expm_unitary
 
 STATE_TOL = 1e-12
 UNITARITY_TOL = 1e-12
@@ -174,6 +177,53 @@ def test_propagate_time_scaling_invariance():
         u = propagate(sched, KET_11).total_propagator
         u_scaled = propagate(scaled, KET_11).total_propagator
         assert np.linalg.norm(u - u_scaled) <= SCALING_TOL
+
+
+def reference_propagate(schedule, psi0):
+    """Reference: one expm_unitary call per segment, multiplied in time order."""
+    u_total = np.eye(4, dtype=complex)
+    for seg in schedule.segments:
+        h = segment_hamiltonian(seg, schedule.device, schedule.model)
+        u_total = expm_unitary(h, seg.duration) @ u_total
+    return u_total @ np.asarray(psi0, dtype=complex), u_total
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8),
+       model=st.sampled_from(["capacitive", "dipole"]), sign=st.sampled_from([1.0, -1.0]))
+def test_propagate_equals_the_per_segment_loop_bit_for_bit(seed, count, model, sign):
+    # numpy draws from a hypothesis seed, so values fill their ranges rather
+    # than crowding the ends; |Delta_12| is log-uniform in [1e-3, 0.5]
+    rng = np.random.default_rng(seed)
+    segs = tuple(
+        PulseSegment(duration=float(rng.uniform(0.01, 20.0)),
+                     delta1=float(rng.uniform(-5.0, 5.0)), delta2=float(rng.uniform(-5.0, 5.0)),
+                     a1=float(rng.uniform(0.0, 2.0)), a2=float(rng.uniform(0.0, 2.0)))
+        for _ in range(count))
+    d12 = sign * 10.0 ** float(rng.uniform(-3.0, math.log10(0.5)))
+    sched = Schedule(segments=segs, device=device(d12=d12), model=model)
+    psi0 = random_state(rng)
+    final, u_total = reference_propagate(sched, psi0)
+    result = propagate(sched, psi0)
+    assert result.total_propagator.tobytes() == u_total.tobytes()
+    assert result.final_state.tobytes() == final.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 4, 8])
+def test_propagate_makes_one_eigendecomposition_per_schedule(monkeypatch, count):
+    calls = []
+    lapack_eigh = capqubit.linalg.np.linalg.eigh
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return lapack_eigh(m)
+
+    monkeypatch.setattr(capqubit.linalg.np.linalg, "eigh", counting)
+    rng = np.random.default_rng(count)
+    segs = [PulseSegment(float(rng.uniform(0.1, 2.0)), 0.3, -0.2, 0.5, 1.0)
+            for _ in range(count)]
+    propagate(Schedule(segments=segs, device=device(d12=0.1)), KET_11)
+    assert calls == [(count, 4, 4)]
 
 
 def test_propagate_rejects_unnormalized_state():

@@ -1,6 +1,7 @@
 """Tests for the dense Hermitian linear-algebra primitives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,8 @@ def test_eigh_strong_diagonal_dominance():
 def test_eigh_rejects_non_square():
     with pytest.raises(ValueError):
         eigh(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=re.escape("got shape (3, 2, 3)")):
+        eigh(np.zeros((3, 2, 3)))
 
 
 def test_eigh_rejects_non_hermitian_naming_entries():
@@ -311,3 +314,92 @@ def test_eigh_degenerate_spectra(w, seed, rotate, times):
     u12 = expm_unitary(h, t1 + t2)
     assert np.linalg.norm(expm_unitary(h, t2) @ expm_unitary(h, t1) - u12) <= GROUP_TOL
     assert not np.any(np.isnan(u12))
+
+
+# ---------------------------------------------------------------------------
+# stacks: one call on (N, n, n), validated matrix by matrix
+# ---------------------------------------------------------------------------
+
+def _hermitian_stack(seed):
+    rng = np.random.default_rng(seed)
+    return np.array([random_hermitian(rng, 4) for _ in range(3)])
+
+
+@pytest.mark.parametrize("call", [eigh, lambda h: expm_unitary(h, 0.5)],
+                         ids=["eigh", "expm_unitary"])
+def test_stack_with_a_non_finite_entry_names_its_matrix_and_entry(call):
+    hs = _hermitian_stack(1)
+    hs[1, 1, 2] = hs[1, 2, 1] = np.nan
+    message = "matrix (1,) entry (2,3) is not finite: (nan+0j)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(hs)
+
+
+def test_stack_non_hermitian_matrix_is_judged_on_its_own_scale():
+    # Matrix 0 is huge and its 1e180 asymmetry is within 1e-12 of its own
+    # largest entry; matrix 1 is unit scale with a 0.5 asymmetry.  Scaling
+    # the tolerance by the whole stack's largest entry (1e188), or testing
+    # only the stack's worst pair (in matrix 0), would accept matrix 1.
+    big = 1e200 * np.eye(4, dtype=complex)
+    big[0, 3] += 1e180
+    small = np.eye(4, dtype=complex)
+    small[2, 1] = 0.5
+    eigh(big)
+    message = re.escape("matrix (1,) is not Hermitian: entries (2,3) and (3,2) "
+                        "differ by 5.000e-01")
+    with pytest.raises(ValueError, match=message):
+        eigh(np.array([big, small]))
+    with pytest.raises(ValueError, match=message):
+        expm_unitary(np.array([big, small]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=re.escape("matrix (0, 1) is not Hermitian")):
+        eigh(np.array([[big, small]]))
+
+
+@pytest.mark.parametrize("durations,message", [
+    ([0.5, -0.1, 1.0], "duration (1,) must be finite and nonnegative, got -0.1"),
+    ([0.5, 1.0, np.nan], "duration (2,) must be finite and nonnegative, got nan"),
+    ([0.5, 1.0, np.inf], "duration (2,) must be finite and nonnegative, got inf"),
+    ([0.5, 1.0], "expected one duration per matrix, shape (3,), got shape (2,)"),
+    ([0.5], "expected one duration per matrix, shape (3,), got shape (1,)"),
+    ([[0.5, 1.0, 2.0]], "expected one duration per matrix, shape (3,), got shape (1, 3)"),
+    ([0.5, 1j, 1.0], "durations must be real numbers, got dtype complex128"),
+])
+def test_stack_durations_are_checked_and_never_broadcast(durations, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        expm_unitary(_hermitian_stack(2), np.array(durations))
+
+
+@pytest.mark.parametrize("call,matrix,message", [
+    (eigh, [[1.0, np.nan], [np.nan, 1.0]], "matrix entry (1,2) is not finite: (nan+0j)"),
+    (eigh, [[1.0, 0.5], [0.0, 1.0]],
+     "matrix is not Hermitian: entries (1,2) and (2,1) differ by 5.000e-01"),
+    (eigh, np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (lambda h: expm_unitary(h, -0.1), np.eye(2), "duration must be nonnegative, got -0.1"),
+    (lambda h: expm_unitary(h, np.nan), np.eye(2),
+     "duration must be a finite real number, got nan"),
+    (lambda h: expm_unitary(h, np.array([0.5])), np.eye(2),
+     "expected one duration per matrix, shape (), got shape (1,)"),
+])
+def test_lone_matrix_errors_name_no_matrix_index(call, matrix, message):
+    with pytest.raises(ValueError) as err:
+        call(np.asarray(matrix))
+    assert str(err.value) == message
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4]), count=st.integers(1, 8),
+       zeros=st.integers(0, 8))
+def test_stacked_calls_equal_per_matrix_calls_bit_for_bit(seed, n, count, zeros):
+    rng = np.random.default_rng(seed)
+    hs = np.array([random_hermitian(rng, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+                   for _ in range(count)])
+    ts = rng.uniform(0.0, 5.0, count)
+    ts[:zeros] = 0.0
+    ws, vs = eigh(hs)
+    us = expm_unitary(hs, ts)
+    shared = expm_unitary(hs, float(ts[-1]))
+    for k in range(count):
+        w, v = eigh(hs[k])
+        assert ws[k].tobytes() == w.tobytes() and vs[k].tobytes() == v.tobytes()
+        assert us[k].tobytes() == expm_unitary(hs[k], float(ts[k])).tobytes()
+        assert shared[k].tobytes() == expm_unitary(hs[k], float(ts[-1])).tobytes()
