@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .evolution import PulseSegment, Schedule, propagate, propagate_rk4
+from .evolution import PulseSegment, Schedule, propagate, propagate_many, propagate_rk4
 from .experiments import INITIAL_STATE, _sweep_device
 from .hamiltonian import (_Z1, _Z2, DeviceParams, QubitParams, build_capacitive,
                           build_capacitive_pauli_form, build_dipole, effective_levels)
@@ -85,10 +85,10 @@ def eigh_residuals(matrices):
 
 
 def propagator_errors(schedules, psi0):
-    """Worst propagator unitarity error and norm drift from psi0."""
+    """Worst propagator unitarity error and norm drift from psi0, with the
+    schedules propagated in one ``propagate_many`` call."""
     unit = drift = 0.0
-    for sched in schedules:
-        res = propagate(sched, psi0)
+    for res in propagate_many(schedules, psi0):
         u = res.total_propagator
         unit = max(unit, float(np.linalg.norm(u.conj().T @ u - np.eye(4))))
         drift = max(drift, res.norm_drift)

@@ -2,12 +2,15 @@
 
 A ``Schedule`` is an ordered list of ``PulseSegment`` settings applied to a
 fixed device; within a segment the Hamiltonian is constant, so the exact
-propagator is a product of matrix exponentials (``propagate``), all of a
-schedule's computed by one stacked ``expm_unitary`` call.  An
-independent Runge-Kutta integrator of i d psi/dt = H psi (``propagate_rk4``)
-applies each segment's fixed RK4 step matrix n - 1 times by repeated
-squaring; it exists only to cross-check the exact route and shares no code
-path with ``expm_unitary`` beyond the Hamiltonian builders.
+propagator is a product of matrix exponentials.  ``propagate_many`` stacks
+the segment Hamiltonians of any number of schedules and computes all their
+exponentials in one ``expm_unitary`` call; ``propagate`` is that call on one
+schedule, so there is one exact path.  An independent Runge-Kutta
+integrator of i d psi/dt = H psi (``propagate_rk4``) applies each segment's
+fixed RK4 step matrix n - 1 times by repeated squaring, and refuses a step
+outside RK4's stability interval; it exists only to cross-check the exact
+route and shares no code path with ``expm_unitary`` beyond the Hamiltonian
+cores.
 
 The capacitive coupling is a device constant: it appears in every segment's
 Hamiltonian and is deliberately NOT a per-segment control.
@@ -18,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (
-    DeviceParams,
-    QubitParams,
-    build_capacitive,
-    build_dipole,
-)
+from .hamiltonian import DeviceParams, _capacitive, _dipole
 from .linalg import _require_finite, expm_unitary
 
 __all__ = [
@@ -32,10 +30,13 @@ __all__ = [
     "EvolutionResult",
     "segment_hamiltonian",
     "propagate",
+    "propagate_many",
     "propagate_rk4",
 ]
 
 _MODELS = ("capacitive", "dipole")
+# RK4's stability interval on the imaginary axis is |h lambda| <= 2 sqrt(2).
+_RK4_STABLE = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -101,16 +102,13 @@ class EvolutionResult:
 
 def segment_hamiltonian(seg: PulseSegment, device: DeviceParams, model="capacitive"):
     """Instantaneous 4x4 Hamiltonian of one segment: the segment supplies the
-    qubit controls, the device supplies the fixed coupling."""
-    instant = DeviceParams(
-        q1=QubitParams(delta=seg.delta1, a=seg.a1),
-        q2=QubitParams(delta=seg.delta2, a=seg.a2),
-        delta12=device.delta12,
-    )
+    qubit controls, the device supplies the fixed coupling.  Both were
+    validated when they were built, so their numbers go straight to the
+    model's Hamiltonian core."""
     if model == "capacitive":
-        return build_capacitive(instant)
+        return _capacitive(seg.delta1, seg.delta2, seg.a1, seg.a2, device.delta12)
     if model == "dipole":
-        return build_dipole(instant)
+        return _dipole(seg.delta1, seg.delta2, seg.a1, seg.a2, device.delta12)
     raise ValueError(f"model must be one of {_MODELS}, got {model!r}")
 
 
@@ -128,23 +126,52 @@ def _check_initial_state(psi0):
     return psi
 
 
-def propagate(schedule: Schedule, psi0):
-    """Exact evolution: U_k = exp(-i H_k t_k) for every segment from one
-    stacked ``expm_unitary`` call (one LAPACK eigendecomposition per
-    schedule), then multiplied in time order.
+def propagate_many(schedules, psi0):
+    """Exact evolution of several schedules from one initial state, one
+    ``EvolutionResult`` per schedule, in order.
 
-    Segments act in list order (first element first in time), so the total
-    propagator is U_n ... U_2 U_1.
+    The segment Hamiltonians of all the schedules, each with its own device
+    and model, are stacked in order into one (N, 4, 4) array, so one
+    ``expm_unitary`` call (one LAPACK eigendecomposition) gives every
+    U_k = exp(-i H_k t_k).  Each schedule's unitaries are then multiplied in
+    time order: segments act in list order (first element first in time), so
+    its total propagator is U_n ... U_2 U_1.  Every result is bit for bit
+    what the schedule gives alone.  A segment whose Hamiltonian cannot be
+    built is named by its index in the stack and in its schedule.
     """
     psi = _check_initial_state(psi0)
-    segs = schedule.segments
-    hs = np.array([segment_hamiltonian(seg, schedule.device, schedule.model) for seg in segs])
-    u_total = np.eye(4, dtype=complex)
-    for u in expm_unitary(hs, np.array([seg.duration for seg in segs])):
-        u_total = u @ u_total
-    final = u_total @ psi
-    drift = abs(float(np.linalg.norm(final)) - 1.0)
-    return EvolutionResult(final_state=final, total_propagator=u_total, norm_drift=drift)
+    schedules = tuple(schedules)
+    if not schedules:
+        return []
+    hs, durations = [], []
+    for s, sched in enumerate(schedules):
+        if not isinstance(sched, Schedule):
+            raise ValueError(f"schedule {s} must be a Schedule, got {sched!r}")
+        for j, seg in enumerate(sched.segments):
+            try:
+                hs.append(segment_hamiltonian(seg, sched.device, sched.model))
+            except ValueError as exc:
+                raise ValueError(
+                    f"stack index {len(hs)} (schedule {s}, segment {j}): {exc}"
+                ) from None
+            durations.append(seg.duration)
+    us = iter(expm_unitary(np.array(hs), np.array(durations)))
+    results = []
+    for sched in schedules:
+        u_total = np.eye(4, dtype=complex)
+        for _ in sched.segments:
+            u_total = next(us) @ u_total
+        final = u_total @ psi
+        drift = abs(float(np.linalg.norm(final)) - 1.0)
+        results.append(
+            EvolutionResult(final_state=final, total_propagator=u_total, norm_drift=drift)
+        )
+    return results
+
+
+def propagate(schedule: Schedule, psi0):
+    """Exact evolution of one schedule: ``propagate_many`` on it alone."""
+    return propagate_many((schedule,), psi0)[0]
 
 
 def _rk4_step_matrix(m, h):
@@ -171,7 +198,11 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
         schedule: pulse program (same semantics as ``propagate``).
         psi0: normalized initial state.
         dt: step size; must not exceed one tenth of the shortest segment so
-            every segment is resolved.
+            every segment is resolved, and must keep every segment stable:
+            dt times the largest row sum of |H_k| is at most 2 sqrt(2).  The
+            row sum bounds H_k's spectral radius, and 2 sqrt(2) is where
+            RK4's stability interval on the imaginary axis ends; past it
+            the state grows without bound.
 
     Returns:
         The final state vector.  No renormalization is applied -- the norm
@@ -186,8 +217,19 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
         raise ValueError(
             f"dt={dt} too coarse: must be <= shortest segment / 10 = {shortest / 10.0}"
         )
-    for seg in schedule.segments:
-        m = -1j * segment_hamiltonian(seg, schedule.device, schedule.model)
+    for j, seg in enumerate(schedule.segments):
+        try:
+            h = segment_hamiltonian(seg, schedule.device, schedule.model)
+        except ValueError as exc:
+            raise ValueError(f"segment {j}: {exc}") from None
+        with np.errstate(over="ignore"):
+            reach = dt * np.abs(h).sum(axis=1).max()
+        if not reach <= _RK4_STABLE:
+            raise ValueError(
+                f"segment {j}: dt={dt} is unstable: dt * max row sum |H| = {reach:.3e} "
+                f"exceeds RK4's limit 2*sqrt(2)"
+            )
+        m = -1j * h
         n_steps = max(1, math.ceil(seg.duration / dt - 1e-12))
         psi = np.linalg.matrix_power(_rk4_step_matrix(m, dt), n_steps - 1) @ psi
         last = seg.duration - (n_steps - 1) * dt

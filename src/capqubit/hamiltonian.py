@@ -24,7 +24,15 @@ interaction models are provided:
 The two capacitive constructions are kept bit-for-bit identical by
 accumulating each matrix entry with ``math.fsum`` over its exact summands:
 both routes then produce the correctly rounded value of the same real
-number, so equality is exact rather than within roundoff.
+number, so equality is exact rather than within roundoff.  A sum that leaves
+the float range is a ValueError naming its entry.
+
+Each model has one core, ``_capacitive`` and ``_dipole``, taking plain
+numbers (d1, d2, a1, a2, d12).  ``build_capacitive`` and ``build_dipole``
+read them from a ``DeviceParams``; ``evolution.segment_hamiltonian`` reads
+them from a pulse segment and its device.  Each value was validated once,
+when the object holding it was built, so the cores validate no input again;
+they only name an entry whose sum overflows.
 """
 
 import math
@@ -92,6 +100,18 @@ class DeviceParams:
         _require_finite("delta12", self.delta12)
 
 
+def _entry(k, terms):
+    """Diagonal entry (k, k): the correctly rounded sum of its exact terms, or
+    a ValueError naming the entry when that sum leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ValueError(
+            f"Hamiltonian entry ({k + 1},{k + 1}) overflows: the sum of {terms} "
+            f"is not a finite float"
+        ) from None
+
+
 def _place_drives(h, a1, a2):
     """Scatter the drive terms: a1 couples states whose qubit-1 value flips
     (index pairs (0,2) and (1,3)); a2 flips qubit 2 (pairs (0,1), (2,3))."""
@@ -103,21 +123,36 @@ def _place_drives(h, a1, a2):
         h[j, i] = a2
 
 
+def _capacitive(d1, d2, a1, a2, d12):
+    """``build_capacitive`` on plain numbers that the caller has validated."""
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = _entry(0, (d1, d2, d12))
+    h[1, 1] = _entry(1, (d1, -d2))
+    h[2, 2] = _entry(2, (-d1, d2))
+    h[3, 3] = _entry(3, (-d1, -d2))
+    _place_drives(h, a1, a2)
+    return h
+
+
+def _dipole(w1, w2, a1, a2, w12):
+    """``build_dipole`` on plain numbers that the caller has validated."""
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = _entry(0, (w1, w2, w12))
+    h[1, 1] = _entry(1, (w1, -w2, -w12))
+    h[2, 2] = _entry(2, (-w1, w2, -w12))
+    h[3, 3] = _entry(3, (-w1, -w2, w12))
+    _place_drives(h, a1, a2)
+    return h
+
+
 def build_capacitive(d: DeviceParams):
     """4x4 Hamiltonian H_1 x I + I x H_2 + diag(Delta_12, 0, 0, 0).
 
     The capacitive interaction energy appears only when both qubits are
     excited.  Diagonal entries are accumulated with ``math.fsum`` (see the
-    module docstring).
+    module docstring); an entry whose sum overflows is a ValueError naming it.
     """
-    h = np.zeros((4, 4), dtype=complex)
-    d1, d2 = d.q1.delta, d.q2.delta
-    h[0, 0] = math.fsum((d1, d2, d.delta12))
-    h[1, 1] = math.fsum((d1, -d2))
-    h[2, 2] = math.fsum((-d1, d2))
-    h[3, 3] = math.fsum((-d1, -d2))
-    _place_drives(h, d.q1.a, d.q2.a)
-    return h
+    return _capacitive(d.q1.delta, d.q2.delta, d.q1.a, d.q2.a, d.delta12)
 
 
 def build_capacitive_pauli_form(d: DeviceParams):
@@ -136,7 +171,8 @@ def build_capacitive_pauli_form(d: DeviceParams):
     h = np.zeros((4, 4), dtype=complex)
     for k in range(4):
         z1, z2 = _Z1[k], _Z2[k]
-        h[k, k] = math.fsum(
+        h[k, k] = _entry(
+            k,
             (
                 quarter,  # identity term
                 z1 * d1,
@@ -144,7 +180,7 @@ def build_capacitive_pauli_form(d: DeviceParams):
                 z2 * d2,
                 z2 * quarter,  # sigma_z^2 with its coupling shift
                 z1 * z2 * quarter,  # Ising zz term
-            )
+            ),
         )
     _place_drives(h, d.q1.a, d.q2.a)
     return h
@@ -154,14 +190,7 @@ def build_dipole(d: DeviceParams):
     """4x4 dipole-model Hamiltonian: single-qubit blocks plus a diagonal
     coupling whose sign follows dipole alignment, +omega_12 on (|1>|1>,
     |0>|0>) and -omega_12 on (|1>|0>, |0>|1>)."""
-    h = np.zeros((4, 4), dtype=complex)
-    w1, w2, w12 = d.q1.delta, d.q2.delta, d.delta12
-    h[0, 0] = math.fsum((w1, w2, w12))
-    h[1, 1] = math.fsum((w1, -w2, -w12))
-    h[2, 2] = math.fsum((-w1, w2, -w12))
-    h[3, 3] = math.fsum((-w1, -w2, w12))
-    _place_drives(h, d.q1.a, d.q2.a)
-    return h
+    return _dipole(d.q1.delta, d.q2.delta, d.q1.a, d.q2.a, d.delta12)
 
 
 def effective_levels(d: DeviceParams, qubit, neighbor_excited):

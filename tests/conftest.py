@@ -1,7 +1,26 @@
 """Shared test settings: every hypothesis test runs derandomized, with no
-deadline and no example database, so each run sees the same examples."""
+deadline and no example database, so each run sees the same examples.  The
+``eigh_calls`` fixture records the shape of every LAPACK eigendecomposition
+that ``capqubit.linalg`` makes during a test."""
 
+import numpy as np
+import pytest
 from hypothesis import settings
+
+import capqubit.linalg
 
 settings.register_profile("capqubit", derandomize=True, deadline=None, database=None)
 settings.load_profile("capqubit")
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    lapack_eigh = capqubit.linalg.np.linalg.eigh
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return lapack_eigh(m)
+
+    monkeypatch.setattr(capqubit.linalg.np.linalg, "eigh", counting)
+    return calls

@@ -15,6 +15,7 @@ from capqubit.evolution import (
     Schedule,
     _rk4_step_matrix,
     propagate,
+    propagate_many,
     propagate_rk4,
     segment_hamiltonian,
 )
@@ -188,6 +189,14 @@ def reference_propagate(schedule, psi0):
     return u_total @ np.asarray(psi0, dtype=complex), u_total
 
 
+def random_segments(rng, count):
+    return tuple(
+        PulseSegment(duration=float(rng.uniform(0.01, 20.0)),
+                     delta1=float(rng.uniform(-5.0, 5.0)), delta2=float(rng.uniform(-5.0, 5.0)),
+                     a1=float(rng.uniform(0.0, 2.0)), a2=float(rng.uniform(0.0, 2.0)))
+        for _ in range(count))
+
+
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8),
        model=st.sampled_from(["capacitive", "dipole"]), sign=st.sampled_from([1.0, -1.0]))
@@ -195,11 +204,7 @@ def test_propagate_equals_the_per_segment_loop_bit_for_bit(seed, count, model, s
     # numpy draws from a hypothesis seed, so values fill their ranges rather
     # than crowding the ends; |Delta_12| is log-uniform in [1e-3, 0.5]
     rng = np.random.default_rng(seed)
-    segs = tuple(
-        PulseSegment(duration=float(rng.uniform(0.01, 20.0)),
-                     delta1=float(rng.uniform(-5.0, 5.0)), delta2=float(rng.uniform(-5.0, 5.0)),
-                     a1=float(rng.uniform(0.0, 2.0)), a2=float(rng.uniform(0.0, 2.0)))
-        for _ in range(count))
+    segs = random_segments(rng, count)
     d12 = sign * 10.0 ** float(rng.uniform(-3.0, math.log10(0.5)))
     sched = Schedule(segments=segs, device=device(d12=d12), model=model)
     psi0 = random_state(rng)
@@ -209,21 +214,71 @@ def test_propagate_equals_the_per_segment_loop_bit_for_bit(seed, count, model, s
     assert result.final_state.tobytes() == final.tobytes()
 
 
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(1, 8), min_size=1, max_size=6))
+def test_propagate_many_equals_the_per_segment_loop_per_schedule(seed, counts):
+    # each schedule draws its own model, coupling sign and |Delta_12|
+    # (log-uniform in [1e-3, 0.5]), so one stack mixes devices and models
+    rng = np.random.default_rng(seed)
+    schedules = [
+        Schedule(segments=random_segments(rng, count),
+                 device=device(d12=float(rng.choice([1.0, -1.0]))
+                               * 10.0 ** float(rng.uniform(-3.0, math.log10(0.5)))),
+                 model=str(rng.choice(["capacitive", "dipole"])))
+        for count in counts]
+    psi0 = random_state(rng)
+    results = propagate_many(schedules, psi0)
+    assert len(results) == len(schedules)
+    for sched, result in zip(schedules, results):
+        final, u_total = reference_propagate(sched, psi0)
+        assert result.total_propagator.tobytes() == u_total.tobytes()
+        assert result.final_state.tobytes() == final.tobytes()
+        assert result.norm_drift == abs(float(np.linalg.norm(final)) - 1.0)
+
+
+def test_propagate_many_makes_one_eigendecomposition_for_all_schedules(eigh_calls):
+    rng = np.random.default_rng(5)
+    schedules = [Schedule(segments=random_segments(rng, count), device=device(d12=0.1))
+                 for count in (3, 1, 5)]
+    propagate_many(schedules, KET_11)
+    assert eigh_calls == [(9, 4, 4)]
+
+
+def test_propagate_many_rejects_a_non_schedule_naming_it():
+    seg = PulseSegment(duration=1.0, delta1=0.0, delta2=0.0, a1=0.0, a2=0.0)
+    sched = Schedule(segments=(seg,), device=device())
+    with pytest.raises(ValueError, match="schedule 1 must be a Schedule, got 'x'"):
+        propagate_many([sched, "x"], KET_11)
+    assert propagate_many([], KET_11) == []
+
+
+OVERFLOWING = PulseSegment(duration=1.0, delta1=1e308, delta2=1e308, a1=0.0, a2=0.0)
+ENTRY_OVERFLOWS = r"Hamiltonian entry \(1,1\) overflows"
+
+
+@pytest.mark.parametrize("model", ["capacitive", "dipole"])
+def test_overflowing_hamiltonian_entry_is_named_by_both_propagators(model):
+    # math.fsum used to escape as a bare OverflowError
+    calm = PulseSegment(duration=1.0, delta1=0.1, delta2=0.2, a1=0.3, a2=0.4)
+    calm_sched = Schedule(segments=(calm,), device=device(0.1), model=model)
+    sched = Schedule(segments=(calm, OVERFLOWING), device=device(0.1), model=model)
+    with pytest.raises(ValueError, match=r"stack index 2 \(schedule 1, segment 1\): "
+                                         + ENTRY_OVERFLOWS):
+        propagate_many([calm_sched, sched], KET_11)
+    with pytest.raises(ValueError, match=r"stack index 1 \(schedule 0, segment 1\): "
+                                         + ENTRY_OVERFLOWS):
+        propagate(sched, KET_11)
+    with pytest.raises(ValueError, match="segment 1: " + ENTRY_OVERFLOWS):
+        propagate_rk4(sched, KET_11, dt=0.01)
+
+
 @pytest.mark.parametrize("count", [1, 2, 4, 8])
-def test_propagate_makes_one_eigendecomposition_per_schedule(monkeypatch, count):
-    calls = []
-    lapack_eigh = capqubit.linalg.np.linalg.eigh
-
-    def counting(m):
-        calls.append(np.shape(m))
-        return lapack_eigh(m)
-
-    monkeypatch.setattr(capqubit.linalg.np.linalg, "eigh", counting)
+def test_propagate_makes_one_eigendecomposition_per_schedule(eigh_calls, count):
     rng = np.random.default_rng(count)
     segs = [PulseSegment(float(rng.uniform(0.1, 2.0)), 0.3, -0.2, 0.5, 1.0)
             for _ in range(count)]
     propagate(Schedule(segments=segs, device=device(d12=0.1)), KET_11)
-    assert calls == [(count, 4, 4)]
+    assert eigh_calls == [(count, 4, 4)]
 
 
 def test_propagate_rejects_unnormalized_state():
@@ -316,6 +371,43 @@ def test_rk4_never_calls_expm_unitary(monkeypatch):
     psi = propagate_rk4(sched, KET_11, dt=t / 1e4)
     expected = np.array([math.cos(t), -1j * math.sin(t), 0.0, 0.0])
     assert np.max(np.abs(psi - expected)) <= RK4_RABI_TOL
+
+
+@pytest.mark.parametrize("d1, dt", [(1e200, 0.01), (2.5, 0.9)])
+def test_rk4_refuses_an_unstable_step_naming_the_segment(d1, dt):
+    # delta1 = 1e200 used to return a NaN state after overflow warnings.  At
+    # d1 = 2.5 the second segment's largest row sum of |H| is 3.6, so dt = 0.9
+    # gives 3.24 > 2 sqrt(2), while the first segment's 1.1 gives 0.99
+    calm = PulseSegment(duration=10.0, delta1=0.0, delta2=0.0, a1=0.0, a2=1.0)
+    wild = PulseSegment(duration=10.0, delta1=d1, delta2=0.0, a1=0.0, a2=1.0)
+    sched = Schedule(segments=(calm, wild), device=device(0.1))
+    with pytest.raises(ValueError, match=r"segment 1: dt=.* is unstable: dt \* max row sum"
+                                         r" \|H\| = .* exceeds RK4's limit 2\*sqrt\(2\)"):
+        propagate_rk4(sched, KET_11, dt=dt)
+
+
+def test_rk4_accepts_the_step_at_its_stability_limit():
+    # a lone a2 drive: every row sum of |H| is a2, and at dt * a2 = 2 sqrt(2)
+    # (rounded down) the RK4 step's amplification is 1, not above it
+    dt = 0.25
+    a2 = np.nextafter(2.0 * math.sqrt(2.0) / dt, 0.0)
+    seg = PulseSegment(duration=10.0 * dt, delta1=0.0, delta2=0.0, a1=0.0, a2=float(a2))
+    psi = propagate_rk4(Schedule(segments=(seg,), device=device()), KET_11, dt=dt)
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+
+def test_rk4_accepts_the_corner_of_criterion_3s_family():
+    # the random schedules of criterion 3 and of the benchmark's RK4
+    # cross-check have at most 5 segments of duration <= 3 with |delta_i| <= 2,
+    # a_i <= 2 and |Delta_12| <= 0.5, stepped at dt = T / 1e5: every row sum
+    # of |H| is at most 2 + 2 + 0.5 + 2 + 2 = 8.5 and dt at most 1.5e-4, so dt
+    # times the row sum stays below 1.3e-3, far inside 2 sqrt(2).  This
+    # schedule sits on that corner.  (Their gated CNOTs, and verify's, reach
+    # 1.3e-3 at ratio 0.05; criterion 3 runs those itself.)
+    seg = PulseSegment(duration=3.0, delta1=2.0, delta2=2.0, a1=2.0, a2=2.0)
+    sched = Schedule(segments=(seg,) * 5, device=device(0.5))
+    psi = propagate_rk4(sched, KET_11, sched.total_duration / checks.RK4_STEPS)
+    assert np.linalg.norm(psi - propagate(sched, KET_11).final_state) <= checks.RK4_TOL
 
 
 def test_rk4_rejects_bad_steps():

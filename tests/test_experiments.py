@@ -1,9 +1,12 @@
 """Tests for the coupling-sweep experiment layer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from capqubit.experiments import (
     SweepConfig,
@@ -13,6 +16,8 @@ from capqubit.experiments import (
     run_sweep,
 )
 from capqubit.hamiltonian import DeviceParams, QubitParams
+from capqubit.linalg import wrap_angle
+from capqubit.pulsecompiler import CompilationError
 
 
 def test_sweep_config_validation():
@@ -138,6 +143,59 @@ def test_run_sweep_is_deterministic():
     cfg = SweepConfig(ratio_min=0.01, ratio_max=0.1, points=3,
                       modes=("always_on", "gated"))
     assert run_sweep(cfg) == run_sweep(cfg)
+
+
+def reference_run_sweep(cfg):
+    """Reference: one cnot_response per point, baseline first in each mode."""
+    rows = []
+    for mode in sorted(cfg.modes):
+        baseline = cnot_response(cfg.baseline_ratio, mode)
+        for ratio in cfg.grid():
+            row = cnot_response(float(ratio), mode)
+            rows.append(replace(row, phase_deviation=wrap_angle(row.phase - baseline.phase)))
+    return rows
+
+
+def row_bits(rows):
+    return [(r.mode, *(float(v).hex() for v in (r.ratio, r.amplitude, r.phase,
+                                                 r.phase_deviation, r.gate_distance,
+                                                 r.leakage)))
+            for r in rows]
+
+
+@settings(max_examples=30)
+@given(ends=st.lists(st.floats(-3.0, math.log10(0.5)), min_size=2, max_size=2, unique=True),
+       points=st.integers(2, 6), spacing=st.sampled_from(["log", "linear"]),
+       baseline=st.floats(-3.0, math.log10(0.5)),
+       modes=st.sampled_from([("gated",), ("always_on",), ("always_on", "gated")]))
+def test_run_sweep_rows_are_the_point_by_point_loop_bit_for_bit(ends, points, spacing,
+                                                                baseline, modes):
+    # log10 of every ratio in [-3, log10(0.5)], where both modes compile
+    lo, hi = sorted(ends)
+    assume(10.0**lo < 10.0**hi)
+    cfg = SweepConfig(10.0**lo, 10.0**hi, points, spacing=spacing, modes=modes,
+                      baseline_ratio=10.0**baseline)
+    assert row_bits(run_sweep(cfg)) == row_bits(reference_run_sweep(cfg))
+
+
+@pytest.mark.parametrize("modes", [("gated",), ("always_on",), ("gated", "always_on")])
+def test_run_sweep_makes_one_eigendecomposition_per_mode(eigh_calls, modes):
+    run_sweep(SweepConfig(ratio_min=0.01, ratio_max=0.1, points=5, modes=modes))
+    assert len(eigh_calls) == len(modes)
+
+
+@pytest.mark.parametrize("cfg", [
+    # the baseline (1e-3) and 1e-4 compile; 1e-5, the grid's first point, fails
+    SweepConfig(1e-5, 1e-3, 3, modes=("always_on",)),
+    # the failing baseline comes before the failing grid point 5e-5
+    SweepConfig(5e-5, 1e-3, 3, modes=("always_on",), baseline_ratio=1e-5),
+    # every grid point fails; the first in ascending order is named
+    SweepConfig(1e-5, 7e-5, 3, modes=("always_on",)),
+], ids=["grid", "baseline", "ascending"])
+def test_run_sweep_raises_the_first_compile_error_of_the_point_by_point_loop(cfg):
+    with pytest.raises(CompilationError, match=r"^ratio 1e-05, mode always_on: "
+                                               r"no exact parking detuning"):
+        run_sweep(cfg)
 
 
 def test_levels_table_example():

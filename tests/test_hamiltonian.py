@@ -51,6 +51,15 @@ def test_device_params_validation():
         device(d12=float("nan"))
 
 
+@pytest.mark.parametrize("build", [build_capacitive, build_capacitive_pauli_form, build_dipole])
+@pytest.mark.parametrize("d1, d2, entry", [(1e308, 1e308, 1), (1e308, -1e308, 2),
+                                           (-1e308, 1e308, 2)])
+def test_overflowing_entry_is_a_value_error_naming_it(build, d1, d2, entry):
+    # math.fsum used to escape as a bare OverflowError
+    with pytest.raises(ValueError, match=rf"Hamiltonian entry \({entry},{entry}\) overflows"):
+        build(device(d1=d1, d2=d2, d12=0.5))
+
+
 def test_capacitive_coupling_only():
     d12 = 0.37
     h = build_capacitive(device(d12=d12))
