@@ -1,13 +1,14 @@
 """Gate-to-pulse compiler for the capacitively coupled two-qubit device.
 
 Translates abstract gate requests (x/y/z rotations, zz phase blocks, CNOT)
-into physical ``PulseSegment`` schedules.  The only physical knobs are the
-level settings Delta_1, Delta_2 and the drive strengths a_1, a_2; the
-coupling Delta_12 is a device constant that can never be switched off, which
-shapes the whole design:
+into physical ``PulseSegment`` schedules through one entry,
+``compile_schedule``, which states how requests are checked.  The only
+physical knobs are the level settings Delta_1, Delta_2 and the drive
+strengths a_1, a_2; the coupling Delta_12 is a device constant that can
+never be switched off, which shapes the whole design:
 
 * Virtual z policy: z rotations are never emitted as physical segments.
-  They accumulate in a ``PhaseLedger``, the only way a z request reaches a
+  They accumulate in a ``_PhaseLedger``, the only way a z request reaches a
   phase block, and are discharged by the detuning choice of the next
   block.  The ledger keeps two separate streams: gate content (virtual z
   requests, which surface in the delivering block's gate content) and
@@ -54,13 +55,10 @@ from .linalg import _require_finite, _require_unitary, distance_up_to_global_pha
 __all__ = [
     "CompilationError",
     "GateSpec",
-    "PhaseLedger",
     "CompiledGate",
     "ideal_gate",
     "ideal_product",
     "ideal_composition",
-    "compile_x_rotation",
-    "compile_phase_block",
     "compile_cnot",
     "compile_schedule",
     "verify_schedule",
@@ -140,7 +138,7 @@ class GateSpec:
 
 
 @dataclass(frozen=True)
-class PhaseLedger:
+class _PhaseLedger:
     """Deferred-phase bookkeeping threaded through compilation (a value, not
     shared state).
 
@@ -159,7 +157,7 @@ class PhaseLedger:
       -- it is error compensation, not gate content.
 
     Angles are stored unreduced; the block that delivers them wraps the
-    owed totals to (-pi, pi].  A ledger is immutable, so ``PhaseLedger()``
+    owed totals to (-pi, pi].  A ledger is immutable, so ``_PhaseLedger()``
     serves as the compilers' default.
     """
 
@@ -169,14 +167,8 @@ class PhaseLedger:
     surplus_z1: float = 0.0
     surplus_z2: float = 0.0
 
-    def __post_init__(self):
-        for name in ("pending_z1", "pending_z2", "pending_zz", "surplus_z1", "surplus_z2"):
-            _require_finite(name, getattr(self, name))
-
     def request_z(self, qubit, angle):
         """Record a virtual R_z(angle) on a qubit; returns the new ledger."""
-        _require_qubit(qubit)
-        _require_finite("angle", angle)
         if qubit == 1:
             return replace(self, pending_z1=self.pending_z1 - angle)
         return replace(self, pending_z2=self.pending_z2 - angle)
@@ -202,7 +194,7 @@ class CompiledGate:
 
     segments: tuple
     content: tuple
-    ledger_after: PhaseLedger
+    ledger_after: _PhaseLedger
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -449,8 +441,8 @@ def _full_cycle_parking(a, t, shift):
 # Gate compilers
 # ---------------------------------------------------------------------------
 
-def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
-                       ledger: PhaseLedger = PhaseLedger()):
+def _compile_x_rotation(qubit, angle, device: DeviceParams, mode,
+                        ledger: _PhaseLedger = _PhaseLedger()):
     """Compile R_x(angle) on one qubit into a resonant drive segment.
 
     The driven qubit sits at Delta = 0 with its device drive strength for a
@@ -460,14 +452,11 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
     parked on a full generalized-Rabi cycle.  The ledger books the coupling
     surplus accrued during the segment.
     """
-    _require_qubit(qubit)
-    _require_mode(mode)
-    _require_finite("angle", angle)
+    content = (GateSpec("rx", qubit, angle),)
     if not (-_TWO_PI < angle <= _TWO_PI):
         raise CompilationError(
             f"rotation angle must lie in (-2 pi, 2 pi], got {angle}"
         )
-    content = (GateSpec("rx", qubit, angle),)
     if angle == 0.0:
         return CompiledGate((), content, ledger)
 
@@ -514,11 +503,11 @@ def compile_x_rotation(qubit, angle, device: DeviceParams, mode,
     return CompiledGate((segment,), content, after)
 
 
-def compile_phase_block(theta_zz, device: DeviceParams, mode,
-                        ledger: PhaseLedger = PhaseLedger()):
+def _compile_phase_block(theta_zz, device: DeviceParams, mode,
+                         ledger: _PhaseLedger = _PhaseLedger()):
     """Compile one phase block delivering a zz angle theta_zz and every
     ledger pending.  z rotations reach a block only as virtual requests in
-    the ledger (``PhaseLedger.request_z``); its gate content and its label
+    the ledger (``_PhaseLedger.request_z``); its gate content and its label
     show the z angles it delivers, wrap(-pending_zi).
 
     The duration comes from the zz target: t = 2 r / |Delta_12| where r in
@@ -533,8 +522,10 @@ def compile_phase_block(theta_zz, device: DeviceParams, mode,
     the rotated qubit in the CNOT sequence) and the bare accrual equation
     with flip caps and a separation constraint for qubit 1.
     """
-    _require_mode(mode)
-    _require_finite("theta_zz", theta_zz)
+    # An overflowed stream is never phase-neutral, so every such ledger gets here.
+    for name, value in vars(ledger).items():
+        if not math.isfinite(value):
+            raise CompilationError(f"phase ledger overflows: {name} = {value}")
     # Content = the owed virtual z's; coupling surpluses are compensated
     # physically below but are not gate content.
     z1 = wrap_angle(-ledger.pending_z1)
@@ -577,7 +568,7 @@ def compile_phase_block(theta_zz, device: DeviceParams, mode,
         a2=a2,
         label=f"block({z1:.4g},{z2:.4g},{theta_zz:.4g})",
     )
-    return CompiledGate((segment,), content, PhaseLedger())
+    return CompiledGate((segment,), content, _PhaseLedger())
 
 
 # The CNOT (control qubit 1, target qubit 2) as the NMR sequence of bare x
@@ -604,6 +595,8 @@ def compile_cnot(device: DeviceParams, mode):
 def compile_schedule(gates, device: DeviceParams, mode):
     """Compile a list of GateSpec requests into one Schedule.
 
+    Each request is checked once, when its GateSpec is built, and the mode
+    once here; the private ledger, x-pulse and phase-block steps trust both.
     Gates share a single ledger.  Each ry(theta) is first expanded into
     rz(-pi/2), rx(theta), rz(+pi/2), brackets virtual, and each cnot into
     ``_CNOT_SEQUENCE``.  A drive segment mixes the rotation axes, so any
@@ -628,24 +621,24 @@ def compile_schedule(gates, device: DeviceParams, mode):
             expanded += _CNOT_SEQUENCE
         else:
             expanded.append(spec)
-    ledger = PhaseLedger()
+    ledger = _PhaseLedger()
     compiled = []
     for spec in expanded:
         if spec.kind == "rx" and not ledger.is_phase_neutral:
-            settle = compile_phase_block(0.0, device, mode, ledger)
+            settle = _compile_phase_block(0.0, device, mode, ledger)
             compiled.append(settle)
             ledger = settle.ledger_after
         if spec.kind == "rx":
-            gate = compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger)
+            gate = _compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger)
         elif spec.kind == "rz":
             gate = CompiledGate((), (), ledger.request_z(spec.qubit, spec.angle))
         else:  # zz
-            gate = compile_phase_block(spec.angle, device, mode, ledger)
+            gate = _compile_phase_block(spec.angle, device, mode, ledger)
         compiled.append(gate)
         ledger = gate.ledger_after
 
     if not ledger.is_phase_neutral:
-        compiled.append(compile_phase_block(0.0, device, mode, ledger))
+        compiled.append(_compile_phase_block(0.0, device, mode, ledger))
 
     segments = tuple(seg for g in compiled for seg in g.segments)
     if not segments:
@@ -661,13 +654,17 @@ def verify_schedule(schedule: Schedule, target, tol):
     Returns {'distance', 'pass', 'phase_offset'}: the global-phase-invariant
     distance, whether it meets tol, and the optimal phase arg tr(T^dagger U).
     """
+    psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    return _verify_propagator(propagate(schedule, psi0).total_propagator, target, tol)
+
+
+def _verify_propagator(u, target, tol):
+    """``verify_schedule``'s report for a schedule's total propagator u."""
     target = np.asarray(target, dtype=complex)
     if target.shape != (4, 4):
         raise ValueError(f"target must be 4x4, got shape {target.shape}")
     _require_unitary("target", target, 1e-10)
     _require_finite("tol", tol)
-    psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    u = propagate(schedule, psi0).total_propagator
     distance = distance_up_to_global_phase(u, target)
     overlap = np.sum(target.conj() * u)
     phase_offset = float(np.angle(overlap)) if overlap != 0.0 else 0.0

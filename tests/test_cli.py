@@ -1,4 +1,5 @@
-"""Tests for the command-line interface: parsing, CSV output, verify suite."""
+"""Tests for the command-line interface: parsing, CSV output, verify suite,
+and the README's documented examples and public names."""
 
 import io
 import math
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import capqubit
 from capqubit import checks
 from capqubit.checks import run_verify
 from capqubit.cli import (
@@ -394,6 +396,13 @@ def test_main_simulate_names_an_overflowing_spectator_cycle_count(tmp_path, caps
         "duration 5e+307 is not finite\n")
 
 
+def test_main_simulate_names_an_overflowing_ledger(tmp_path, capsys):
+    # two finite z requests whose sum leaves the float range
+    path = write_config(tmp_path, "d12 = 0.1\ngates = rz1:1e308, rz1:1e308\n")
+    assert main(["simulate", "--config", path]) == 1
+    assert capsys.readouterr().err == "error: phase ledger overflows: pending_z1 = -inf\n"
+
+
 # ---------------------------------------------------------------------------
 # config keys: only the keys a command reads are accepted
 # ---------------------------------------------------------------------------
@@ -481,3 +490,39 @@ def test_readme_command_line_examples_parse(tmp_path):
     for argv in commands:
         argv = [config if word == "run.cfg" else word for word in argv]
         assert parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("mode", ["gated", "always_on"])
+def test_readme_simulate_config_propagates_once(tmp_path, capsys, eigh_calls, mode):
+    # the report's propagator is the one the final state came from
+    text = readme_block("Command line", "ini").replace("mode  = gated", f"mode = {mode}")
+    assert f"mode = {mode}" in text
+    main(["simulate", "--config", write_config(tmp_path, text)])
+    assert "segments = 8" in capsys.readouterr().out
+    assert eigh_calls == [(8, 4, 4)]
+
+
+def test_readme_library_quickstart_runs(capsys):
+    exec(readme_block("Library quickstart", "python"), {})
+    _distance, verdict = capsys.readouterr().out.split()
+    assert verdict == "True"
+
+
+def test_public_names_are_pinned():
+    assert set(capqubit.__all__) == {
+        "__version__",
+        # linalg
+        "eigh", "expm_unitary", "distance_up_to_global_phase", "wrap_angle",
+        # hamiltonian
+        "QubitParams", "DeviceParams", "build_capacitive", "build_capacitive_pauli_form",
+        "build_dipole", "effective_levels",
+        # evolution
+        "PulseSegment", "Schedule", "EvolutionResult", "segment_hamiltonian", "propagate",
+        "propagate_many", "propagate_rk4",
+        # pulsecompiler: compile_schedule and compile_cnot are the compiler's entries
+        "CompilationError", "GateSpec", "CompiledGate", "ideal_gate", "ideal_product",
+        "ideal_composition", "compile_cnot", "compile_schedule", "verify_schedule",
+        # experiments
+        "SweepConfig", "SweepRow", "cnot_response", "run_sweep", "levels_table",
+    }
+    assert len(capqubit.__all__) == 32
