@@ -58,7 +58,8 @@ _Z2 = (1.0, -1.0, 1.0, -1.0)
 
 
 def _require_qubit(qubit):
-    if qubit not in (1, 2):
+    # an integer 1 or 2 only: True == 1 and 1.0 == 1, but neither names a qubit
+    if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)) or qubit not in (1, 2):
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
 
 

@@ -8,15 +8,16 @@ strengths a_1, a_2; the coupling Delta_12 is a device constant that can
 never be switched off, which shapes the whole design:
 
 * Virtual z policy: z rotations are never emitted as physical segments.
-  They accumulate in a ``_PhaseLedger``, the only way a z request reaches a
-  phase block, and are discharged by the detuning choice of the next
-  block.  The ledger keeps two separate streams: gate content (virtual z
-  requests, which surface in the delivering block's gate content) and
-  coupling surplus (the deterministic z/zz phases, Delta_12 t / 2 each,
-  that the always-present coupling accrues during rotation segments; blocks
-  cancel these physically and they never appear in gate content).  The
-  split keeps the composed gate content equal to the requested ideal
-  product at any coupling strength.
+  They accumulate in the phase ledger, a dict of the ``_STREAMS`` that
+  ``compile_schedule`` owns and its steps update in place; it is the only
+  way a z request reaches a phase block, and the detuning choice of the
+  next block discharges it.  The ledger keeps two kinds of stream: gate
+  content (virtual z requests, which surface in the delivering block's gate
+  content) and coupling surplus (the deterministic z/zz phases, Delta_12 t
+  / 2 each, that the always-present coupling accrues during rotation
+  segments; blocks cancel these physically and they never appear in gate
+  content).  The split keeps the composed gate content equal to the
+  requested ideal product at any coupling strength.
 * Phase blocks: with drives off (gated mode) the Hamiltonian is diagonal,
   so a block of duration t delivers exact z angles 2 (Delta_i + Delta_12/4) t
   and a zz angle Delta_12 t / 2.  The block duration is fixed by the zz
@@ -44,7 +45,7 @@ oracle rather than assumed.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,64 +138,38 @@ class GateSpec:
                 raise ValueError("cnot takes no qubit or angle parameters")
 
 
-@dataclass(frozen=True)
-class _PhaseLedger:
-    """Deferred-phase bookkeeping threaded through compilation (a value, not
-    shared state).
+# The phase ledger: compile_schedule's loop state, one float per stream, kept
+# unreduced; the block that delivers the streams wraps the owed totals to
+# (-pi, pi].
+#
+# * pending_z1/pending_z2 -- gate content: virtual R_z requests not yet
+#   delivered.  An rz subtracts its angle (pending is the angle delivered
+#   ahead of requests, so owing a rotation makes it negative).  The next
+#   phase block delivers the balance physically AND lists it in its gate
+#   content: this is where a virtual z becomes part of the ideal composition.
+# * surplus_z1/surplus_z2/pending_zz -- coupling surplus: the deterministic
+#   extra z and zz phase (Delta_12 t / 2 each) that a drive segment accrues
+#   because the coupling cannot be gated off.  The next block cancels it
+#   physically but it never appears in any gate content -- it is error
+#   compensation, not gate content.
+_STREAMS = ("pending_z1", "pending_z2", "pending_zz", "surplus_z1", "surplus_z2")
 
-    Two separate streams are tracked, because they live at different layers:
 
-    * ``pending_z1``/``pending_z2`` -- gate content: virtual R_z requests not
-      yet delivered.  ``request_z`` subtracts the requested angle (pending is
-      the angle delivered ahead of requests, so owing a rotation makes it
-      negative).  The next phase block delivers the balance physically AND
-      lists it in its gate content: this is where a virtual z becomes part
-      of the ideal composition.
-    * ``surplus_z1``/``surplus_z2``/``pending_zz`` -- coupling surplus: the
-      deterministic extra z and zz phase (Delta_12 t / 2 each) that a drive
-      segment accrues because the coupling cannot be gated off.  The next
-      block cancels it physically but it never appears in any gate content
-      -- it is error compensation, not gate content.
-
-    Angles are stored unreduced; the block that delivers them wraps the
-    owed totals to (-pi, pi].  A ledger is immutable, so ``_PhaseLedger()``
-    serves as the compilers' default.
-    """
-
-    pending_z1: float = 0.0
-    pending_z2: float = 0.0
-    pending_zz: float = 0.0
-    surplus_z1: float = 0.0
-    surplus_z2: float = 0.0
-
-    def request_z(self, qubit, angle):
-        """Record a virtual R_z(angle) on a qubit; returns the new ledger."""
-        if qubit == 1:
-            return replace(self, pending_z1=self.pending_z1 - angle)
-        return replace(self, pending_z2=self.pending_z2 - angle)
-
-    @property
-    def is_phase_neutral(self):
-        """True when every stream is an exact multiple of 2 pi on its own."""
-        return (
-            wrap_angle(self.pending_z1) == 0.0
-            and wrap_angle(self.pending_z2) == 0.0
-            and wrap_angle(self.surplus_z1) == 0.0
-            and wrap_angle(self.surplus_z2) == 0.0
-            and wrap_angle(self.pending_zz) == 0.0
-        )
+def _is_phase_neutral(owed):
+    """True when every stream of the ledger is an exact multiple of 2 pi on
+    its own."""
+    return all(wrap_angle(owed[name]) == 0.0 for name in _STREAMS)
 
 
 @dataclass(frozen=True)
 class CompiledGate:
-    """The physical realization of one gate request: emitted segments, the
-    gate content they deliver at this time slot (GateSpecs in time order),
-    and the ledger after compilation.  Virtual z content is delivered by the
-    next phase block, so a bare rz delivers nothing here."""
+    """The physical realization of one gate request: emitted segments and the
+    gate content they deliver at this time slot (GateSpecs in time order).
+    Virtual z content is delivered by the next phase block, so a bare rz
+    delivers nothing here."""
 
     segments: tuple
     content: tuple
-    ledger_after: _PhaseLedger
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -261,20 +236,10 @@ def ideal_composition(gates):
 # cannot pass: qubit 2's walk skips, one branch at a time, the branches
 # whose closed-form bracket stays short of the leak radius, and qubit 1's
 # walk, tens of thousands of candidates long at weak coupling, is screened
-# in numpy blocks that double in length, so a search that ends early stays
-# cheap.  Both skips keep _SCREEN_SLACK of relative margin past their cap or
-# radius, and the scalar test alone decides, so each pick is the walk's own
-# float.
-
-
-def _blocks(count, first, largest):
-    """Consecutive ranges (i0, i1) covering range(count), their length
-    doubling from first up to largest."""
-    i0, n = 0, first
-    while i0 < count:
-        yield i0, min(i0 + n, count)
-        i0 += n
-        n = min(2 * n, largest)
+# in numpy blocks that double in length (from 32 rows of two candidates up
+# to 2048), so a search that ends early stays cheap.  Both skips keep
+# _SCREEN_SLACK of relative margin past their cap or radius, and the scalar
+# test alone decides, so each pick is the walk's own float.
 
 
 def _leakage(detuning, a, t, xp=math):
@@ -395,8 +360,11 @@ def _control_parking(theta, a, t, d12, delta2, sep):
                        & (_leakage(delta + d12 / 2.0, a, t, xp) <= cap)
                        & (abs(delta - delta2) >= sep) & (abs(delta + delta2) >= sep))
 
-    for i0, i1 in _blocks(_K_MAX, 32, 2048):
-        # row i holds k_up + i, k_down - i; floats, so no k overflows
+    i0, n = 0, 32
+    while i0 < _K_MAX:
+        # rows i0 .. i1 - 1; row i holds k_up + i, k_down - i; floats, so no
+        # k overflows
+        i1 = min(i0 + n, _K_MAX)
         i = np.arange(i0, i1, dtype=float)[:, None]
         k = np.array([k_up, k_down], dtype=float) + np.array([1.0, -1.0]) * i
         _, screen = admissible(k, np, _FLIP_CAP * (1.0 + _SCREEN_SLACK))
@@ -406,6 +374,7 @@ def _control_parking(theta, a, t, d12, delta2, sep):
                                    math, _FLIP_CAP)
             if ok:
                 return delta
+        i0, n = i1, min(2 * n, 2048)
     raise CompilationError(
         f"no admissible always-on parking for qubit 1 within "
         f"k <= {_K_MAX} (theta {theta:.4f} rad, duration {t:.4f}, "
@@ -441,16 +410,16 @@ def _full_cycle_parking(a, t, shift):
 # Gate compilers
 # ---------------------------------------------------------------------------
 
-def _compile_x_rotation(qubit, angle, device: DeviceParams, mode,
-                        ledger: _PhaseLedger = _PhaseLedger()):
+def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
     """Compile R_x(angle) on one qubit into a resonant drive segment.
 
     The driven qubit sits at Delta = 0 with its device drive strength for a
     duration t = theta / (2 a), negative angles realized as theta + 2 pi
     (durations are the only knob and must be positive).  In gated mode the
     spectator is fully idle; in always-on mode it keeps its drive and is
-    parked on a full generalized-Rabi cycle.  The ledger books the coupling
-    surplus accrued during the segment.
+    parked on a full generalized-Rabi cycle.  The coupling surplus accrued
+    during the segment is added to the ledger ``owed`` in place; a zero
+    angle emits nothing and adds nothing.
     """
     content = (GateSpec("rx", qubit, angle),)
     if not (-_TWO_PI < angle <= _TWO_PI):
@@ -458,7 +427,7 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode,
             f"rotation angle must lie in (-2 pi, 2 pi], got {angle}"
         )
     if angle == 0.0:
-        return CompiledGate((), content, ledger)
+        return CompiledGate((), content)
 
     a_drive = device.q1.a if qubit == 1 else device.q2.a
     if a_drive <= 0.0:
@@ -493,22 +462,21 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode,
             f"coupling phase delta12 t / 2 overflows (delta12 {device.delta12:.3g}, "
             f"pulse duration {t:.3g})"
         )
-    s1, s2 = ledger.surplus_z1, ledger.surplus_z2
-    after = replace(
-        ledger,
-        surplus_z1=s1 + surplus if qubit == 1 or a_spec == 0.0 else s1,
-        surplus_z2=s2 + surplus if qubit == 2 or a_spec == 0.0 else s2,
-        pending_zz=ledger.pending_zz + surplus,
-    )
-    return CompiledGate((segment,), content, after)
+    if qubit == 1 or a_spec == 0.0:
+        owed["surplus_z1"] += surplus
+    if qubit == 2 or a_spec == 0.0:
+        owed["surplus_z2"] += surplus
+    owed["pending_zz"] += surplus
+    return CompiledGate((segment,), content)
 
 
-def _compile_phase_block(theta_zz, device: DeviceParams, mode,
-                         ledger: _PhaseLedger = _PhaseLedger()):
+def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     """Compile one phase block delivering a zz angle theta_zz and every
-    ledger pending.  z rotations reach a block only as virtual requests in
-    the ledger (``_PhaseLedger.request_z``); its gate content and its label
-    show the z angles it delivers, wrap(-pending_zi).
+    stream of the ledger ``owed``, which it zeroes once it has emitted its
+    segment; a block that emits nothing (theta_zz = 0 on a phase-neutral
+    ledger) leaves the streams as they are.  z rotations reach a block only
+    as virtual requests in the ledger; its gate content and its label show
+    the z angles it delivers, wrap(-pending_zi).
 
     The duration comes from the zz target: t = 2 r / |Delta_12| where r in
     (0, 2 pi] is the coupling-sign-reduced remaining zz angle; a remainder
@@ -523,27 +491,27 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode,
     with flip caps and a separation constraint for qubit 1.
     """
     # An overflowed stream is never phase-neutral, so every such ledger gets here.
-    for name, value in vars(ledger).items():
-        if not math.isfinite(value):
-            raise CompilationError(f"phase ledger overflows: {name} = {value}")
+    for name in _STREAMS:
+        if not math.isfinite(owed[name]):
+            raise CompilationError(f"phase ledger overflows: {name} = {owed[name]}")
     # Content = the owed virtual z's; coupling surpluses are compensated
     # physically below but are not gate content.
-    z1 = wrap_angle(-ledger.pending_z1)
-    z2 = wrap_angle(-ledger.pending_z2)
+    z1 = wrap_angle(-owed["pending_z1"])
+    z2 = wrap_angle(-owed["pending_z2"])
     content = (GateSpec("rz", 1, z1), GateSpec("rz", 2, z2), GateSpec("zz", None, theta_zz))
 
-    if theta_zz == 0.0 and ledger.is_phase_neutral:
-        return CompiledGate((), content, ledger)
+    if theta_zz == 0.0 and _is_phase_neutral(owed):
+        return CompiledGate((), content)
     if device.delta12 == 0.0:
         raise CompilationError(
             "coupling absent (delta12 = 0); zz angle unreachable"
         )
 
     d12 = device.delta12
-    th1 = wrap_angle(-ledger.pending_z1 - ledger.surplus_z1)
-    th2 = wrap_angle(-ledger.pending_z2 - ledger.surplus_z2)
+    th1 = wrap_angle(-owed["pending_z1"] - owed["surplus_z1"])
+    th2 = wrap_angle(-owed["pending_z2"] - owed["surplus_z2"])
     sign = 1.0 if d12 > 0.0 else -1.0
-    reduced = (sign * (theta_zz - ledger.pending_zz)) % _TWO_PI
+    reduced = (sign * (theta_zz - owed["pending_zz"])) % _TWO_PI
     if reduced < _ZZ_ROUNDOFF:
         reduced = _TWO_PI
     t = 2.0 * reduced / abs(d12)
@@ -568,7 +536,8 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode,
         a2=a2,
         label=f"block({z1:.4g},{z2:.4g},{theta_zz:.4g})",
     )
-    return CompiledGate((segment,), content, _PhaseLedger())
+    owed.update(dict.fromkeys(_STREAMS, 0.0))
+    return CompiledGate((segment,), content)
 
 
 # The CNOT (control qubit 1, target qubit 2) as the NMR sequence of bare x
@@ -596,17 +565,20 @@ def compile_schedule(gates, device: DeviceParams, mode):
     """Compile a list of GateSpec requests into one Schedule.
 
     Each request is checked once, when its GateSpec is built, and the mode
-    once here; the private ledger, x-pulse and phase-block steps trust both.
-    Gates share a single ledger.  Each ry(theta) is first expanded into
-    rz(-pi/2), rx(theta), rz(+pi/2), brackets virtual, and each cnot into
-    ``_CNOT_SEQUENCE``.  A drive segment mixes the rotation axes, so any
-    pending z/zz phase must be physically settled before one starts: a
-    discharge block is inserted ahead of every rx whose incoming ledger is
-    not phase-neutral, which also delivers an ry's leading bracket.  After
-    the last gate any residual pending phase is discharged into a closing
-    block.  Returns (schedule, compiled_gates) including any inserted
-    discharge blocks.  An rz emits nothing: it is a virtual request booked
-    in the ledger, and its content is delivered by the next phase block.
+    once here; the private x-pulse and phase-block steps trust both.  The
+    phase ledger is this loop's state, one dict of ``_STREAMS`` shared by
+    every gate, and the steps update it in place.  Each ry(theta) is first
+    expanded into rz(-pi/2), rx(theta), rz(+pi/2), brackets virtual, and
+    each cnot into ``_CNOT_SEQUENCE``.  A drive segment mixes the rotation
+    axes, so any pending z/zz phase must be physically settled before one
+    starts: a discharge block is inserted ahead of every rx whose incoming
+    ledger is not phase-neutral, which also delivers an ry's leading
+    bracket.  After the last gate any residual pending phase is discharged
+    into a closing block.  Returns (schedule, compiled_gates) including any
+    inserted discharge blocks.  An rz emits nothing: it is a virtual request
+    booked in the ledger, and its content is delivered by the next phase
+    block; it still gets an empty CompiledGate, so compiled_gates keeps one
+    entry per expanded request.
     """
     _require_mode(mode)
     expanded = []
@@ -621,24 +593,21 @@ def compile_schedule(gates, device: DeviceParams, mode):
             expanded += _CNOT_SEQUENCE
         else:
             expanded.append(spec)
-    ledger = _PhaseLedger()
+    owed = dict.fromkeys(_STREAMS, 0.0)
     compiled = []
     for spec in expanded:
-        if spec.kind == "rx" and not ledger.is_phase_neutral:
-            settle = _compile_phase_block(0.0, device, mode, ledger)
-            compiled.append(settle)
-            ledger = settle.ledger_after
         if spec.kind == "rx":
-            gate = _compile_x_rotation(spec.qubit, spec.angle, device, mode, ledger)
+            if not _is_phase_neutral(owed):
+                compiled.append(_compile_phase_block(0.0, device, mode, owed))
+            compiled.append(_compile_x_rotation(spec.qubit, spec.angle, device, mode, owed))
         elif spec.kind == "rz":
-            gate = CompiledGate((), (), ledger.request_z(spec.qubit, spec.angle))
+            owed[f"pending_z{spec.qubit}"] -= spec.angle
+            compiled.append(CompiledGate((), ()))
         else:  # zz
-            gate = _compile_phase_block(spec.angle, device, mode, ledger)
-        compiled.append(gate)
-        ledger = gate.ledger_after
+            compiled.append(_compile_phase_block(spec.angle, device, mode, owed))
 
-    if not ledger.is_phase_neutral:
-        compiled.append(_compile_phase_block(0.0, device, mode, ledger))
+    if not _is_phase_neutral(owed):
+        compiled.append(_compile_phase_block(0.0, device, mode, owed))
 
     segments = tuple(seg for g in compiled for seg in g.segments)
     if not segments:

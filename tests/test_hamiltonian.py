@@ -1,6 +1,7 @@
 """Tests for the two-qubit Hamiltonian builders and effective levels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,8 +211,13 @@ def test_effective_levels_match_hamiltonian_diagonal():
 
 
 def test_effective_levels_rejects_bad_qubit():
-    with pytest.raises(ValueError):
-        effective_levels(device(), 3, True)
+    # a qubit is an integer 1 or 2, numpy's included; a bool or a float
+    # equal to one is not
+    for qubit in (3, True, 1.0, np.float64(2.0), np.bool_(True), "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"qubit must be 1 or 2, got {qubit!r}")):
+            effective_levels(device(), qubit, True)
+    dev = device(d1=1.0, d2=2.0, d12=0.4)
+    assert effective_levels(dev, np.int64(2), True) == effective_levels(dev, 2, True)
 
 
 def test_spectrum_shift_under_identity_offset():

@@ -1,7 +1,6 @@
 """Tests for the pulse-schedule compiler: rotations, phase blocks, the CNOT
 sequence, ledger bookkeeping and schedule-level composition."""
 
-import dataclasses
 import math
 import re
 import time
@@ -27,9 +26,9 @@ from capqubit.pulsecompiler import (
     ideal_gate,
     ideal_product,
     verify_schedule,
-    _PhaseLedger,
     _compile_phase_block,
     _compile_x_rotation,
+    _is_phase_neutral,
 )
 
 HALF_PI = math.pi / 2.0
@@ -51,10 +50,16 @@ def device(d12, a=1.0, d1=0.0, d2=0.0):
     )
 
 
-def owing(z1, z2):
+def streams(**values):
+    """A phase ledger with every stream zero but the ones given."""
+    return {**dict.fromkeys(pulsecompiler._STREAMS, 0.0), **values}
+
+
+def owing(z1=0.0, z2=0.0):
     """A fresh ledger owing virtual R_z(z1) on qubit 1 and R_z(z2) on qubit 2,
-    the only way z angles reach a phase block."""
-    return _PhaseLedger().request_z(1, z1).request_z(2, z2)
+    booked as compile_schedule books an rz: the only way z angles reach a
+    phase block."""
+    return streams(pending_z1=0.0 - z1, pending_z2=0.0 - z2)
 
 
 def propagated(segments, dev):
@@ -83,6 +88,14 @@ def test_gatespec_validation():
     with pytest.raises(ValueError):
         GateSpec("cnot", None, 0.3)
     assert GateSpec("RX", 1, 0.5).kind == "rx"  # kind is case-folded
+    # a qubit is an integer 1 or 2; True == 1 and 1.0 == 1, but neither names
+    # a qubit (it would label a pulse rx(qTrue,0.5))
+    for qubit in (True, 1.0, np.float64(2.0), np.bool_(True), "2"):
+        for kind in ("rx", "ry", "rz"):
+            with pytest.raises(ValueError, match=re.escape(f"qubit must be 1 or 2, got {qubit!r}")):
+                GateSpec(kind, qubit, 0.5)
+    _, compiled = compile_schedule([GateSpec("rx", np.int64(2), 0.5)], device(0.05), "gated")
+    assert compiled[0].segments[0].label == "rx(q2,0.5)"
 
 
 def test_ideal_gate_zero_angle_is_identity():
@@ -164,36 +177,51 @@ def test_euler_identity_for_x_from_yz():
 
 
 # ---------------------------------------------------------------------------
-# _PhaseLedger
+# the phase ledger
 # ---------------------------------------------------------------------------
 
 def test_ledger_request_arithmetic():
-    led = _PhaseLedger().request_z(1, 0.3)
-    assert led.pending_z1 == -0.3
-    assert led.pending_z2 == 0.0
-    led = led.request_z(1, -0.1).request_z(2, 0.5)
-    assert led.pending_z1 == pytest.approx(-0.2, abs=1e-16)
-    assert led.pending_z2 == -0.5
+    # each rz subtracts its angle from its qubit's pending stream, and the
+    # closing block delivers the balance as content
+    dev = device(0.05)
+    _, (_, closing) = compile_schedule([GateSpec("rz", 1, 0.3)], dev, "gated")
+    assert closing.content[:2] == (GateSpec("rz", 1, wrap_angle(0.3)), GateSpec("rz", 2, 0.0))
+    specs = [GateSpec("rz", 1, 0.3), GateSpec("rz", 1, -0.1), GateSpec("rz", 2, 0.5)]
+    _, compiled = compile_schedule(specs, dev, "gated")
+    assert [g.segments for g in compiled[:3]] == [(), (), ()]
+    z1, z2, _ = compiled[3].content
+    assert z1.angle == wrap_angle(-(0.0 - 0.3 - -0.1))  # 0.2 up to roundoff
+    assert z2.angle == 0.5
 
 
 def test_ledger_neutrality_is_per_stream():
-    assert _PhaseLedger().is_phase_neutral
-    assert _PhaseLedger(pending_z1=2.0 * math.pi).is_phase_neutral
+    assert _is_phase_neutral(streams())
+    assert _is_phase_neutral(streams(pending_z1=2.0 * math.pi))
     # content and surplus cancelling in the sum is NOT neutrality: each
     # stream must be a 2 pi multiple on its own
-    mixed = _PhaseLedger(pending_z1=math.pi, surplus_z1=math.pi)
-    assert not mixed.is_phase_neutral
-    assert not _PhaseLedger(pending_zz=0.5).is_phase_neutral
+    assert not _is_phase_neutral(streams(pending_z1=math.pi, surplus_z1=math.pi))
+    for name in pulsecompiler._STREAMS:
+        assert not _is_phase_neutral(streams(**{name: 0.5}))
 
 
-def test_ledger_is_immutable():
-    led = _PhaseLedger()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        led.pending_z1 = 1.0
+def test_empty_block_leaves_the_ledger_as_it_is():
+    # zz(0) on a ledger owing 6 pi emits nothing and must not zero the
+    # stream: the rz(0.3) that follows is booked on -6 pi, not on 0, and the
+    # settle block's detuning shows the difference in its last bit
+    dev = device(0.05)
+    specs = [GateSpec("rz", 1, 6.0 * math.pi), GateSpec("zz", None, 0.0),
+             GateSpec("rz", 1, 0.3), GateSpec("rx", 2, HALF_PI)]
+    schedule, compiled = compile_schedule(specs, dev, "gated")
+    assert [len(g.segments) for g in compiled] == [0, 0, 0, 1, 1, 1]
+    assert schedule.segments[0].label == "block(0.3,0,0)"
+    assert schedule.segments[0].delta1.hex() == "-0x1.860b04b552c4ap-7"
+    led = owing(6.0 * math.pi)
+    assert _compile_phase_block(0.0, dev, "gated", led).segments == ()
+    assert led == owing(6.0 * math.pi)
 
 
 def test_closing_block_intends_content_only():
-    led = _PhaseLedger(pending_z1=-0.4, surplus_z1=0.9, pending_zz=0.3)
+    led = streams(pending_z1=-0.4, surplus_z1=0.9, pending_zz=0.3)
     g = _compile_phase_block(0.0, device(0.05), "gated", led)
     # the block cancels all three streams physically, but it delivers only
     # R_z(0.4) on qubit 1 as content: surplus and zz streams are
@@ -204,6 +232,7 @@ def test_closing_block_intends_content_only():
     assert g.segments[0].label == "block(0.4,0,0)"
     assert distance_up_to_global_phase(
         ideal_composition([g]), ideal_gate(GateSpec("rz", 1, 0.4))) <= EXACT_TOL
+    assert led == streams()  # every stream delivered
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +240,7 @@ def test_closing_block_intends_content_only():
 # ---------------------------------------------------------------------------
 
 def test_x_rotation_gated_duration_and_exactness():
-    g = _compile_x_rotation(2, HALF_PI, device(0.0), "gated")
+    g = _compile_x_rotation(2, HALF_PI, device(0.0), "gated", owing())
     assert len(g.segments) == 1
     seg = g.segments[0]
     assert seg.duration == math.pi / 4.0
@@ -222,23 +251,23 @@ def test_x_rotation_gated_duration_and_exactness():
 
 
 def test_x_rotation_negative_angle_wraps_duration():
-    g = _compile_x_rotation(2, -HALF_PI, device(0.0), "gated")
+    g = _compile_x_rotation(2, -HALF_PI, device(0.0), "gated", owing())
     assert g.segments[0].duration == pytest.approx(3.0 * math.pi / 4.0, abs=1e-15)
-    g = _compile_x_rotation(1, 2.0 * math.pi, device(0.0), "gated")
+    g = _compile_x_rotation(1, 2.0 * math.pi, device(0.0), "gated", owing())
     assert g.segments[0].duration == pytest.approx(math.pi, abs=1e-15)
 
 
 def test_x_rotation_zero_angle_is_free():
-    led = _PhaseLedger(pending_z1=0.2)
+    led = streams(pending_z1=0.2)
     g = _compile_x_rotation(1, 0.0, device(0.1), "gated", led)
     assert g.segments == ()
-    assert g.ledger_after == led
+    assert led == streams(pending_z1=0.2)
     assert g.content == (GateSpec("rx", 1, 0.0),)
 
 
 def test_x_rotation_coupling_error_is_first_order():
     # with the coupling on, a bare pulse picks up O(Delta12 * t) phase error
-    g = _compile_x_rotation(2, HALF_PI, device(0.01), "gated")
+    g = _compile_x_rotation(2, HALF_PI, device(0.01), "gated", owing())
     u = propagated(g.segments, device(0.01))
     d = distance_up_to_global_phase(u, ideal_gate(GateSpec("rx", 2, HALF_PI)))
     assert 1e-3 < d < 5e-2
@@ -246,36 +275,36 @@ def test_x_rotation_coupling_error_is_first_order():
 
 def test_x_rotation_books_coupling_surplus_gated():
     d12 = 0.08
-    g = _compile_x_rotation(2, HALF_PI, device(d12), "gated")
+    led = streams(pending_z1=0.3, surplus_z1=0.1)
+    g = _compile_x_rotation(2, HALF_PI, device(d12), "gated", led)
     t = g.segments[0].duration
     surplus = d12 * t / 2.0
-    led = g.ledger_after
-    assert led.surplus_z1 == surplus
-    assert led.surplus_z2 == surplus
-    assert led.pending_zz == surplus
-    assert led.pending_z1 == 0.0 and led.pending_z2 == 0.0  # no gate content
+    # an idle spectator books the surplus too; gate content is left alone
+    assert led == streams(pending_z1=0.3, surplus_z1=0.1 + surplus, surplus_z2=surplus,
+                          pending_zz=surplus)
 
 
 def test_x_rotation_always_on_parks_spectator():
-    g = _compile_x_rotation(2, HALF_PI, device(0.05), "always_on")
+    led = owing()
+    g = _compile_x_rotation(2, HALF_PI, device(0.05), "always_on", led)
     seg = g.segments[0]
     assert seg.a1 == 1.0 and seg.a2 == 1.0  # spectator drive stays on
     assert seg.delta2 == 0.0  # driven qubit resonant
     assert abs(seg.delta1) >= 10.0  # parked far off resonance
     # full-cycle parking nulls the spectator's surplus; only the driven
     # qubit books coupling phase
-    assert g.ledger_after.surplus_z1 == 0.0
-    assert g.ledger_after.surplus_z2 != 0.0
+    surplus = 0.05 * seg.duration / 2.0
+    assert led == streams(surplus_z2=surplus, pending_zz=surplus)
 
 
 def test_x_rotation_always_on_exact_at_zero_coupling():
-    g = _compile_x_rotation(2, HALF_PI, device(0.0), "always_on")
+    g = _compile_x_rotation(2, HALF_PI, device(0.0), "always_on", owing())
     u = propagated(g.segments, device(0.0))
     assert distance_up_to_global_phase(u, ideal_gate(GateSpec("rx", 2, HALF_PI))) <= EXACT_TOL
 
 
 def test_x_rotation_always_on_accuracy_with_coupling():
-    g = _compile_x_rotation(2, HALF_PI, device(0.05), "always_on")
+    g = _compile_x_rotation(2, HALF_PI, device(0.05), "always_on", owing())
     u = propagated(g.segments, device(0.05))
     d = distance_up_to_global_phase(u, ideal_gate(GateSpec("rx", 2, HALF_PI)))
     assert d < 0.1
@@ -283,19 +312,19 @@ def test_x_rotation_always_on_accuracy_with_coupling():
 
 def test_x_rotation_errors():
     with pytest.raises(CompilationError):
-        _compile_x_rotation(1, 2.0 * math.pi + 0.1, device(0.0), "gated")
+        _compile_x_rotation(1, 2.0 * math.pi + 0.1, device(0.0), "gated", owing())
     with pytest.raises(CompilationError):
-        _compile_x_rotation(1, -2.0 * math.pi, device(0.0), "gated")
+        _compile_x_rotation(1, -2.0 * math.pi, device(0.0), "gated", owing())
     with pytest.raises(CompilationError):
-        _compile_x_rotation(1, HALF_PI, device(0.0, a=0.0), "gated")
+        _compile_x_rotation(1, HALF_PI, device(0.0, a=0.0), "gated", owing())
 
 
 def test_always_on_x_rotation_too_short_to_park_raises_compilation_error():
     # A pulse of 5e-161 would need a spectator detuning of ~6e160, whose
     # square overflows: a named CompilationError, not a non-finite segment.
     with pytest.raises(CompilationError, match="too short to park"):
-        _compile_x_rotation(1, 1e-160, device(0.5), "always_on")
-    assert _compile_x_rotation(1, 1e-150, device(0.5), "always_on").segments
+        _compile_x_rotation(1, 1e-160, device(0.5), "always_on", owing())
+    assert _compile_x_rotation(1, 1e-150, device(0.5), "always_on", owing()).segments
 
 
 def test_always_on_x_rotation_too_long_to_park_raises_compilation_error():
@@ -306,7 +335,7 @@ def test_always_on_x_rotation_too_long_to_park_raises_compilation_error():
     with pytest.raises(CompilationError, match=re.escape(
             "spectator parking overflows: its Rabi frequency 10.7 times the pulse "
             "duration 5e+307 is not finite")):
-        _compile_x_rotation(2, 1.0, dev, "always_on")
+        _compile_x_rotation(2, 1.0, dev, "always_on", owing())
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +356,7 @@ def test_y_rotation_settles_its_bracket_before_the_pulse():
         assert block.a1 == block.a2 == 0.0
         assert pulse.a2 > 0.0 and pulse.label.startswith("rx(q2,")
         assert closing.a1 == closing.a2 == 0.0
-        assert compiled[-2].ledger_after.pending_z2 == -HALF_PI
+        assert compiled[-1].content[:2] == (GateSpec("rz", 1, 0.0), GateSpec("rz", 2, HALF_PI))
         assert checks.composition_error([spec], compiled) <= checks.COMPOSITION_TOL
         u = propagate(schedule, KET_11).total_propagator
         assert distance_up_to_global_phase(u, ideal_gate(spec)) <= GATED_GATE_DISTANCE_PER_RATIO * abs(d12)
@@ -337,7 +366,7 @@ def test_y_rotation_bracket_composition_oracle():
     # the virtual-z decomposition R_z(pi/2) U_x R_z(-pi/2) = R_y at zero
     # coupling, where U_x is the x-rotation core evolved exactly
     for theta in (HALF_PI, -1.1, 2.8):
-        g = _compile_x_rotation(2, theta, device(0.0), "gated")
+        g = _compile_x_rotation(2, theta, device(0.0), "gated", owing())
         core = propagated(g.segments, device(0.0))
         u = (
             ideal_gate(GateSpec("rz", 2, HALF_PI))
@@ -353,8 +382,8 @@ def test_z_rotation_is_virtual():
     _, (rz, block) = compile_schedule([GateSpec("rz", 1, 0.8)], device(0.05), "gated")
     assert rz.segments == ()
     assert rz.content == ()
-    assert rz.ledger_after.pending_z1 == -0.8
     assert block.content[0] == GateSpec("rz", 1, wrap_angle(0.8))
+    assert block.segments[0].label == "block(0.8,0,0)"
 
 
 @pytest.mark.parametrize(
@@ -406,7 +435,8 @@ def test_phase_block_matches_ideal_triple():
         th1, th2, thzz = rng.uniform(-math.pi, math.pi, 3)
         d12 = float(rng.choice([0.25, -0.1, 0.04]))
         dev = device(d12)
-        g = _compile_phase_block(thzz, dev, "gated", owing(th1, th2))
+        led = owing(th1, th2)
+        g = _compile_phase_block(thzz, dev, "gated", led)
         u = propagated(g.segments, dev)
         ideal = (
             ideal_gate(GateSpec("rz", 1, th1))
@@ -414,18 +444,18 @@ def test_phase_block_matches_ideal_triple():
             @ ideal_gate(GateSpec("zz", None, thzz))
         )
         assert distance_up_to_global_phase(u, ideal) <= EXACT_TOL
-        assert g.ledger_after.is_phase_neutral
+        assert led == streams()
 
 
 def test_phase_block_absorbs_pending_phase():
     # a block delivers its zz angle and what the ledger owes
     dev = device(0.25)
-    led = _PhaseLedger().request_z(1, 0.9)  # owes R_z(0.9) on qubit 1
+    led = owing(0.9)  # owes R_z(0.9) on qubit 1
     g = _compile_phase_block(HALF_PI, dev, "gated", led)
     u = propagated(g.segments, dev)
     ideal = ideal_gate(GateSpec("rz", 1, 0.9)) @ ideal_gate(GateSpec("zz", None, HALF_PI))
     assert distance_up_to_global_phase(u, ideal) <= EXACT_TOL
-    assert g.ledger_after.is_phase_neutral
+    assert led == streams()
 
 
 def test_phase_block_pure_z_promotes_full_cycle():
@@ -451,9 +481,11 @@ def test_phase_block_tiny_zz_remainder_takes_the_full_cycle():
 
 
 def test_phase_block_trivial_when_nothing_requested():
-    g = _compile_phase_block(0.0, device(0.25), "gated")
+    led = owing()
+    g = _compile_phase_block(0.0, device(0.25), "gated", led)
     assert g.segments == ()
     assert np.array_equal(ideal_composition([g]), np.eye(4))
+    assert led == streams()
 
 
 def test_phase_block_negative_coupling():
@@ -470,7 +502,7 @@ def test_phase_block_negative_coupling():
 
 def test_phase_block_requires_coupling():
     with pytest.raises(CompilationError) as err:
-        _compile_phase_block(HALF_PI, device(0.0), "gated")
+        _compile_phase_block(HALF_PI, device(0.0), "gated", owing())
     assert "coupling" in str(err.value)
 
 
@@ -517,14 +549,13 @@ def test_cnot_gates_structure():
                               GateSpec("zz", None, HALF_PI))
     assert [s.label for s in (block1.segments + block2.segments)] == [
         "block(-1.571,1.571,1.571)", "block(0,1.571,1.571)"]
-    assert block2.ledger_after.is_phase_neutral
 
 
-def reference_cnot_pieces(device: DeviceParams, mode, ledger: _PhaseLedger = _PhaseLedger()):
+def reference_cnot_pieces(device: DeviceParams, mode):
     """Reference: the CNOT compiled by hand as four pieces, x(-pi/2) on the
     target, block(-pi/2, pi/2, pi/2), x(+pi/2), block(0, pi/2, pi/2), with
     its own coupling and drive guards; each block's z angles are requested
-    on the ledger it receives."""
+    on the ledger the pieces thread, ahead of the block."""
     pulsecompiler._require_mode(mode)
     if device.delta12 == 0.0:
         raise CompilationError("CNOT requires a nonzero coupling delta12")
@@ -532,11 +563,14 @@ def reference_cnot_pieces(device: DeviceParams, mode, ledger: _PhaseLedger = _Ph
         raise CompilationError(
             f"CNOT requires both drives > 0, got a1={device.q1.a}, a2={device.q2.a}"
         )
-    g1 = _compile_x_rotation(2, -HALF_PI, device, mode, ledger)
-    g2 = _compile_phase_block(HALF_PI, device, mode,
-                              g1.ledger_after.request_z(1, -HALF_PI).request_z(2, HALF_PI))
-    g3 = _compile_x_rotation(2, HALF_PI, device, mode, g2.ledger_after)
-    g4 = _compile_phase_block(HALF_PI, device, mode, g3.ledger_after.request_z(2, HALF_PI))
+    led = streams()
+    g1 = _compile_x_rotation(2, -HALF_PI, device, mode, led)
+    led["pending_z1"] -= -HALF_PI
+    led["pending_z2"] -= HALF_PI
+    g2 = _compile_phase_block(HALF_PI, device, mode, led)
+    g3 = _compile_x_rotation(2, HALF_PI, device, mode, led)
+    led["pending_z2"] -= HALF_PI
+    g4 = _compile_phase_block(HALF_PI, device, mode, led)
     return (g1, g2, g3, g4)
 
 
@@ -665,8 +699,8 @@ def test_compiled_gate_rejects_content_that_is_not_gatespecs():
     # content is a tuple of GateSpecs; a matrix or a string is named
     for bad in (np.eye(4), "rx(q1,0.5)", (np.eye(4),), (GateSpec("rz", 1, 0.5), "zz")):
         with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
-            CompiledGate((), bad, _PhaseLedger())
-    assert CompiledGate((), (GateSpec("rz", 1, 0.5),), _PhaseLedger()).content
+            CompiledGate((), bad)
+    assert CompiledGate((), (GateSpec("rz", 1, 0.5),)).content
 
 
 def test_verify_schedule_zero_hamiltonian_identity():
@@ -786,11 +820,15 @@ def test_schedule_checks_its_mode_first():
         compile_schedule([GateSpec("rz", 1, 0.0)], device(0.1), "bogus")
 
 
-@pytest.mark.parametrize("mode", ["gated", "always_on"])
-def test_overflowing_ledger_is_a_compilation_error_naming_its_stream(mode):
+@pytest.mark.parametrize("mode, qubit", [
+    pytest.param("gated", 1, id="gated"), pytest.param("always_on", 1, id="always_on"),
+    pytest.param("gated", 2, id="gated-qubit2"), pytest.param("always_on", 2, id="always_on-qubit2"),
+])
+def test_overflowing_ledger_is_a_compilation_error_naming_its_stream(mode, qubit):
     # each request is finite; their sum is not, and the closing block says so
-    with pytest.raises(CompilationError, match="phase ledger overflows: pending_z1 = -inf"):
-        compile_schedule([GateSpec("rz", 1, 1e308)] * 2, device(0.1), mode)
+    with pytest.raises(CompilationError,
+                       match=f"^phase ledger overflows: pending_z{qubit} = -inf$"):
+        compile_schedule([GateSpec("rz", qubit, 1e308)] * 2, device(0.1), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +996,7 @@ def test_exact_parking_search_names_an_overflowing_phase():
     for a2 in (0.5, 0.7):
         dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, a2), 1e-307)
         with pytest.raises(CompilationError, match="exact parking overflows"):
-            _compile_phase_block(1.0, dev, "always_on")
+            _compile_phase_block(1.0, dev, "always_on", owing())
 
 
 def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
