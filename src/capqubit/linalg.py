@@ -43,7 +43,9 @@ def wrap_angle(x):
 
 
 def _require_finite(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    # bool is an int, but True is no number
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 

@@ -29,11 +29,12 @@ never be switched off, which shapes the whole design:
   fingerprint; see the parking helpers below for the strategy (full-cycle
   parking for rotation spectators, an exact phase solve for the block's
   target qubit, walked branch by branch, and the mod-2pi accrual equation
-  with flip caps for the block's control qubit, whose long candidate walk
-  is screened in numpy blocks).  The control's accrual equation books the
-  bare detuning phase, not the drive-dressed one, and the difference -- the
-  drive-induced level shift integrated over the block -- is the dominant,
-  intentionally unmodeled always-on phase error.
+  with flip caps for the block's control qubit, whose candidate walk
+  starts at a closed-form flip-cap bound and is screened in numpy blocks).
+  The control's accrual equation books the bare detuning phase, not the
+  drive-dressed one, and the difference -- the drive-induced level shift
+  integrated over the block -- is the dominant, intentionally unmodeled
+  always-on phase error.
 
 The CNOT is the NMR-style gate list ``_CNOT_SEQUENCE``: x(-pi/2) on the
 target, virtual z's and a zz(pi/2) block, x(+pi/2) on the target, a virtual
@@ -234,12 +235,14 @@ def ideal_composition(gates):
 # below choose D.  The two searches walk their candidates in a fixed order
 # and take the first that passes a scalar test, each skipping cheaply what
 # cannot pass: qubit 2's walk skips, one branch at a time, the branches
-# whose closed-form bracket stays short of the leak radius, and qubit 1's
-# walk, tens of thousands of candidates long at weak coupling, is screened
-# in numpy blocks that double in length (from 32 rows of two candidates up
-# to 2048), so a search that ends early stays cheap.  Both skips keep
-# _SCREEN_SLACK of relative margin past their cap or radius, and the scalar
-# test alone decides, so each pick is the walk's own float.
+# whose closed-form bracket stays short of the leak radius.  Qubit 1's walk
+# starts at the first row a closed-form flip-cap bound admits
+# (_control_walk_start; near 22 a for the CNOT's blocks, not at the 10 a
+# floor), and the rows from there are screened in numpy blocks that double
+# in length (from 32 rows of two candidates up to 2048), so a search that
+# ends early stays cheap.  Every skip keeps _SCREEN_SLACK of margin past its
+# cap or radius, and the scalar test alone decides, so each pick is the
+# float that the walk from the floor returns.
 
 
 def _leakage(detuning, a, t, xp=math):
@@ -334,16 +337,68 @@ def _exact_detuning(beta, a, t, shift):
     )
 
 
+def _control_walk_start(a, t, d12):
+    """First row of qubit 1's walk that the flip caps can admit on either
+    side, less a row of margin; the bound and its proof are in
+    ``_control_parking``.  0 when the bound excludes nothing."""
+    floor_abs = _PARKING_FLOOR * a
+    om_floor = math.hypot(floor_abs, a)
+    gap = _HALF_PI
+    for side in (1.0, -1.0):
+        # phi on this side lies between its value at the floor and its limit
+        lo, hi = sorted((t * (math.hypot(side * floor_abs + d12 / 2.0, a) - om_floor),
+                         side * t * d12 / 2.0))
+        n = math.floor(lo / math.pi)
+        gap = min(gap, lo - n * math.pi, (n + 1) * math.pi - hi)
+    # math rounds each phase Omega t by a few ulp, and every skipped row has
+    # Omega < a / sqrt(cap)
+    gap -= _SCREEN_SLACK + 1e-14 * a * t / math.sqrt(_FLIP_CAP)
+    if gap <= 0.0:
+        return 0
+    om_req = a * math.sin(gap / 2.0) / math.sqrt(_FLIP_CAP * (1.0 + _SCREEN_SLACK))
+    bound = math.sqrt(max(om_req * om_req - a * a, 0.0)) - abs(d12) / 2.0
+    # row i holds k_up + i and k_down - i, each less than (i + 1) pi / t past
+    # the floor on its side, so every row up to (bound - floor) t / pi - 1 is
+    # under the bound
+    return max(int(min((bound - floor_abs) * t / math.pi, _K_MAX)) - 1, 0)
+
+
 def _control_parking(theta, a, t, d12, delta2, sep):
     """Detuning of a block's qubit 1: the solution of the bare accrual
     equation 2 (delta + Delta_12/4) t == theta (mod 2 pi) nearest the floor,
     on either sign, that flips within _FLIP_CAP with qubit 2 in either state
     and sits at least sep away from +-delta2.
 
-    Candidates k alternate k_up + i, k_down - i outward from the floor.  A
-    block of them is screened as arrays with the scalar test's own formula,
-    the flip caps widened by _SCREEN_SLACK; the admitted candidates then
-    meet the scalar test in that order.
+    Candidates k alternate k_up + i, k_down - i outward from the floor, one
+    row i at a time, each row pi / t further out on both sides.  The walk
+    starts at row ``_control_walk_start(a, t, d12)``, since no row below
+    it can pass the flip caps:
+
+    * A candidate delta sees Omega_1 = hypot(delta, a) and Omega_2 =
+      hypot(delta + Delta_12/2, a) on qubit 2's two branches.  If both flip
+      probabilities (a/Omega_j)^2 sin^2(Omega_j t) are within cap, then with
+      s = cap max(Omega_1, Omega_2)^2 / a^2 < 1 each Omega_j t lies within
+      arcsin sqrt(s) of a multiple of pi, so phi(delta) = t (Omega_2 -
+      Omega_1) lies within 2 arcsin sqrt(s) of one.
+    * x / hypot(x, a) increases, so phi is monotone in delta, and it tends
+      to +-sign(Delta_12) r as delta -> +-infinity, with r = |Delta_12| t / 2
+      the block's zz remainder.  On each side of the floor, phi therefore
+      stays between phi(+-floor) and that limit, and its least distance D
+      (<= pi/2) to the multiples of pi is closed form: 0 if the interval
+      holds one, else the nearer end's.
+    * A candidate can thus pass only if max(Omega_1, Omega_2) >= a sin(D/2)
+      / sqrt(cap) (trivially so when s >= 1), and max(Omega_1, Omega_2) <=
+      hypot(|delta| + |Delta_12|/2, a); so |delta| >= sqrt(a^2 sin^2(D/2) /
+      cap - a^2) - |Delta_12|/2.  The side with the smaller D sets the start.
+    * Floats: the cap is widened by _SCREEN_SLACK, and D shrinks by
+      _SCREEN_SLACK plus the rounding of the phases Omega t; the start then
+      drops one more row than the exact count.  For the CNOT's blocks (r =
+      pi/2) the walk starts near 22 a instead of at 10 a.
+
+    From there a block of rows is screened as arrays with the scalar test's
+    own formula, the flip caps widened by _SCREEN_SLACK; the admitted
+    candidates then meet the scalar test in walk order, so the pick is the
+    float that the walk from the floor would return.
     """
     shift = d12 / 4.0
     floor_abs = _PARKING_FLOOR * a
@@ -360,7 +415,7 @@ def _control_parking(theta, a, t, d12, delta2, sep):
                        & (_leakage(delta + d12 / 2.0, a, t, xp) <= cap)
                        & (abs(delta - delta2) >= sep) & (abs(delta + delta2) >= sep))
 
-    i0, n = 0, 32
+    i0, n = _control_walk_start(a, t, d12), 32
     while i0 < _K_MAX:
         # rows i0 .. i1 - 1; row i holds k_up + i, k_down - i; floats, so no
         # k overflows

@@ -45,6 +45,11 @@ def test_qubit_params_validation():
         QubitParams(delta=0.0, a=-1.0)
     with pytest.raises(ValueError):
         QubitParams(delta=0.0, a=float("inf"))
+    # bool is an int, but True is no level or drive
+    with pytest.raises(ValueError, match="delta must be a finite real number, got True"):
+        QubitParams(True, 1.0)
+    with pytest.raises(ValueError, match="a must be a finite real number, got True"):
+        QubitParams(0.0, True)
 
 
 def test_device_params_validation():

@@ -81,6 +81,9 @@ def test_gatespec_validation():
         GateSpec("rx", 3, 0.5)
     with pytest.raises(ValueError):
         GateSpec("rx", 1, float("nan"))
+    for kind, qubit in (("rx", 1), ("zz", None)):
+        with pytest.raises(ValueError, match="angle must be a finite real number, got True"):
+            GateSpec(kind, qubit, True)
     with pytest.raises(ValueError):
         GateSpec("zz", 1, 0.5)
     with pytest.raises(ValueError):
@@ -1008,8 +1011,9 @@ def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
 
 
 def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
-    # the same search at the real _K_MAX screens all 2e6 candidates (0.2 s
-    # measured; the scalar walk took 4 s)
+    # the same search at the real _K_MAX: the flip-cap bound starts the walk
+    # at its last row, so it fails in under 1 ms (measured); screening all
+    # 2e6 candidates from the floor took 0.13-0.19 s, the scalar walk 4 s
     dev = DeviceParams(QubitParams(0.0, 1e5), QubitParams(0.0, 1.0), 0.5)
     start = time.perf_counter()
     with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
@@ -1018,14 +1022,30 @@ def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
 
 
 def test_always_on_cnot_compiles_fast_at_weak_coupling():
-    # at ratio 1e-3 the qubit-1 search screens about 3e4 candidates per block:
-    # 8 ms measured, against 133-144 ms for a scalar walk over them
+    # at ratio 1e-3 the qubit-1 search starts about 12200 rows past the floor
+    # and screens a few hundred candidates per block: 0.6-0.9 ms measured,
+    # against 4-6 ms screening the 2.5e4 from the floor and 133-144 ms for a
+    # scalar walk over them
     times = []
     for _ in range(5):
         start = time.perf_counter()
         compile_cnot(_sweep_device(1e-3), "always_on")
         times.append(time.perf_counter() - start)
     assert sorted(times)[2] < 0.040
+
+
+def test_qubit_1_walk_starts_past_the_floor_at_weak_coupling(monkeypatch):
+    # each of the CNOT's two blocks skips the rows its flip caps refuse
+    starts = []
+    walk_start = pulsecompiler._control_walk_start
+
+    def recorded(a, t, d12):
+        starts.append(walk_start(a, t, d12))
+        return starts[-1]
+
+    monkeypatch.setattr(pulsecompiler, "_control_walk_start", recorded)
+    compile_cnot(_sweep_device(1e-3), "always_on")
+    assert len(starts) == 2 and min(starts) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1084,6 +1104,36 @@ def reference_control_parking(theta, a, t, d12, delta2, sep):
         f"k <= {pulsecompiler._K_MAX} (theta {theta:.4f} rad, duration {t:.4f}, "
         f"floor {floor_abs:.4f})"
     )
+
+
+def test_qubit_1_walk_start_skips_only_rows_the_flip_caps_refuse():
+    # the bound in _control_parking's docstring, row by row: over seeded
+    # draws from the property domain below, every candidate under the start
+    # fails the flip caps on both sides, even widened by _SCREEN_SLACK as the
+    # screen widens them, so none can pass the scalar test (the floor and
+    # the separation from delta2, which a2 enters, only refuse more)
+    rng = np.random.default_rng(20261019)
+    cap = pulsecompiler._FLIP_CAP * (1.0 + pulsecompiler._SCREEN_SLACK)
+    skipped = 0
+    for _ in range(200):
+        theta, a, remainder = (float(x) for x in rng.uniform(
+            (-math.pi, 0.05, pulsecompiler._ZZ_ROUNDOFF), (math.pi, 20.0, 2.0 * math.pi)))
+        d12 = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, math.log10(0.5)))
+        t = 2.0 * remainder / abs(d12)
+        start = pulsecompiler._control_walk_start(a, t, d12)
+        floor_abs = pulsecompiler._PARKING_FLOOR * a
+        shift = d12 / 4.0
+        k_up = math.ceil(((floor_abs + shift) * 2.0 * t - theta) / (2.0 * math.pi))
+        k_down = math.floor(((-floor_abs + shift) * 2.0 * t - theta) / (2.0 * math.pi))
+        for i0 in range(0, start, 2**16):
+            i = np.arange(i0, min(i0 + 2**16, start), dtype=float)
+            k = np.concatenate([k_up + i, k_down - i])
+            delta = (theta + 2.0 * math.pi * k) / (2.0 * t) - shift
+            flips = ((pulsecompiler._leakage(delta, a, t, np) <= cap)
+                     & (pulsecompiler._leakage(delta + d12 / 2.0, a, t, np) <= cap))
+            assert not flips.any(), (theta, a, t, d12, start)
+        skipped += start
+    assert skipped > 10**6  # the bound does skip rows
 
 
 def search_outcome(search, *args):
