@@ -4,22 +4,26 @@ Commands:
 
 * ``levels --d1 --d2 --d12``: effective level table for both qubits.
 * ``cnot --ratio --mode``: compile and run one CNOT, report the response.
-* ``sweep --min --max --points [--log|--linear] --mode [--out]``: coupling
+* ``sweep --mode --min --max --points [--log|--linear] [--out]``: coupling
   sweep, emitted as deterministic CSV.
 * ``simulate --config <file>``: compile an explicit gate list from a config
   file, run it, and report the final state plus a verification summary.
 * ``verify``: run the invariant suite of :mod:`capqubit.checks`.
 
-Every command accepts ``--config <file>`` with flat ``key = value`` lines
-(``#`` starts a comment), one key per setting, named after its flag
-(``--baseline-ratio`` is ``baseline_ratio``, ``--log``/``--linear`` are
-``spacing``); flags override file values.  An unknown key, a repeated key, a
+Each command's settings are declared once, in ``_SETTINGS`` (``--precision``,
+every command's but ``verify``'s, in ``_PRECISION``).  A setting's name is
+its config key and, with ``-`` for ``_``, its flag; ``--log``/``--linear``
+set ``spacing``, and ``simulate`` reads its settings from the file only.
+The flags, the keys accepted from a ``--config <file>`` of flat ``key =
+value`` lines (``#`` starts a comment) and ``parse_args`` all read that
+table; flags override file values.  An unknown key, a repeated key, a
 missing setting and an invalid value are usage errors.  Exit status is 0 on
 success, 1 on runtime or verification failure, 2 on usage errors.
 """
 
 import argparse
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -37,13 +41,7 @@ CSV_HEADER = "ratio,mode,amplitude,phase_rad,phase_deviation_rad,gate_distance,l
 
 _DEFAULT_PRECISION = 12
 _PRECISION_RANGE = (6, 17)
-# Config-file keys each command reads; any other key is a usage error.
-_CONFIG_KEYS = {
-    "levels": {"d1", "d2", "d12"},
-    "cnot": {"ratio", "mode"},
-    "sweep": {"min", "max", "points", "spacing", "mode", "out", "baseline_ratio"},
-    "simulate": {"d12", "a1", "a2", "mode", "gates", "psi0", "tol"},
-}
+_REQUIRED = object()  # the default of a setting that must be given
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,13 @@ class RunConfig:
 
 def _check_precision(precision):
     lo, hi = _PRECISION_RANGE
-    if not (lo <= int(precision) <= hi):
-        raise ValueError(f"precision must be in [{lo}, {hi}], got {precision}")
+    try:
+        value = operator.index(precision)
+    except TypeError:
+        value = None
+    if value is None or not lo <= value <= hi:
+        raise ValueError(f"precision must be in [{lo}, {hi}], got {precision!r}")
+    return value
 
 
 def _fmt(value, precision):
@@ -74,13 +77,20 @@ def _fmt(value, precision):
 
 
 def _normalize_mode(value, allow_both=False):
+    """One mode; with ``allow_both``, a tuple of modes, ``both`` included."""
     mode = str(value).strip().lower().replace("-", "_")
     if allow_both and mode == "both":
         return ("always_on", "gated")
     if mode in MODES:
-        return mode
+        return (mode,) if allow_both else mode
     choices = "gated, always-on" + (", both" if allow_both else "")
     raise ValueError(f"invalid mode {value!r} (choose from {choices})")
+
+
+def _finite_positive(name, value):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def _parse_gate_token(token):
@@ -131,6 +141,47 @@ def _parse_state(text):
     return psi0
 
 
+# Each command's settings as (name, cast, default, check, help), in the
+# order parse_args resolves them.  cast reads a flag's or a config value's
+# text.  check, if any, validates the value from any source, default
+# included, and returns what the command uses, so the first bad setting in
+# this order is the one reported.
+_PRECISION = ("precision", int, _DEFAULT_PRECISION, _check_precision,
+              "significant digits for printed numbers (6-17, default 12)")
+_SETTINGS = {
+    "levels": (
+        ("d1", float, _REQUIRED, lambda d1: QubitParams(d1, 0.0), None),
+        ("d2", float, _REQUIRED, lambda d2: QubitParams(d2, 0.0), None),
+        ("d12", float, _REQUIRED, None, None),
+    ),
+    "cnot": (
+        ("ratio", float, _REQUIRED, lambda ratio: _finite_positive("ratio", ratio), None),
+        ("mode", str, "gated", _normalize_mode, "gated | always-on"),
+    ),
+    "sweep": (
+        ("mode", str, "gated", lambda mode: _normalize_mode(mode, allow_both=True),
+         "gated | always-on | both"),
+        ("min", float, _REQUIRED, None, None),
+        ("max", float, _REQUIRED, None, None),
+        ("points", int, 50, None, None),
+        ("spacing", str, "log", None, None),  # the --log/--linear pair
+        ("out", str, None, None, "CSV destination (default stdout)"),
+        ("baseline_ratio", float, 1e-3, None, None),
+    ),
+    # config file only; idle levels stay at zero, since the compiler sets
+    # every segment's detunings
+    "simulate": (
+        ("gates", str, _REQUIRED, _parse_gates, None),
+        ("psi0", str, "1,0,0,0", _parse_state, None),
+        ("mode", str, "gated", _normalize_mode, None),
+        ("tol", float, 0.01, lambda tol: _finite_positive("tol", tol), None),
+        ("a1", float, 1.0, lambda a1: QubitParams(0.0, a1), None),
+        ("a2", float, 1.0, lambda a2: QubitParams(0.0, a2), None),
+        ("d12", float, _REQUIRED, None, None),
+    ),
+}
+
+
 def _load_config_file(path):
     """Flat `key = value` file; `#` starts a comment; keys lowercased and
     each given at most once."""
@@ -162,40 +213,23 @@ def _build_parser():
         "coupled charge qubits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, text in (("levels", "effective level table"),
+                          ("cnot", "single CNOT response"),
+                          ("sweep", "coupling sweep, CSV output"),
+                          ("simulate", "run an explicit gate list from a config file")):
+        sp = sub.add_parser(command, help=text)
+        flags = () if command == "simulate" else _SETTINGS[command]  # simulate: file only
+        for name, cast, _default, _check, help_text in flags:
+            if name == "spacing":
+                group = sp.add_mutually_exclusive_group()
+                for const in ("log", "linear"):
+                    group.add_argument(f"--{const}", dest=name, action="store_const", const=const)
+            else:
+                sp.add_argument("--" + name.replace("_", "-"), type=cast, help=help_text)
         sp.add_argument("--config", help="key = value settings file")
-        sp.add_argument("--precision", type=int, default=None,
-                        help="significant digits for printed numbers (6-17, default 12)")
-
-    sp = sub.add_parser("levels", help="effective level table")
-    sp.add_argument("--d1", type=float, default=None)
-    sp.add_argument("--d2", type=float, default=None)
-    sp.add_argument("--d12", type=float, default=None)
-    add_common(sp)
-
-    sp = sub.add_parser("cnot", help="single CNOT response")
-    sp.add_argument("--ratio", type=float, default=None)
-    sp.add_argument("--mode", default=None, help="gated | always-on")
-    add_common(sp)
-
-    sp = sub.add_parser("sweep", help="coupling sweep, CSV output")
-    sp.add_argument("--min", type=float, default=None)
-    sp.add_argument("--max", type=float, default=None)
-    sp.add_argument("--points", type=int, default=None)
-    spacing = sp.add_mutually_exclusive_group()
-    spacing.add_argument("--log", dest="spacing", action="store_const", const="log")
-    spacing.add_argument("--linear", dest="spacing", action="store_const", const="linear")
-    sp.add_argument("--mode", default=None, help="gated | always-on | both")
-    sp.add_argument("--out", default=None, help="CSV destination (default stdout)")
-    sp.add_argument("--baseline-ratio", type=float, default=None, dest="baseline_ratio")
-    add_common(sp)
-
-    sp = sub.add_parser("simulate", help="run an explicit gate list from a config file")
-    add_common(sp)
-
-    sp = sub.add_parser("verify", help="run the built-in invariant suite")
-
+        name, cast, _default, _check, help_text = _PRECISION
+        sp.add_argument("--" + name, type=cast, help=help_text)
+    sub.add_parser("verify", help="run the built-in invariant suite")
     return parser
 
 
@@ -204,88 +238,52 @@ def parse_args(argv):
     runs; usage problems, invalid values included, exit with status 2."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
-
+    if ns.command == "verify":
+        return RunConfig(command="verify")
+    settings = _SETTINGS[ns.command]
     file_values = {}
-    config_path = getattr(ns, "config", None)
-    if config_path:
+    if ns.config:
         try:
-            file_values = _load_config_file(config_path)
+            file_values = _load_config_file(ns.config)
         except ValueError as exc:
             parser.error(str(exc))
-        allowed = _CONFIG_KEYS[ns.command] | {"precision"}
-        unknown = sorted(set(file_values) - allowed)
+        allowed = sorted(name for name, *_ in settings + (_PRECISION,))
+        unknown = sorted(set(file_values) - set(allowed))
         if unknown:
             parser.error(f"{ns.command}: unknown config key '{unknown[0]}' "
-                         f"(accepted: {', '.join(sorted(allowed))})")
+                         f"(accepted: {', '.join(allowed)})")
 
-    def pick(key, cast, default=None, required=False):
-        cli_value = getattr(ns, key, None)
-        if cli_value is not None:
-            return cli_value
-        if key in file_values:
+    def resolve(name, cast, default, check, _help):
+        value = getattr(ns, name, None)
+        if value is None and name in file_values:
             try:
-                return cast(file_values[key])
+                value = cast(file_values[name])
             except ValueError as exc:
-                raise ValueError(f"config key {key}: {exc}") from None
-        if required:
-            raise ValueError(f"missing required setting '{key}' (flag or config key)")
-        return default
+                raise ValueError(f"config key {name}: {exc}") from None
+        if value is None:
+            if default is _REQUIRED:
+                raise ValueError(f"missing required setting '{name}' (flag or config key)")
+            value = default
+        return value if check is None else check(value)
 
     try:
-        precision = pick("precision", int, default=_DEFAULT_PRECISION)
-        _check_precision(precision)
-
+        precision = resolve(*_PRECISION)
+        if ns.command == "simulate" and not ns.config:
+            raise ValueError("requires --config <file>")
+        v = {setting[0]: resolve(*setting) for setting in settings}
         if ns.command == "levels":
-            device = DeviceParams(
-                QubitParams(pick("d1", float, required=True), 0.0),
-                QubitParams(pick("d2", float, required=True), 0.0),
-                pick("d12", float, required=True),
-            )
-            return RunConfig(command="levels", precision=precision, device=device)
-
+            return RunConfig("levels", precision, device=DeviceParams(v["d1"], v["d2"], v["d12"]))
         if ns.command == "cnot":
-            ratio = pick("ratio", float, required=True)
-            if not 0.0 < ratio < math.inf:
-                raise ValueError(f"ratio must be finite and > 0, got {ratio}")
-            mode = _normalize_mode(pick("mode", str, default="gated"))
-            return RunConfig(command="cnot", precision=precision, ratio=ratio, mode=mode)
-
+            return RunConfig("cnot", precision, ratio=v["ratio"], mode=v["mode"])
         if ns.command == "sweep":
-            modes = _normalize_mode(pick("mode", str, default="gated"), allow_both=True)
-            if isinstance(modes, str):
-                modes = (modes,)
-            sweep = SweepConfig(
-                pick("min", float, required=True),
-                pick("max", float, required=True),
-                pick("points", int, default=50),
-                spacing=pick("spacing", str, default="log"),
-                modes=modes,
-                baseline_ratio=pick("baseline_ratio", float, default=1e-3),
-            )
-            return RunConfig(command="sweep", precision=precision, sweep=sweep,
-                             out=pick("out", str))
-
-        if ns.command == "simulate":
-            if not config_path:
-                raise ValueError("requires --config <file>")
-            gates = _parse_gates(pick("gates", str, required=True))
-            psi0 = _parse_state(pick("psi0", str, default="1,0,0,0"))
-            mode = _normalize_mode(pick("mode", str, default="gated"))
-            tol = pick("tol", float, default=0.01)
-            if not 0.0 < tol < math.inf:
-                raise ValueError(f"tol must be finite and > 0, got {tol}")
-            # Idle levels stay at zero: the compiler sets every segment's detunings.
-            device = DeviceParams(
-                QubitParams(0.0, pick("a1", float, default=1.0)),
-                QubitParams(0.0, pick("a2", float, default=1.0)),
-                pick("d12", float, required=True),
-            )
-            return RunConfig(command="simulate", precision=precision, device=device,
-                             mode=mode, gates=gates, psi0=psi0, tol=tol)
+            sweep = SweepConfig(v["min"], v["max"], v["points"], spacing=v["spacing"],
+                                modes=v["mode"], baseline_ratio=v["baseline_ratio"])
+            return RunConfig("sweep", precision, sweep=sweep, out=v["out"])
+        device = DeviceParams(v["a1"], v["a2"], v["d12"])
+        return RunConfig("simulate", precision, device=device, mode=v["mode"], gates=v["gates"],
+                         psi0=v["psi0"], tol=v["tol"])
     except ValueError as exc:
         parser.error(f"{ns.command}: {exc}")
-
-    return RunConfig(command="verify")
 
 
 def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
@@ -298,7 +296,7 @@ def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
     rows = list(rows)
     if not rows:
         raise ValueError("emit_csv requires at least one row")
-    _check_precision(precision)
+    precision = _check_precision(precision)
     ordered = sorted(rows, key=lambda r: (r.mode, r.ratio))
     lines = [CSV_HEADER]
     for r in ordered:

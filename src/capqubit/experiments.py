@@ -80,6 +80,8 @@ class SweepConfig:
         object.__setattr__(self, "points", points)
         if self.spacing not in _SPACINGS:
             raise ValueError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
+        if isinstance(self.modes, str):
+            raise ValueError(f"modes must be a sequence of modes, got the string {self.modes!r}")
         modes = tuple(dict.fromkeys(self.modes))
         if not modes:
             raise ValueError("at least one mode is required")

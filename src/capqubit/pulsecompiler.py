@@ -536,7 +536,8 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     The duration comes from the zz target: t = 2 r / |Delta_12| where r in
     (0, 2 pi] is the coupling-sign-reduced remaining zz angle; a remainder
     below _ZZ_ROUNDOFF, zero included, is promoted to a full 2 pi cycle so
-    pure-z blocks still have positive duration.  Gated detunings solve the
+    pure-z blocks still have positive duration; a t that overflows raises a
+    CompilationError naming r and Delta_12.  Gated detunings solve the
     accrual equations in closed form, Delta_i = theta_hat_i / (2 t) -
     Delta_12 / 4, where theta_hat_i = wrap(-pending_zi - surplus_zi) is the
     physical angle owed, coupling surplus included.  In always-on mode the
@@ -570,6 +571,11 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     if reduced < _ZZ_ROUNDOFF:
         reduced = _TWO_PI
     t = 2.0 * reduced / abs(d12)
+    if not math.isfinite(t):
+        raise CompilationError(
+            f"phase block duration 2 r / |delta12| overflows (zz remainder r {reduced:.3g}, "
+            f"delta12 {d12:.3g})"
+        )
     shift = d12 / 4.0
     delta1 = th1 / (2.0 * t) - shift
     delta2 = th2 / (2.0 * t) - shift

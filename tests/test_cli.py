@@ -3,6 +3,7 @@ and the README's documented examples and public names."""
 
 import io
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,12 @@ def test_emit_csv_rejects_bad_input(tmp_path):
         emit_csv([], io.StringIO())
     with pytest.raises(ValueError):
         emit_csv([make_row(0.1)], io.StringIO(), precision=3)
+    # only an integer is a precision: 12.7 used to reach the format spec, "12"
+    # used to pass
+    for precision in (12.7, "12"):
+        with pytest.raises(ValueError, match=re.escape(f"precision must be in [6, 17], "
+                                                       f"got {precision!r}")):
+            emit_csv([make_row(0.1)], io.StringIO(), precision=precision)
     with pytest.raises(OSError):
         emit_csv([make_row(0.1)], str(tmp_path / "no_dir" / "x.csv"))
 
@@ -341,6 +348,15 @@ def parking_overflow(shift):
 def test_main_cnot_names_an_overflowing_coupling(capsys, ratio, mode, reason):
     assert main(["cnot", "--ratio", ratio, "--mode", mode]) == 1
     assert capsys.readouterr().err == f"error: ratio {float(ratio):g}, mode {mode}: {reason}\n"
+
+
+@pytest.mark.parametrize("mode", ["gated", "always_on"])
+def test_main_cnot_names_an_overflowing_block_duration(capsys, mode):
+    # at ratio 1e-320 a zz block's duration 2 r / |delta12| is inf
+    assert main(["cnot", "--ratio", "1e-320", "--mode", mode]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ratio 9.99989e-321, mode {mode}: phase block duration 2 r / |delta12| "
+        f"overflows (zz remainder r 1.57, delta12 1e-320)\n")
 
 
 def test_main_sweep_writes_identical_files(tmp_path):
@@ -422,6 +438,39 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, text):
         parse_args([command, "--config", path])
     assert err.value.code == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+ACCEPTED_KEYS = {
+    "levels": "d1, d12, d2, precision",
+    "cnot": "mode, precision, ratio",
+    "sweep": "baseline_ratio, max, min, mode, out, points, precision, spacing",
+    "simulate": "a1, a2, d12, gates, mode, precision, psi0, tol",
+}
+
+
+def accepted_keys(tmp_path, capsys, command):
+    """The key list of the command's unknown-key error."""
+    with pytest.raises(SystemExit):
+        parse_args([command, "--config", write_config(tmp_path, "bogus_key = 7\n")])
+    return capsys.readouterr().err.split("(accepted: ", 1)[1].split(")", 1)[0]
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+def test_unknown_config_key_error_lists_the_accepted_keys(tmp_path, capsys, command):
+    assert accepted_keys(tmp_path, capsys, command) == ACCEPTED_KEYS[command]
+
+
+@pytest.mark.parametrize("command", ["levels", "cnot", "sweep"])
+def test_flags_and_config_keys_name_the_same_settings(tmp_path, capsys, command):
+    # --log/--linear set spacing; --precision and --config are every command's
+    with pytest.raises(SystemExit):
+        parse_args([command, "--help"])
+    flags = set(re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M))
+    flags -= {"--help", "--config", "--precision"}
+    settings = {"spacing" if flag in ("--log", "--linear") else flag[2:].replace("-", "_")
+                for flag in flags}
+    keys = set(accepted_keys(tmp_path, capsys, command).split(", ")) - {"precision"}
+    assert settings == keys
 
 
 @pytest.mark.parametrize("key", ["d1", "d2"])

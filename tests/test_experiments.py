@@ -42,6 +42,13 @@ def test_sweep_config_validation():
         SweepConfig(ratio_min=0.01, ratio_max=0.1, points=5, baseline_ratio=-1.0)
 
 
+def test_sweep_config_rejects_a_string_of_modes():
+    # a bare string used to be read one character at a time, naming mode 'g'
+    with pytest.raises(ValueError,
+                       match="modes must be a sequence of modes, got the string 'gated'"):
+        SweepConfig(0.01, 0.1, 5, modes="gated")
+
+
 def test_sweep_config_deduplicates_modes():
     cfg = SweepConfig(ratio_min=0.01, ratio_max=0.1, points=5,
                       modes=("gated", "gated", "always_on"))

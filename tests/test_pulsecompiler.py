@@ -1021,6 +1021,18 @@ def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
     assert time.perf_counter() - start < 1.0
 
 
+def test_qubit_1_parking_search_fails_fast_from_a_low_start():
+    # at |Delta_12| = 1e-5 the flip-cap bound excludes nothing, so the walk
+    # starts at row 0 and screens up to _K_MAX, none of it as far as sep = 100
+    # from qubit 2's detuning: 0.11-0.19 s measured
+    t = 4.0 * math.pi / 1e-5
+    assert pulsecompiler._control_walk_start(1.0, t, 1e-5) == 0
+    start = time.perf_counter()
+    with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
+        pulsecompiler._control_parking(0.3, 1.0, t, 1e-5, 0.0, 100.0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_always_on_cnot_compiles_fast_at_weak_coupling():
     # at ratio 1e-3 the qubit-1 search starts about 12200 rows past the floor
     # and screens a few hundred candidates per block: 0.6-0.9 ms measured,
