@@ -37,7 +37,11 @@ from .experiments import SweepConfig, cnot_response, levels_table, run_sweep
 
 __all__ = ["RunConfig", "parse_args", "emit_csv", "main"]
 
-CSV_HEADER = "ratio,mode,amplitude,phase_rad,phase_deviation_rad,gate_distance,leakage"
+# The sweep CSV's columns in order, each with the SweepRow field it prints.
+_CSV_COLUMNS = (("ratio", "ratio"), ("mode", "mode"), ("amplitude", "amplitude"),
+                ("phase_rad", "phase"), ("phase_deviation_rad", "phase_deviation"),
+                ("gate_distance", "gate_distance"), ("leakage", "leakage"))
+CSV_HEADER = ",".join(column for column, _field in _CSV_COLUMNS)
 
 _DEFAULT_PRECISION = 12
 _PRECISION_RANGE = (6, 17)
@@ -91,6 +95,12 @@ def _finite_positive(name, value):
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
     return value
+
+
+def _check_out(out):
+    if out is not None and not out.strip():
+        raise ValueError(f"out must name a file (omit it for stdout), got {out!r}")
+    return out
 
 
 def _parse_gate_token(token):
@@ -165,7 +175,7 @@ _SETTINGS = {
         ("max", float, _REQUIRED, None, None),
         ("points", int, 50, None, None),
         ("spacing", str, "log", None, None),  # the --log/--linear pair
-        ("out", str, None, None, "CSV destination (default stdout)"),
+        ("out", str, None, _check_out, "CSV destination (default stdout)"),
         ("baseline_ratio", float, 1e-3, None, None),
     ),
     # config file only; idle levels stay at zero, since the compiler sets
@@ -298,17 +308,10 @@ def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
         raise ValueError("emit_csv requires at least one row")
     precision = _check_precision(precision)
     ordered = sorted(rows, key=lambda r: (r.mode, r.ratio))
-    lines = [CSV_HEADER]
-    for r in ordered:
-        lines.append(",".join((
-            _fmt(r.ratio, precision),
-            r.mode,
-            _fmt(r.amplitude, precision),
-            _fmt(r.phase, precision),
-            _fmt(r.phase_deviation, precision),
-            _fmt(r.gate_distance, precision),
-            _fmt(r.leakage, precision),
-        )))
+    row_format = ",".join("{}" if field == "mode" else f"{{:.{precision}g}}"
+                          for _column, field in _CSV_COLUMNS)
+    fields = operator.attrgetter(*(field for _column, field in _CSV_COLUMNS))
+    lines = [CSV_HEADER] + [row_format.format(*fields(r)) for r in ordered]
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
@@ -333,18 +336,11 @@ def _cmd_levels(cfg: RunConfig):
 
 def _cmd_cnot(cfg: RunConfig):
     row = cnot_response(cfg.ratio, cfg.mode)
-    for name, value in (
-        ("ratio", row.ratio),
-        ("mode", row.mode),
-        ("amplitude", row.amplitude),
-        ("phase_rad", row.phase),
-        ("gate_distance", row.gate_distance),
-        ("leakage", row.leakage),
-    ):
-        if isinstance(value, str):
-            print(f"{name} = {value}")
-        else:
-            print(f"{name} = {_fmt(value, cfg.precision)}")
+    for column, field in _CSV_COLUMNS:
+        if column == "phase_deviation_rad":  # no baseline for a single run
+            continue
+        value = getattr(row, field)
+        print(f"{column} = {value if isinstance(value, str) else _fmt(value, cfg.precision)}")
     return 0
 
 

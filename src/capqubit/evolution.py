@@ -10,7 +10,7 @@ integrator of i d psi/dt = H psi (``propagate_rk4``) applies each segment's
 fixed RK4 step matrix n - 1 times by repeated squaring, and refuses a step
 outside RK4's stability interval; it exists only to cross-check the exact
 route and shares no code path with ``expm_unitary`` beyond the Hamiltonian
-cores.
+core.
 
 The capacitive coupling is a device constant: it appears in every segment's
 Hamiltonian and is deliberately NOT a per-segment control.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import DeviceParams, _capacitive, _dipole
+from .hamiltonian import DeviceParams, _coupling, _hamiltonian
 from .linalg import _require_finite, expm_unitary
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "propagate_rk4",
 ]
 
-_MODELS = ("capacitive", "dipole")
 # RK4's stability interval on the imaginary axis is |h lambda| <= 2 sqrt(2).
 _RK4_STABLE = 2.0 * math.sqrt(2.0)
 
@@ -82,8 +81,9 @@ class Schedule:
         for seg in self.segments:
             if not isinstance(seg, PulseSegment):
                 raise ValueError(f"schedule entries must be PulseSegment, got {seg!r}")
-        if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if not isinstance(self.device, DeviceParams):
+            raise ValueError(f"device must be a DeviceParams, got {self.device!r}")
+        _coupling(self.model)
 
     @property
     def total_duration(self):
@@ -104,12 +104,8 @@ def segment_hamiltonian(seg: PulseSegment, device: DeviceParams, model="capaciti
     """Instantaneous 4x4 Hamiltonian of one segment: the segment supplies the
     qubit controls, the device supplies the fixed coupling.  Both were
     validated when they were built, so their numbers go straight to the
-    model's Hamiltonian core."""
-    if model == "capacitive":
-        return _capacitive(seg.delta1, seg.delta2, seg.a1, seg.a2, device.delta12)
-    if model == "dipole":
-        return _dipole(seg.delta1, seg.delta2, seg.a1, seg.a2, device.delta12)
-    raise ValueError(f"model must be one of {_MODELS}, got {model!r}")
+    Hamiltonian core, which names an unknown model."""
+    return _hamiltonian(model, seg.delta1, seg.delta2, seg.a1, seg.a2, device.delta12)
 
 
 def _check_initial_state(psi0):

@@ -27,12 +27,12 @@ both routes then produce the correctly rounded value of the same real
 number, so equality is exact rather than within roundoff.  A sum that leaves
 the float range is a ValueError naming its entry.
 
-Each model has one core, ``_capacitive`` and ``_dipole``, taking plain
-numbers (d1, d2, a1, a2, d12).  ``build_capacitive`` and ``build_dipole``
-read them from a ``DeviceParams``; ``evolution.segment_hamiltonian`` reads
-them from a pulse segment and its device.  Each value was validated once,
-when the object holding it was built, so the cores validate no input again;
-they only name an entry whose sum overflows.
+Both models share one core, ``_hamiltonian``, taking the model's name and
+plain numbers (d1, d2, a1, a2, d12); it reads the model's coupling on each
+diagonal entry from the table ``_COUPLING``.  ``build_capacitive`` and
+``build_dipole`` read the numbers from a ``DeviceParams``, and
+``evolution.segment_hamiltonian`` from a pulse segment and its device.  Each
+value was validated when its object was built, so the core validates none.
 """
 
 import math
@@ -55,6 +55,11 @@ __all__ = [
 # ordering above; the package's only copy of this sign pattern.
 _Z1 = (1.0, 1.0, -1.0, -1.0)
 _Z2 = (1.0, -1.0, 1.0, -1.0)
+
+# Each model's coupling coefficient on the diagonal (|1>|1>, |1>|0>, |0>|1>,
+# |0>|0>): the charge on |1>|1> alone, or the dipolar sigma_z^1 sigma_z^2.
+_COUPLING = {"capacitive": (1.0, 0.0, 0.0, 0.0),
+             "dipole": tuple(z1 * z2 for z1, z2 in zip(_Z1, _Z2))}
 
 
 def _require_qubit(qubit):
@@ -98,6 +103,9 @@ class DeviceParams:
     delta12: float
 
     def __post_init__(self):
+        for name in ("q1", "q2"):
+            if not isinstance(getattr(self, name), QubitParams):
+                raise ValueError(f"{name} must be a QubitParams, got {getattr(self, name)!r}")
         _require_finite("delta12", self.delta12)
 
 
@@ -124,24 +132,23 @@ def _place_drives(h, a1, a2):
         h[j, i] = a2
 
 
-def _capacitive(d1, d2, a1, a2, d12):
-    """``build_capacitive`` on plain numbers that the caller has validated."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = _entry(0, (d1, d2, d12))
-    h[1, 1] = _entry(1, (d1, -d2))
-    h[2, 2] = _entry(2, (-d1, d2))
-    h[3, 3] = _entry(3, (-d1, -d2))
-    _place_drives(h, a1, a2)
-    return h
+def _coupling(model):
+    """The model's row of ``_COUPLING``, or a ValueError naming the models."""
+    try:
+        return _COUPLING[model]
+    except (KeyError, TypeError):  # an unhashable name is no model either
+        raise ValueError(f"model must be one of {tuple(_COUPLING)}, got {model!r}") from None
 
 
-def _dipole(w1, w2, a1, a2, w12):
-    """``build_dipole`` on plain numbers that the caller has validated."""
+def _hamiltonian(model, d1, d2, a1, a2, d12):
+    """The model's Hamiltonian on plain numbers that the caller has validated;
+    a zero coefficient adds a term +-0.0, which leaves its entry's sum as is."""
+    c = _coupling(model)
     h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = _entry(0, (w1, w2, w12))
-    h[1, 1] = _entry(1, (w1, -w2, -w12))
-    h[2, 2] = _entry(2, (-w1, w2, -w12))
-    h[3, 3] = _entry(3, (-w1, -w2, w12))
+    h[0, 0] = _entry(0, (d1, d2, c[0] * d12))
+    h[1, 1] = _entry(1, (d1, -d2, c[1] * d12))
+    h[2, 2] = _entry(2, (-d1, d2, c[2] * d12))
+    h[3, 3] = _entry(3, (-d1, -d2, c[3] * d12))
     _place_drives(h, a1, a2)
     return h
 
@@ -153,7 +160,7 @@ def build_capacitive(d: DeviceParams):
     excited.  Diagonal entries are accumulated with ``math.fsum`` (see the
     module docstring); an entry whose sum overflows is a ValueError naming it.
     """
-    return _capacitive(d.q1.delta, d.q2.delta, d.q1.a, d.q2.a, d.delta12)
+    return _hamiltonian("capacitive", d.q1.delta, d.q2.delta, d.q1.a, d.q2.a, d.delta12)
 
 
 def build_capacitive_pauli_form(d: DeviceParams):
@@ -191,7 +198,7 @@ def build_dipole(d: DeviceParams):
     """4x4 dipole-model Hamiltonian: single-qubit blocks plus a diagonal
     coupling whose sign follows dipole alignment, +omega_12 on (|1>|1>,
     |0>|0>) and -omega_12 on (|1>|0>, |0>|1>)."""
-    return _dipole(d.q1.delta, d.q2.delta, d.q1.a, d.q2.a, d.delta12)
+    return _hamiltonian("dipole", d.q1.delta, d.q2.delta, d.q1.a, d.q2.a, d.delta12)
 
 
 def effective_levels(d: DeviceParams, qubit, neighbor_excited):
@@ -206,6 +213,8 @@ def effective_levels(d: DeviceParams, qubit, neighbor_excited):
     The excited/ground difference is therefore Delta_12/2.
     """
     _require_qubit(qubit)
+    if not isinstance(neighbor_excited, (bool, np.bool_)):
+        raise ValueError(f"neighbor_excited must be True or False, got {neighbor_excited!r}")
     delta = d.q1.delta if qubit == 1 else d.q2.delta
     quarter = d.delta12 / 4.0
     sign = 1.0 if neighbor_excited else -1.0

@@ -135,8 +135,10 @@ def eigh(matrix):
     _require_square(m)
     _require_finite_entries("matrix", m)
     _require_hermitian(m)
-    # LAPACK reads only one triangle, so hand it the Hermitian part.
-    return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    # LAPACK reads only one triangle, so hand it the Hermitian part, formed
+    # from the small m - m^dagger so that it cannot overflow and equals m,
+    # signed zeros included, when m is exactly Hermitian.
+    return np.linalg.eigh(m - (m - m.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def expm_unitary(hamiltonian, t):
@@ -147,10 +149,18 @@ def expm_unitary(hamiltonian, t):
     duration for all of them or an array of shape (...), one per matrix, and
     the result is the stack of propagators.  Negative durations are rejected
     -- schedules only move forward in time -- and a duration array is named
-    by the index of its bad entry.
+    by the index of its bad entry.  A phase lambda * t that is not a finite
+    float is a ValueError naming its matrix.
     """
     t = _require_durations(t, np.shape(hamiltonian)[:-2])
     w, v = eigh(hamiltonian)
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(w * t)
+    if bad.any():
+        first = np.argwhere(bad)[0]
+        lam, dur = w[tuple(first)], np.broadcast_to(t, w.shape)[tuple(first)]
+        raise ValueError(f"matrix{_at(first[:-1])} has eigenvalue {lam:.3e}, whose phase "
+                         f"lambda * t over duration {dur:.3e} is not a finite float")
     phases = np.exp(-1j * w * t)
     return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 

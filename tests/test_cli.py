@@ -100,6 +100,15 @@ def test_malformed_config_line_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+def test_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys):
+    path = write_config(tmp_path, "d1 = abc\nd2 = 0\nd12 = 0.1\n")
+    with pytest.raises(SystemExit) as err:
+        parse_args(["levels", "--config", path])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "levels: config key d1: could not convert string to float: 'abc'\n")
+
+
 @pytest.mark.parametrize("precision", ["5", "18"])
 def test_precision_out_of_range_exits_2(precision):
     with pytest.raises(SystemExit) as err:
@@ -374,6 +383,17 @@ def test_main_sweep_stdout(capsys):
     assert main(["sweep", "--min", "0.01", "--max", "0.05", "--points", "2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith(CSV_HEADER)
+
+
+def test_main_sweep_empty_out_exits_2_naming_it(capsys):
+    # an empty --out used to send the CSV to stdout, while `out =` in a
+    # config file is already a usage error
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--min", "0.01", "--max", "0.05", "--points", "2", "--out", ""])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("sweep: out must name a file (omit it for stdout), got ''\n")
 
 
 def test_main_sweep_unwritable_path_returns_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for piecewise-constant evolution: exact propagator and RK4 check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,8 +84,11 @@ def test_schedule_validation():
         Schedule(segments=(), device=device())
     with pytest.raises(ValueError):
         Schedule(segments=("not a segment",), device=device())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "model must be one of ('capacitive', 'dipole'), got 'adiabatic'")):
         Schedule(segments=(seg,), device=device(), model="adiabatic")
+    with pytest.raises(ValueError, match="^device must be a DeviceParams, got 'dev'$"):
+        Schedule(segments=(seg,), device="dev")
     sched = Schedule(segments=(seg, seg), device=device())
     assert sched.total_duration == 2.0
 
@@ -103,7 +107,8 @@ def test_segment_hamiltonian_dispatch():
     assert np.array_equal(
         segment_hamiltonian(seg, dev, "dipole"), build_dipole(instant)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "model must be one of ('capacitive', 'dipole'), got 'xy'")):
         segment_hamiltonian(seg, dev, "xy")
 
 
@@ -270,6 +275,25 @@ def test_overflowing_hamiltonian_entry_is_named_by_both_propagators(model):
         propagate(sched, KET_11)
     with pytest.raises(ValueError, match="segment 1: " + ENTRY_OVERFLOWS):
         propagate_rk4(sched, KET_11, dt=0.01)
+
+
+def test_propagate_of_a_level_near_the_float_limit_stays_unitary():
+    # the Hermitian part that eigh hands LAPACK used to overflow to NaN here
+    seg = PulseSegment(duration=1.0, delta1=1e308, delta2=0.0, a1=0.0, a2=0.0)
+    result = propagate(Schedule(segments=(seg,), device=device()), KET_11)
+    assert np.isfinite(result.total_propagator).all()
+    assert result.norm_drift <= STATE_TOL
+
+
+def test_propagate_rejects_a_phase_that_overflows():
+    # exp(-i lambda t) of an infinite lambda * t used to fill the state with NaN
+    seg = PulseSegment(duration=1e10, delta1=1e300, delta2=0.0, a1=0.0, a2=0.0)
+    sched = Schedule(segments=(seg,), device=device())
+    with pytest.raises(ValueError, match=r"^matrix \(0,\) has eigenvalue -?1\.000e\+300, "
+                                         r"whose phase lambda \* t .* is not a finite float"):
+        propagate(sched, KET_11)
+    with pytest.raises(ValueError, match="unstable"):
+        propagate_rk4(sched, KET_11, dt=1e9)
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, 8])

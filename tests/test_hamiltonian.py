@@ -55,6 +55,11 @@ def test_qubit_params_validation():
 def test_device_params_validation():
     with pytest.raises(ValueError):
         device(d12=float("nan"))
+    # a wrong part used to fail later, as an AttributeError in the compiler
+    with pytest.raises(ValueError, match="^q1 must be a QubitParams, got 1.0$"):
+        DeviceParams(1.0, 2.0, 0.1)
+    with pytest.raises(ValueError, match="^q2 must be a QubitParams, got None$"):
+        DeviceParams(QubitParams(0.0, 1.0), None, 0.1)
 
 
 @pytest.mark.parametrize("build", [build_capacitive, build_capacitive_pauli_form, build_dipole])
@@ -223,6 +228,16 @@ def test_effective_levels_rejects_bad_qubit():
             effective_levels(device(), qubit, True)
     dev = device(d1=1.0, d2=2.0, d12=0.4)
     assert effective_levels(dev, np.int64(2), True) == effective_levels(dev, 2, True)
+
+
+def test_effective_levels_rejects_a_neighbor_state_that_is_not_a_bool():
+    # any truthy object used to count as an excited neighbor
+    dev = device(d12=0.01)
+    for state in ("no", 1, 0, None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"neighbor_excited must be True or False, got {state!r}")):
+            effective_levels(dev, 1, state)
+    assert effective_levels(dev, 1, np.bool_(False)) == effective_levels(dev, 1, False) == 0.0
 
 
 def test_spectrum_shift_under_identity_offset():

@@ -141,6 +141,36 @@ def test_eigh_rejects_non_hermitian_matrix_whose_norm_overflows():
         eigh([[1e200, 1e190], [0.0, 1e200]])
 
 
+def test_eigh_of_an_entry_near_the_float_limit_stays_finite():
+    # forming the Hermitian part as (m + m^dagger) / 2 overflows at 1e308
+    w, v = eigh(np.diag([1e308, 0.0, 0.0, 0.0]))
+    assert np.array_equal(w, [0.0, 0.0, 0.0, 1e308])
+    assert np.array_equal(np.abs(v[:, 3]), [1.0, 0.0, 0.0, 0.0])
+
+
+def test_eigh_hands_lapack_an_exactly_hermitian_matrix_unchanged(monkeypatch):
+    seen = []
+    lapack = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m.copy()) or lapack(m))
+    h = np.array([[1.0, complex(2.0, -0.0)], [complex(2.0, 0.0), -0.0]])
+    eigh(h)
+    assert seen[0].tobytes() == h.tobytes()  # signed zeros included
+
+
+def test_expm_rejects_a_phase_that_overflows():
+    with pytest.raises(ValueError, match=r"^matrix has eigenvalue 1\.000e\+300, whose phase "
+                                         r"lambda \* t over duration 1\.000e\+10 is not"):
+        expm_unitary(np.diag([1e300, 0.0]), 1e10)
+
+
+def test_expm_names_the_stack_matrix_whose_phase_overflows():
+    stack = np.stack([np.eye(2), np.diag([0.0, -1e300]), np.diag([1e300, 0.0])])
+    with pytest.raises(ValueError, match=r"^matrix \(1,\) has eigenvalue -1\.000e\+300"):
+        expm_unitary(stack, np.array([1e10, 1e10, 1e10]))
+    # the same matrices pass over durations that keep every phase finite
+    assert np.isfinite(expm_unitary(stack, np.array([1e10, 1.0, 1.0]))).all()
+
+
 def test_expm_zero_hamiltonian_is_identity():
     u = expm_unitary(np.zeros((4, 4)), 7.3)
     assert np.allclose(u, np.eye(4), atol=1e-14)
