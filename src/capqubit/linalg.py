@@ -154,15 +154,17 @@ def expm_unitary(hamiltonian, t):
     """
     t = _require_durations(t, np.shape(hamiltonian)[:-2])
     w, v = eigh(hamiltonian)
-    with np.errstate(over="ignore"):
-        bad = ~np.isfinite(w * t)
+    # LAPACK may return an infinite eigenvalue of a finite matrix, and inf * 0
+    # is NaN, so both warnings are silenced here and the exponent is checked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = -1j * w * t
+    bad = ~np.isfinite(exponent)
     if bad.any():
         first = np.argwhere(bad)[0]
         lam, dur = w[tuple(first)], np.broadcast_to(t, w.shape)[tuple(first)]
         raise ValueError(f"matrix{_at(first[:-1])} has eigenvalue {lam:.3e}, whose phase "
                          f"lambda * t over duration {dur:.3e} is not a finite float")
-    phases = np.exp(-1j * w * t)
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * np.exp(exponent)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def distance_up_to_global_phase(a, b):

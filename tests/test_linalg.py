@@ -161,6 +161,12 @@ def test_expm_rejects_a_phase_that_overflows():
     with pytest.raises(ValueError, match=r"^matrix has eigenvalue 1\.000e\+300, whose phase "
                                          r"lambda \* t over duration 1\.000e\+10 is not"):
         expm_unitary(np.diag([1e300, 0.0]), 1e10)
+    # LAPACK rescales its result, so this finite matrix has the eigenvalue inf,
+    # and inf * 0 is NaN rather than a phase of zero
+    huge = np.full((2, 2), 1.7e308)
+    with pytest.raises(ValueError, match=r"^matrix has eigenvalue inf, whose phase "
+                                         r"lambda \* t over duration 0\.000e\+00 is not"):
+        expm_unitary(huge, 0.0)
 
 
 def test_expm_names_the_stack_matrix_whose_phase_overflows():
