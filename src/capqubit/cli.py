@@ -4,21 +4,22 @@ Commands:
 
 * ``levels --d1 --d2 --d12``: effective level table for both qubits.
 * ``cnot --ratio --mode``: compile and run one CNOT, report the response.
-* ``sweep --mode --min --max --points [--log|--linear] [--out]``: coupling
-  sweep, emitted as deterministic CSV.
-* ``simulate --config <file>``: compile an explicit gate list from a config
-  file, run it, and report the final state plus a verification summary.
+* ``sweep --mode --min --max --points --spacing --out``: coupling sweep,
+  emitted as deterministic CSV.
+* ``simulate --gates --psi0 --mode --tol --a1 --a2 --d12``: compile an
+  explicit gate list, run it, and report the final state plus a
+  verification summary.
 * ``verify``: run the invariant suite of :mod:`capqubit.checks`.
 
-Each command's settings are declared once, in ``_SETTINGS`` (``--precision``,
-every command's but ``verify``'s, in ``_PRECISION``).  A setting's name is
-its config key and, with ``-`` for ``_``, its flag; ``--log``/``--linear``
-set ``spacing``, and ``simulate`` reads its settings from the file only.
-The flags, the keys accepted from a ``--config <file>`` of flat ``key =
-value`` lines (``#`` starts a comment) and ``parse_args`` all read that
-table; flags override file values.  An unknown key, a repeated key, a
-missing setting and an invalid value are usage errors.  Exit status is 0 on
-success, 1 on runtime or verification failure, 2 on usage errors.
+Each command is declared once, in ``_COMMANDS``: its help, its settings,
+how they become the objects its ``RunConfig`` carries, and its handler.
+One setting is one flag and one config key: its name is the key and, with
+``-`` for ``_``, the flag.  Every command but ``verify`` takes
+``--precision`` and a ``--config <file>`` of flat ``key = value`` lines
+(``#`` starts a comment); flags override file values.  An unknown key, a
+repeated key, a missing setting and an invalid value are usage errors.
+Exit status is 0 on success, 1 on runtime or verification failure, 2 on
+usage errors.
 """
 
 import argparse
@@ -31,9 +32,9 @@ import numpy as np
 
 from .checks import run_verify
 from .evolution import _check_initial_state, propagate
-from .hamiltonian import DeviceParams, QubitParams
+from .hamiltonian import DeviceParams, QubitParams, effective_levels
 from .pulsecompiler import MODES, GateSpec, _verify_propagator, compile_schedule, ideal_product
-from .experiments import SweepConfig, cnot_response, levels_table, run_sweep
+from .experiments import SweepConfig, cnot_response, run_sweep
 
 __all__ = ["RunConfig", "parse_args", "emit_csv", "main"]
 
@@ -151,47 +152,6 @@ def _parse_state(text):
     return psi0
 
 
-# Each command's settings as (name, cast, default, check, help), in the
-# order parse_args resolves them.  cast reads a flag's or a config value's
-# text.  check, if any, validates the value from any source, default
-# included, and returns what the command uses, so the first bad setting in
-# this order is the one reported.
-_PRECISION = ("precision", int, _DEFAULT_PRECISION, _check_precision,
-              "significant digits for printed numbers (6-17, default 12)")
-_SETTINGS = {
-    "levels": (
-        ("d1", float, _REQUIRED, lambda d1: QubitParams(d1, 0.0), None),
-        ("d2", float, _REQUIRED, lambda d2: QubitParams(d2, 0.0), None),
-        ("d12", float, _REQUIRED, None, None),
-    ),
-    "cnot": (
-        ("ratio", float, _REQUIRED, lambda ratio: _finite_positive("ratio", ratio), None),
-        ("mode", str, "gated", _normalize_mode, "gated | always-on"),
-    ),
-    "sweep": (
-        ("mode", str, "gated", lambda mode: _normalize_mode(mode, allow_both=True),
-         "gated | always-on | both"),
-        ("min", float, _REQUIRED, None, None),
-        ("max", float, _REQUIRED, None, None),
-        ("points", int, 50, None, None),
-        ("spacing", str, "log", None, None),  # the --log/--linear pair
-        ("out", str, None, _check_out, "CSV destination (default stdout)"),
-        ("baseline_ratio", float, 1e-3, None, None),
-    ),
-    # config file only; idle levels stay at zero, since the compiler sets
-    # every segment's detunings
-    "simulate": (
-        ("gates", str, _REQUIRED, _parse_gates, None),
-        ("psi0", str, "1,0,0,0", _parse_state, None),
-        ("mode", str, "gated", _normalize_mode, None),
-        ("tol", float, 0.01, lambda tol: _finite_positive("tol", tol), None),
-        ("a1", float, 1.0, lambda a1: QubitParams(0.0, a1), None),
-        ("a2", float, 1.0, lambda a2: QubitParams(0.0, a2), None),
-        ("d12", float, _REQUIRED, None, None),
-    ),
-}
-
-
 def _load_config_file(path):
     """Flat `key = value` file; `#` starts a comment; keys lowercased and
     each given at most once."""
@@ -223,23 +183,12 @@ def _build_parser():
         "coupled charge qubits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in (("levels", "effective level table"),
-                          ("cnot", "single CNOT response"),
-                          ("sweep", "coupling sweep, CSV output"),
-                          ("simulate", "run an explicit gate list from a config file")):
+    for command, (text, settings, _build, _run) in _COMMANDS.items():
         sp = sub.add_parser(command, help=text)
-        flags = () if command == "simulate" else _SETTINGS[command]  # simulate: file only
-        for name, cast, _default, _check, help_text in flags:
-            if name == "spacing":
-                group = sp.add_mutually_exclusive_group()
-                for const in ("log", "linear"):
-                    group.add_argument(f"--{const}", dest=name, action="store_const", const=const)
-            else:
-                sp.add_argument("--" + name.replace("_", "-"), type=cast, help=help_text)
-        sp.add_argument("--config", help="key = value settings file")
-        name, cast, _default, _check, help_text = _PRECISION
-        sp.add_argument("--" + name, type=cast, help=help_text)
-    sub.add_parser("verify", help="run the built-in invariant suite")
+        for name, cast, _default, _check, help_text in settings:
+            sp.add_argument("--" + name.replace("_", "-"), type=cast, help=help_text)
+        if settings:
+            sp.add_argument("--config", help="key = value settings file")
     return parser
 
 
@@ -248,23 +197,21 @@ def parse_args(argv):
     runs; usage problems, invalid values included, exit with status 2."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "verify":
-        return RunConfig(command="verify")
-    settings = _SETTINGS[ns.command]
+    _text, settings, build, _run = _COMMANDS[ns.command]
     file_values = {}
-    if ns.config:
+    if getattr(ns, "config", None):
         try:
             file_values = _load_config_file(ns.config)
         except ValueError as exc:
             parser.error(str(exc))
-        allowed = sorted(name for name, *_ in settings + (_PRECISION,))
+        allowed = sorted(name for name, *_ in settings)
         unknown = sorted(set(file_values) - set(allowed))
         if unknown:
             parser.error(f"{ns.command}: unknown config key '{unknown[0]}' "
                          f"(accepted: {', '.join(allowed)})")
 
     def resolve(name, cast, default, check, _help):
-        value = getattr(ns, name, None)
+        value = getattr(ns, name)
         if value is None and name in file_values:
             try:
                 value = cast(file_values[name])
@@ -277,21 +224,8 @@ def parse_args(argv):
         return value if check is None else check(value)
 
     try:
-        precision = resolve(*_PRECISION)
-        if ns.command == "simulate" and not ns.config:
-            raise ValueError("requires --config <file>")
         v = {setting[0]: resolve(*setting) for setting in settings}
-        if ns.command == "levels":
-            return RunConfig("levels", precision, device=DeviceParams(v["d1"], v["d2"], v["d12"]))
-        if ns.command == "cnot":
-            return RunConfig("cnot", precision, ratio=v["ratio"], mode=v["mode"])
-        if ns.command == "sweep":
-            sweep = SweepConfig(v["min"], v["max"], v["points"], spacing=v["spacing"],
-                                modes=v["mode"], baseline_ratio=v["baseline_ratio"])
-            return RunConfig("sweep", precision, sweep=sweep, out=v["out"])
-        device = DeviceParams(v["a1"], v["a2"], v["d12"])
-        return RunConfig("simulate", precision, device=device, mode=v["mode"], gates=v["gates"],
-                         psi0=v["psi0"], tol=v["tol"])
+        return RunConfig(ns.command, v.get("precision", _DEFAULT_PRECISION), **build(v))
     except ValueError as exc:
         parser.error(f"{ns.command}: {exc}")
 
@@ -329,8 +263,10 @@ def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
 
 def _cmd_levels(cfg: RunConfig):
     print("qubit  neighbor  E")
-    for qubit, neighbor_state, energy in levels_table(cfg.device):
-        print(f"{qubit:>5}  {neighbor_state:>8}  {_fmt(energy, cfg.precision)}")
+    for qubit in (1, 2):
+        for neighbor_state, excited in (("excited", True), ("ground", False)):
+            energy = effective_levels(cfg.device, qubit, excited)
+            print(f"{qubit:>5}  {neighbor_state:>8}  {_fmt(energy, cfg.precision)}")
     return 0
 
 
@@ -379,17 +315,61 @@ def _cmd_simulate(cfg: RunConfig):
     return 0 if report["pass"] else 1
 
 
+# Each command as (help, settings, build, run).  settings are (name, cast,
+# default, check, help) in the order parse_args resolves them, so the first
+# bad setting in this order is the one reported; cast reads a flag's or a
+# config value's text, and check, if any, validates the value from any
+# source, default included, and returns what the command uses.  build turns
+# the resolved settings into the objects RunConfig carries, and run is the
+# handler.  A command with no settings takes no --config.
+_PRECISION = ("precision", int, _DEFAULT_PRECISION, _check_precision,
+              "significant digits for printed numbers (6-17, default 12)")
+_COMMANDS = {
+    "levels": ("effective level table", (
+        _PRECISION,
+        ("d1", float, _REQUIRED, lambda d1: QubitParams(d1, 0.0), None),
+        ("d2", float, _REQUIRED, lambda d2: QubitParams(d2, 0.0), None),
+        ("d12", float, _REQUIRED, None, None),
+    ), lambda v: {"device": DeviceParams(v["d1"], v["d2"], v["d12"])}, _cmd_levels),
+    "cnot": ("single CNOT response", (
+        _PRECISION,
+        ("ratio", float, _REQUIRED, lambda ratio: _finite_positive("ratio", ratio), None),
+        ("mode", str, "gated", _normalize_mode, "gated | always-on"),
+    ), lambda v: {"ratio": v["ratio"], "mode": v["mode"]}, _cmd_cnot),
+    "sweep": ("coupling sweep, CSV output", (
+        _PRECISION,
+        ("mode", str, "gated", lambda mode: _normalize_mode(mode, allow_both=True),
+         "gated | always-on | both"),
+        ("min", float, _REQUIRED, None, None),
+        ("max", float, _REQUIRED, None, None),
+        ("points", int, 50, None, None),
+        ("spacing", str, "log", None, "log | linear"),
+        ("out", str, None, _check_out, "CSV destination (default stdout)"),
+        ("baseline_ratio", float, 1e-3, None, None),
+    ), lambda v: {"sweep": SweepConfig(v["min"], v["max"], v["points"], spacing=v["spacing"],
+                                       modes=v["mode"], baseline_ratio=v["baseline_ratio"]),
+                  "out": v["out"]}, _cmd_sweep),
+    # idle levels stay at zero, since the compiler sets every segment's detunings
+    "simulate": ("run an explicit gate list", (
+        _PRECISION,
+        ("gates", str, _REQUIRED, _parse_gates, "e.g. 'ry2:90deg, cnot'"),
+        ("psi0", str, "1,0,0,0", _parse_state, None),
+        ("mode", str, "gated", _normalize_mode, "gated | always-on"),
+        ("tol", float, 0.01, lambda tol: _finite_positive("tol", tol), None),
+        ("a1", float, 1.0, lambda a1: QubitParams(0.0, a1), None),
+        ("a2", float, 1.0, lambda a2: QubitParams(0.0, a2), None),
+        ("d12", float, _REQUIRED, None, None),
+    ), lambda v: {"device": DeviceParams(v["a1"], v["a2"], v["d12"]), "mode": v["mode"],
+                  "gates": v["gates"], "psi0": v["psi0"], "tol": v["tol"]}, _cmd_simulate),
+    "verify": ("run the built-in invariant suite", (), lambda v: {},
+               lambda _cfg: run_verify()),
+}
+
+
 def main(argv=None):
     cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
-    handlers = {
-        "levels": _cmd_levels,
-        "cnot": _cmd_cnot,
-        "sweep": _cmd_sweep,
-        "simulate": _cmd_simulate,
-        "verify": lambda _cfg: run_verify(),
-    }
     try:
-        return handlers[cfg.command](cfg)
+        return _COMMANDS[cfg.command][3](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import DeviceParams, QubitParams, effective_levels
+from .hamiltonian import DeviceParams, QubitParams
 from .evolution import propagate, propagate_many
 from .linalg import _require_finite, distance_up_to_global_phase, wrap_angle
 from .pulsecompiler import (
@@ -41,7 +41,6 @@ __all__ = [
     "SweepRow",
     "cnot_response",
     "run_sweep",
-    "levels_table",
 ]
 
 INITIAL_STATE = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -187,17 +186,3 @@ def run_sweep(cfg: SweepConfig):
             )
     return rows
 
-
-def levels_table(device: DeviceParams):
-    """Effective level splittings of both qubits for both neighbor states.
-
-    Returns four (qubit, neighbor_state, energy) tuples with neighbor_state
-    in {"excited", "ground"}.
-    """
-    table = []
-    for qubit in (1, 2):
-        for neighbor_state, excited in (("excited", True), ("ground", False)):
-            table.append(
-                (qubit, neighbor_state, effective_levels(device, qubit, excited))
-            )
-    return table

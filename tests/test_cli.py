@@ -16,6 +16,7 @@ from capqubit.cli import (
     emit_csv,
     main,
     parse_args,
+    _load_config_file,
     _parse_gate_token,
     _parse_gates,
     _parse_state,
@@ -156,16 +157,22 @@ def test_parse_sweep_cli_range_beats_config(tmp_path):
     assert cfg.sweep.points == 7
 
 
-def test_parse_sweep_spacing_flags_conflict():
+def test_parse_sweep_spacing_flag(capsys):
+    args = ["sweep", "--min", "0.01", "--max", "0.1", "--spacing"]
+    assert parse_args(args + ["linear"]).sweep.spacing == "linear"
     with pytest.raises(SystemExit) as err:
-        parse_args(["sweep", "--min", "0.01", "--max", "0.1", "--log", "--linear"])
+        parse_args(args + ["sqrt"])
     assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "sweep: spacing must be one of ('log', 'linear'), got 'sqrt'\n")
 
 
-def test_parse_simulate_requires_config():
+def test_parse_simulate_without_settings_names_gates(capsys):
     with pytest.raises(SystemExit) as err:
         parse_args(["simulate"])
     assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "simulate: missing required setting 'gates' (flag or config key)\n")
 
 
 def test_parse_simulate_full_config(tmp_path):
@@ -328,9 +335,14 @@ def test_run_verify_reports_a_failing_check(monkeypatch, capsys):
 
 
 def test_main_levels(capsys):
-    assert main(["levels", "--d1", "1", "--d2", "2", "--d12", "0.4"]) == 0
-    out = capsys.readouterr().out
-    assert "1.2" in out and "2.2" in out
+    # each qubit's splitting shifts by d12 / 2 while its neighbour is excited;
+    # 17 digits print each level's float exactly (2.2000000000000002 is 2.2)
+    assert main(["levels", "--d1", "1", "--d2", "2", "--d12", "0.4", "--precision", "17"]) == 0
+    assert capsys.readouterr().out == ("qubit  neighbor  E\n"
+                                       "    1   excited  1.2\n"
+                                       "    1    ground  1\n"
+                                       "    2   excited  2.2000000000000002\n"
+                                       "    2    ground  2\n")
 
 
 def test_main_cnot(capsys):
@@ -480,17 +492,13 @@ def test_unknown_config_key_error_lists_the_accepted_keys(tmp_path, capsys, comm
     assert accepted_keys(tmp_path, capsys, command) == ACCEPTED_KEYS[command]
 
 
-@pytest.mark.parametrize("command", ["levels", "cnot", "sweep"])
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
 def test_flags_and_config_keys_name_the_same_settings(tmp_path, capsys, command):
-    # --log/--linear set spacing; --precision and --config are every command's
     with pytest.raises(SystemExit):
         parse_args([command, "--help"])
-    flags = set(re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M))
-    flags -= {"--help", "--config", "--precision"}
-    settings = {"spacing" if flag in ("--log", "--linear") else flag[2:].replace("-", "_")
-                for flag in flags}
-    keys = set(accepted_keys(tmp_path, capsys, command).split(", ")) - {"precision"}
-    assert settings == keys
+    flags = set(re.findall(r"^  --([a-z0-9-]+)", capsys.readouterr().out, re.M))
+    keys = set(accepted_keys(tmp_path, capsys, command).split(", "))
+    assert flags - {"help", "config"} == {key.replace("_", "-") for key in keys}
 
 
 @pytest.mark.parametrize("key", ["d1", "d2"])
@@ -571,6 +579,19 @@ def test_readme_simulate_config_propagates_once(tmp_path, capsys, eigh_calls, mo
     assert eigh_calls == [(8, 4, 4)]
 
 
+@pytest.mark.parametrize("mode", ["gated", "always_on"])
+def test_simulate_flags_print_the_same_bytes_as_the_config_file(tmp_path, capsys, mode):
+    text = readme_block("Command line", "ini").replace("mode  = gated", f"mode = {mode}")
+    path = write_config(tmp_path, text)
+    status = main(["simulate", "--config", path])
+    from_file = capsys.readouterr().out
+    flags = [word for key, value in _load_config_file(path).items()
+             for word in ("--" + key, value)]
+    assert "--gates" in flags and "--d12" in flags
+    assert main(["simulate", *flags]) == status
+    assert capsys.readouterr().out == from_file
+
+
 def test_readme_library_quickstart_runs(capsys):
     exec(readme_block("Library quickstart", "python"), {})
     _distance, verdict = capsys.readouterr().out.split()
@@ -592,6 +613,6 @@ def test_public_names_are_pinned():
         "CompilationError", "GateSpec", "CompiledGate", "ideal_gate", "ideal_product",
         "ideal_composition", "compile_cnot", "compile_schedule", "verify_schedule",
         # experiments
-        "SweepConfig", "SweepRow", "cnot_response", "run_sweep", "levels_table",
+        "SweepConfig", "SweepRow", "cnot_response", "run_sweep",
     }
-    assert len(capqubit.__all__) == 32
+    assert len(capqubit.__all__) == 31

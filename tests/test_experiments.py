@@ -12,10 +12,8 @@ from capqubit.experiments import (
     SweepConfig,
     SweepRow,
     cnot_response,
-    levels_table,
     run_sweep,
 )
-from capqubit.hamiltonian import DeviceParams, QubitParams
 from capqubit.linalg import wrap_angle
 from capqubit.pulsecompiler import CompilationError
 
@@ -204,17 +202,3 @@ def test_run_sweep_raises_the_first_compile_error_of_the_point_by_point_loop(cfg
                                                r"no exact parking detuning"):
         run_sweep(cfg)
 
-
-def test_levels_table_example():
-    dev = DeviceParams(
-        q1=QubitParams(delta=1.0, a=0.0),
-        q2=QubitParams(delta=2.0, a=0.0),
-        delta12=0.4,
-    )
-    table = levels_table(dev)
-    assert table == [
-        (1, "excited", pytest.approx(1.2, abs=1e-15)),
-        (1, "ground", pytest.approx(1.0, abs=1e-15)),
-        (2, "excited", pytest.approx(2.2, abs=1e-15)),
-        (2, "ground", pytest.approx(2.0, abs=1e-15)),
-    ]
