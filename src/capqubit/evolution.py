@@ -122,6 +122,10 @@ def _check_initial_state(psi0):
     return psi
 
 
+def _segment_error(k, s, j, exc):
+    return ValueError(f"stack index {k} (schedule {s}, segment {j}): {exc}")
+
+
 def propagate_many(schedules, psi0):
     """Exact evolution of several schedules from one initial state, one
     ``EvolutionResult`` per schedule, in order.
@@ -133,7 +137,8 @@ def propagate_many(schedules, psi0):
     time order: segments act in list order (first element first in time), so
     its total propagator is U_n ... U_2 U_1.  Every result is bit for bit
     what the schedule gives alone.  A segment whose Hamiltonian cannot be
-    built is named by its index in the stack and in its schedule.
+    built, or whose unitary cannot be formed, is named by its index in the
+    stack and in its schedule.
     """
     psi = _check_initial_state(psi0)
     schedules = tuple(schedules)
@@ -147,11 +152,22 @@ def propagate_many(schedules, psi0):
             try:
                 hs.append(segment_hamiltonian(seg, sched.device, sched.model))
             except ValueError as exc:
-                raise ValueError(
-                    f"stack index {len(hs)} (schedule {s}, segment {j}): {exc}"
-                ) from None
+                raise _segment_error(len(hs), s, j, exc) from None
             durations.append(seg.duration)
-    us = iter(expm_unitary(np.array(hs), np.array(durations)))
+    try:
+        us = iter(expm_unitary(np.array(hs), np.array(durations)))
+    except ValueError:
+        # each stacked unitary is its lone call's, so the first segment whose
+        # lone call fails is the one to name
+        k = 0
+        for s, sched in enumerate(schedules):
+            for j, seg in enumerate(sched.segments):
+                try:
+                    expm_unitary(hs[k], seg.duration)
+                except ValueError as exc:
+                    raise _segment_error(k, s, j, exc) from None
+                k += 1
+        raise
     results = []
     for sched in schedules:
         u_total = np.eye(4, dtype=complex)

@@ -6,7 +6,7 @@ built on three primitives:
 * ``eigh``: eigendecomposition of a Hermitian matrix, or of a stack of them
   in one call, by LAPACK (``np.linalg.eigh``) behind validation: square,
   finite, and each matrix Hermitian to 1e-12 of its own largest entry.
-  Eigenvalues ascend; eigenvectors are orthonormal.
+  Eigenvalues ascend and are finite; eigenvectors are orthonormal.
 * ``expm_unitary``: the unitary exp(-i H t) assembled from the
   eigendecomposition, V diag(e^{-i lambda t}) V^dagger, for one matrix or a
   stack with one duration each.
@@ -96,15 +96,11 @@ def _require_hermitian(m):
 
 
 def _require_durations(t, shape):
-    """Return t, a finite duration >= 0 or an array of them of the stack's
-    leading ``shape``, ready to scale the eigenvalues; never broadcast."""
-    if np.ndim(t) == 0:
-        _require_finite("duration", t)
-        if t < 0.0:
-            raise ValueError(f"duration must be nonnegative, got {t}")
-        return t
+    """Return t, one finite real duration >= 0 for every matrix or an array of
+    them of the stack's leading ``shape``, ready to scale the eigenvalues;
+    never broadcast."""
     ts = np.asarray(t)
-    if ts.shape != shape:
+    if ts.shape not in ((), shape):
         raise ValueError(f"expected one duration per matrix, shape {shape}, "
                          f"got shape {ts.shape}")
     if ts.dtype.kind not in "iuf":
@@ -129,7 +125,8 @@ def eigh(matrix):
     Returns:
         (eigenvalues, eigenvectors): eigenvalues ascending as a real array of
         shape (..., n); eigenvectors as unitary matrices of shape (..., n, n)
-        whose k-th column belongs to the k-th eigenvalue.
+        whose k-th column belongs to the k-th eigenvalue.  An eigenvalue
+        that is not a finite float is a ValueError naming its matrix.
     """
     m = np.asarray(matrix, dtype=complex)
     _require_square(m)
@@ -138,7 +135,13 @@ def eigh(matrix):
     # LAPACK reads only one triangle, so hand it the Hermitian part, formed
     # from the small m - m^dagger so that it cannot overflow and equals m,
     # signed zeros included, when m is exactly Hermitian.
-    return np.linalg.eigh(m - (m - m.conj().swapaxes(-1, -2)) / 2.0)
+    w, v = np.linalg.eigh(m - (m - m.conj().swapaxes(-1, -2)) / 2.0)
+    # LAPACK rescales its result, which can overflow for finite entries
+    if not np.isfinite(w).all():
+        first = np.argwhere(~np.isfinite(w))[0]
+        raise ValueError(f"matrix{_at(first[:-1])} has eigenvalue {w[tuple(first)]}, "
+                         f"which is not a finite float")
+    return w, v
 
 
 def expm_unitary(hamiltonian, t):
@@ -154,9 +157,7 @@ def expm_unitary(hamiltonian, t):
     """
     t = _require_durations(t, np.shape(hamiltonian)[:-2])
     w, v = eigh(hamiltonian)
-    # LAPACK may return an infinite eigenvalue of a finite matrix, and inf * 0
-    # is NaN, so both warnings are silenced here and the exponent is checked.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         exponent = -1j * w * t
     bad = ~np.isfinite(exponent)
     if bad.any():

@@ -286,14 +286,19 @@ def test_propagate_of_a_level_near_the_float_limit_stays_unitary():
 
 
 def test_propagate_rejects_a_phase_that_overflows():
-    # exp(-i lambda t) of an infinite lambda * t used to fill the state with NaN
+    # exp(-i lambda t) of an infinite lambda * t used to fill the state with
+    # NaN; the error then named the segment by its stack index alone
+    calm = PulseSegment(duration=1.0, delta1=0.1, delta2=0.2, a1=0.3, a2=0.4)
     seg = PulseSegment(duration=1e10, delta1=1e300, delta2=0.0, a1=0.0, a2=0.0)
-    sched = Schedule(segments=(seg,), device=device())
-    with pytest.raises(ValueError, match=r"^matrix \(0,\) has eigenvalue -?1\.000e\+300, "
-                                         r"whose phase lambda \* t .* is not a finite float"):
+    sched = Schedule(segments=(calm, seg), device=device())
+    phase = (r"matrix has eigenvalue -?1\.000e\+300, whose phase lambda \* t .* "
+             r"is not a finite float")
+    with pytest.raises(ValueError, match=r"^stack index 3 \(schedule 1, segment 1\): " + phase):
+        propagate_many([Schedule(segments=(calm, calm), device=device()), sched], KET_11)
+    with pytest.raises(ValueError, match=r"^stack index 1 \(schedule 0, segment 1\): " + phase):
         propagate(sched, KET_11)
     with pytest.raises(ValueError, match="unstable"):
-        propagate_rk4(sched, KET_11, dt=1e9)
+        propagate_rk4(Schedule(segments=(seg,), device=device()), KET_11, dt=1e9)
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, 8])

@@ -148,6 +148,17 @@ def test_eigh_of_an_entry_near_the_float_limit_stays_finite():
     assert np.array_equal(np.abs(v[:, 3]), [1.0, 0.0, 0.0, 0.0])
 
 
+def test_eigh_names_an_eigenvalue_that_is_not_finite():
+    # LAPACK rescales its result, so this finite matrix used to get the
+    # eigenvalue inf with no error
+    huge = np.full((2, 2), 1.7e308)
+    with pytest.raises(ValueError, match=r"^matrix has eigenvalue inf, which is not a finite "
+                                         r"float$"):
+        eigh(huge)
+    with pytest.raises(ValueError, match=r"^matrix \(1,\) has eigenvalue inf, which is not"):
+        eigh(np.stack([np.eye(2), huge]))
+
+
 def test_eigh_hands_lapack_an_exactly_hermitian_matrix_unchanged(monkeypatch):
     seen = []
     lapack = np.linalg.eigh
@@ -161,11 +172,9 @@ def test_expm_rejects_a_phase_that_overflows():
     with pytest.raises(ValueError, match=r"^matrix has eigenvalue 1\.000e\+300, whose phase "
                                          r"lambda \* t over duration 1\.000e\+10 is not"):
         expm_unitary(np.diag([1e300, 0.0]), 1e10)
-    # LAPACK rescales its result, so this finite matrix has the eigenvalue inf,
-    # and inf * 0 is NaN rather than a phase of zero
+    # an eigenvalue that is not finite is eigh's error, even for t = 0
     huge = np.full((2, 2), 1.7e308)
-    with pytest.raises(ValueError, match=r"^matrix has eigenvalue inf, whose phase "
-                                         r"lambda \* t over duration 0\.000e\+00 is not"):
+    with pytest.raises(ValueError, match=r"^matrix has eigenvalue inf, which is not a finite"):
         expm_unitary(huge, 0.0)
 
 
@@ -227,6 +236,9 @@ def test_expm_rejects_negative_and_bad_durations():
         expm_unitary(h, float("nan"))
     with pytest.raises(ValueError):
         expm_unitary(h, float("inf"))
+    # bool is an int, but True is no duration
+    with pytest.raises(ValueError, match=r"^durations must be real numbers, got dtype bool$"):
+        expm_unitary(h, True)
 
 
 def test_distance_identical_is_zero():
@@ -410,9 +422,10 @@ def test_stack_durations_are_checked_and_never_broadcast(durations, message):
     (eigh, [[1.0, 0.5], [0.0, 1.0]],
      "matrix is not Hermitian: entries (1,2) and (2,1) differ by 5.000e-01"),
     (eigh, np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
-    (lambda h: expm_unitary(h, -0.1), np.eye(2), "duration must be nonnegative, got -0.1"),
+    (lambda h: expm_unitary(h, -0.1), np.eye(2),
+     "duration must be finite and nonnegative, got -0.1"),
     (lambda h: expm_unitary(h, np.nan), np.eye(2),
-     "duration must be a finite real number, got nan"),
+     "duration must be finite and nonnegative, got nan"),
     (lambda h: expm_unitary(h, np.array([0.5])), np.eye(2),
      "expected one duration per matrix, shape (), got shape (1,)"),
 ])
