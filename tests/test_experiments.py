@@ -8,12 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from capqubit.cli import main
 from capqubit.experiments import (
     SweepConfig,
     SweepRow,
     cnot_response,
     run_sweep,
 )
+from capqubit.hamiltonian import DeviceParams, QubitParams, effective_levels
 from capqubit.linalg import wrap_angle
 from capqubit.pulsecompiler import CompilationError
 
@@ -202,3 +204,25 @@ def test_run_sweep_raises_the_first_compile_error_of_the_point_by_point_loop(cfg
                                                r"no exact parking detuning"):
         run_sweep(cfg)
 
+
+
+def test_levels_table_example(capsys):
+    # the levels table is the `levels` command's output: one row per qubit and
+    # neighbour state, each energy the float effective_levels returns
+    dev = DeviceParams(
+        q1=QubitParams(delta=1.0, a=0.0),
+        q2=QubitParams(delta=2.0, a=0.0),
+        delta12=0.4,
+    )
+    assert main(["levels", "--d1", "1", "--d2", "2", "--d12", "0.4", "--precision", "17"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["qubit", "neighbor", "E"]
+    table = [(int(q), state, float(e)) for q, state, e in map(str.split, lines)]
+    assert table == [
+        (1, "excited", pytest.approx(1.2, abs=1e-15)),
+        (1, "ground", pytest.approx(1.0, abs=1e-15)),
+        (2, "excited", pytest.approx(2.2, abs=1e-15)),
+        (2, "ground", pytest.approx(2.0, abs=1e-15)),
+    ]
+    assert [e for _, _, e in table] == [effective_levels(dev, q, excited)
+                                        for q in (1, 2) for excited in (True, False)]
