@@ -29,12 +29,14 @@ never be switched off, which shapes the whole design:
   fingerprint; see the parking helpers below for the strategy (full-cycle
   parking for rotation spectators, an exact phase solve for the block's
   target qubit, walked branch by branch, and the mod-2pi accrual equation
-  with flip caps for the block's control qubit, whose candidate walk
-  starts at a closed-form flip-cap bound and is screened in numpy blocks).
-  The control's accrual equation books the bare detuning phase, not the
-  drive-dressed one, and the difference -- the drive-induced level shift
-  integrated over the block -- is the dominant, intentionally unmodeled
-  always-on phase error.
+  with flip caps for the block's control qubit, walked row by row and
+  skipping by three closed-form bounds: both flip caps, one flip cap and
+  the separation band).  A block is refused once a driven qubit's a t
+  passes 4.14e10 (|Delta_12| below about 1e-10 a), where the rounding of
+  its parked phase outweighs a detuning step.  The control's accrual
+  equation books the bare detuning phase, not the drive-dressed one, and
+  the difference -- the drive-induced level shift integrated over the
+  block -- is the dominant, intentionally unmodeled always-on phase error.
 
 The CNOT is the NMR-style gate list ``_CNOT_SEQUENCE``: x(-pi/2) on the
 target, virtual z's and a zz(pi/2) block, x(+pi/2) on the target, a virtual
@@ -72,11 +74,10 @@ GATE_KINDS = ("rx", "ry", "rz", "zz", "cnot")
 # Parked qubits must sit at least this many drive strengths away from
 # resonance (in units of their own a).
 _PARKING_FLOOR = 10.0
-# Always-on admissibility caps: maximum tolerated spin-flip probability of a
-# parked qubit per block (evaluated on both neighbor-state branches) and
-# maximum leakage of the exactly solved qubit.
+# Always-on admissibility cap: the largest spin-flip probability a parked,
+# driven qubit may reach in one block (qubit 1 on both of qubit 2's branches,
+# and qubit 2, which is solved exactly, as its leakage).
 _FLIP_CAP = 1e-3
-_LEAK_CAP = 1e-3
 # Minimum separation between the two parked detunings, in drive units, to
 # stay clear of two-qubit flip-flop and double-excitation resonances.
 _SEPARATION_MIN = 2.0
@@ -84,8 +85,7 @@ _SEPARATION_MIN = 2.0
 _K_MAX = 10**6
 _MAX_PHASE_BRANCHES = 400
 # The parking searches skip a candidate only when it misses its cap or
-# radius by this much (relative): numpy's sin and hypot may differ from
-# math's by an ulp, and qubit 2's radius bound holds in exact arithmetic, not
+# radius by this much (relative): their bounds hold in exact arithmetic, not
 # to the last bit; a scalar test then decides.
 _SCREEN_SLACK = 1e-6
 # A zz remainder r below this is delivered as a full 2 pi cycle, as r = 0
@@ -232,25 +232,27 @@ def ideal_composition(gates):
 # D sigma_z + a sigma_x with D its effective detuning.  Over a time t it
 # flips with probability (a/Omega)^2 sin^2(Omega t) and acquires a z phase
 # angle theta_phys = -2 arg U_00, where Omega = sqrt(D^2 + a^2).  The helpers
-# below choose D.  The two searches walk their candidates in a fixed order
-# and take the first that passes a scalar test, each skipping cheaply what
-# cannot pass: qubit 2's walk skips, one branch at a time, the branches
-# whose closed-form bracket stays short of the leak radius.  Qubit 1's walk
-# starts at the first row a closed-form flip-cap bound admits
-# (_control_walk_start; near 22 a for the CNOT's blocks, not at the 10 a
-# floor), and the rows from there are screened in numpy blocks that double
-# in length (from 32 rows of two candidates up to 2048), so a search that
-# ends early stays cheap.  Every skip keeps _SCREEN_SLACK of margin past its
-# cap or radius, and the scalar test alone decides, so each pick is the
-# float that the walk from the floor returns.
+# below choose D.  Both searches walk their candidates in a fixed order and
+# take the first that passes a scalar test, skipping in closed form what
+# cannot pass: qubit 2 whole branches, qubit 1 runs of rows by three bounds
+# (see _control_parking).  Every skip keeps _SCREEN_SLACK of margin past its
+# cap and allows for the rounding of Omega t, so each pick is the float of
+# the walk over every candidate; a block where that rounding outweighs a
+# detuning step is refused before either search runs.
 
 
-def _leakage(detuning, a, t, xp=math):
-    """Spin-flip probability of a parked qubit after time t (a > 0); xp is
-    math for a float or numpy for an array of detunings."""
-    om = xp.hypot(detuning, a)
+def _leakage(detuning, a, t):
+    """Spin-flip probability of a parked qubit after time t (a > 0)."""
+    om = math.hypot(detuning, a)
     ratio = a / om
-    return ratio * ratio * xp.sin(om * t) ** 2
+    return ratio * ratio * math.sin(om * t) ** 2
+
+
+def _phase_rounding(phase):
+    """Rounding allowed between phases Omega t computed at two rows of a walk:
+    each errs by up to 5.3e-16 relative (the most seen against 200-bit
+    arithmetic on 4e4 seeded rows)."""
+    return 1.2e-15 * phase
 
 
 def _phase_unwrapped(detuning, a, t):
@@ -275,7 +277,7 @@ def _phase_unwrapped(detuning, a, t):
 
 def _exact_detuning(beta, a, t, shift):
     """Detuning delta delivering z angle beta (mod 2 pi) exactly under an
-    active drive, with |delta| >= the parking floor and leakage <= _LEAK_CAP.
+    active drive, with |delta| >= the parking floor and leakage <= _FLIP_CAP.
 
     Solves F(D) = +-beta + 2 pi m (the phase is odd in D) by bisection on
     branches m from a start radius outward, the positive sign first on
@@ -292,16 +294,11 @@ def _exact_detuning(beta, a, t, shift):
     floor_abs = _PARKING_FLOOR * a
     # A solution has leakage ~ (a/Omega)^2 sin^2(beta/2); start the walk at
     # the radius where that can pass the cap instead of crawling to it.
-    om_req = a * abs(math.sin(beta / 2.0)) / math.sqrt(_LEAK_CAP)
+    om_req = a * abs(math.sin(beta / 2.0)) / math.sqrt(_FLIP_CAP)
     d_req = math.sqrt(max(om_req * om_req - a * a, 0.0)) * 0.999
     start = max(floor_abs + abs(shift) + 0.05 * a, d_req)
-    if not math.isfinite(2.0 * math.hypot(start, a) * t):
-        raise CompilationError(
-            f"exact parking overflows: the parked phase 2 Omega t at detuning "
-            f"{start:.3g} over duration {t:.3g} is not finite"
-        )
     f_start = _phase_unwrapped(start, a, t)
-    radius = a * abs(math.sin(beta / 2.0)) * math.sqrt(1.0 / _LEAK_CAP - 1.0)
+    radius = a * abs(math.sin(beta / 2.0)) * math.sqrt(1.0 / _FLIP_CAP - 1.0)
 
     for i in range(_MAX_PHASE_BRANCHES):
         for sign in (1.0, -1.0):
@@ -329,38 +326,39 @@ def _exact_detuning(beta, a, t, shift):
                     hi = mid
             root = sign * (0.5 * (lo + hi))
             delta = root - shift
-            if abs(delta) >= floor_abs and _leakage(root, a, t) <= _LEAK_CAP:
+            if abs(delta) >= floor_abs and _leakage(root, a, t) <= _FLIP_CAP:
                 return delta
     raise CompilationError(
         f"no exact parking detuning found (target angle {beta:.4f} rad, "
-        f"duration {t:.4f}, floor {floor_abs:.4f}, leak cap {_LEAK_CAP:g})"
+        f"duration {t:.4f}, floor {floor_abs:.4f}, leak cap {_FLIP_CAP:g})"
     )
 
 
-def _control_walk_start(a, t, d12):
-    """First row of qubit 1's walk that the flip caps can admit on either
-    side, less a row of margin; the bound and its proof are in
-    ``_control_parking``.  0 when the bound excludes nothing."""
-    floor_abs = _PARKING_FLOOR * a
-    om_floor = math.hypot(floor_abs, a)
-    gap = _HALF_PI
-    for side in (1.0, -1.0):
-        # phi on this side lies between its value at the floor and its limit
-        lo, hi = sorted((t * (math.hypot(side * floor_abs + d12 / 2.0, a) - om_floor),
-                         side * t * d12 / 2.0))
-        n = math.floor(lo / math.pi)
-        gap = min(gap, lo - n * math.pi, (n + 1) * math.pi - hi)
-    # math rounds each phase Omega t by a few ulp, and every skipped row has
-    # Omega < a / sqrt(cap)
-    gap -= _SCREEN_SLACK + 1e-14 * a * t / math.sqrt(_FLIP_CAP)
-    if gap <= 0.0:
-        return 0
-    om_req = a * math.sin(gap / 2.0) / math.sqrt(_FLIP_CAP * (1.0 + _SCREEN_SLACK))
-    bound = math.sqrt(max(om_req * om_req - a * a, 0.0)) - abs(d12) / 2.0
-    # row i holds k_up + i and k_down - i, each less than (i + 1) pi / t past
-    # the floor on its side, so every row up to (bound - floor) t / pi - 1 is
-    # under the bound
-    return max(int(min((bound - floor_abs) * t / math.pi, _K_MAX)) - 1, 0)
+def _control_rows_refused(delta, side, a, t, d12, delta2, sep):
+    """How many rows after candidate delta on one side (+-1) of qubit 1's
+    walk surely fail its scalar test, by the bounds of ``_control_parking``."""
+    root_cap = math.sqrt(_FLIP_CAP * (1.0 + _SCREEN_SLACK))
+    step = math.pi / t  # the detuning step per row
+    branches = (delta, delta + d12 / 2.0)
+    oms = [math.hypot(d, a) for d in branches]
+    rounding = _phase_rounding(max(oms) * t)
+    outward = [side * d >= 0.0 for d in branches]
+    gap = max(abs(math.remainder(oms[1] * t - oms[0] * t, math.pi)) - 2.0 * rounding, 0.0)
+    om_min = min(oms) if all(outward) else a
+    drift = math.pi * abs(d12) * a * a / (2.0 * om_min * om_min * om_min)
+    rows = [(a * math.sin(gap / 2.0) / root_cap - max(oms))  # both caps
+            / (step + a * drift / (2.0 * root_cap))]
+    for d, om, out in zip(branches, oms, outward):
+        phase = math.fmod(om * t, math.pi)
+        sine = math.sin(phase) - rounding
+        if out and sine > root_cap * om / a:
+            fall = math.pi * a * a / (om * (om + abs(d)))  # one cap, by its chord
+            rows.append((sine - root_cap * om / a)
+                        / (fall * sine / (phase - rounding) + root_cap * step / a))
+    rows += [(sep - side * (delta - c)) / step  # the band
+             for c in (delta2, -delta2) if abs(delta - c) < sep]
+    # every row m < max(rows) fails; drop the last of them
+    return max(math.ceil(min(max(rows), _K_MAX)) - 2, 0)
 
 
 def _control_parking(theta, a, t, d12, delta2, sep):
@@ -369,72 +367,61 @@ def _control_parking(theta, a, t, d12, delta2, sep):
     on either sign, that flips within _FLIP_CAP with qubit 2 in either state
     and sits at least sep away from +-delta2.
 
-    Candidates k alternate k_up + i, k_down - i outward from the floor, one
-    row i at a time, each row pi / t further out on both sides.  The walk
-    starts at row ``_control_walk_start(a, t, d12)``, since no row below
-    it can pass the flip caps:
+    Candidates k alternate k_up + i, k_down - i outward from the floor, each
+    row i pi / t further out on both sides; the up side is walked first, and
+    the down side over the rows below its pick.  A row the scalar test
+    refuses skips the rows after it that surely fail by three bounds
+    (``_control_rows_refused``) on Omega_j = hypot(D_j, a), D_1 = delta and
+    D_2 = delta + Delta_12/2 on qubit 2's two branches:
 
-    * A candidate delta sees Omega_1 = hypot(delta, a) and Omega_2 =
-      hypot(delta + Delta_12/2, a) on qubit 2's two branches.  If both flip
-      probabilities (a/Omega_j)^2 sin^2(Omega_j t) are within cap, then with
-      s = cap max(Omega_1, Omega_2)^2 / a^2 < 1 each Omega_j t lies within
-      arcsin sqrt(s) of a multiple of pi, so phi(delta) = t (Omega_2 -
-      Omega_1) lies within 2 arcsin sqrt(s) of one.
-    * x / hypot(x, a) increases, so phi is monotone in delta, and it tends
-      to +-sign(Delta_12) r as delta -> +-infinity, with r = |Delta_12| t / 2
-      the block's zz remainder.  On each side of the floor, phi therefore
-      stays between phi(+-floor) and that limit, and its least distance D
-      (<= pi/2) to the multiples of pi is closed form: 0 if the interval
-      holds one, else the nearer end's.
-    * A candidate can thus pass only if max(Omega_1, Omega_2) >= a sin(D/2)
-      / sqrt(cap) (trivially so when s >= 1), and max(Omega_1, Omega_2) <=
-      hypot(|delta| + |Delta_12|/2, a); so |delta| >= sqrt(a^2 sin^2(D/2) /
-      cap - a^2) - |Delta_12|/2.  The side with the smaller D sets the start.
-    * Floats: the cap is widened by _SCREEN_SLACK, and D shrinks by
-      _SCREEN_SLACK plus the rounding of the phases Omega t; the start then
-      drops one more row than the exact count.  For the CNOT's blocks (r =
-      pi/2) the walk starts near 22 a instead of at 10 a.
+    * Both caps.  Both flips (a/Omega_j)^2 sin^2(Omega_j t) pass only if
+      max Omega >= a sin(G/2) / sqrt(cap), G the distance of phi = t
+      (Omega_2 - Omega_1) from the multiples of pi (each Omega_j t is then
+      within arcsin(sqrt(cap) Omega_j / a) of one).  Per row max Omega rises
+      by less than pi / t, and phi moves by less than pi |Delta_12| a^2 / (2
+      Omega_min^3), Omega_min the smaller Omega while both D_j move away
+      from 0, else a.  At the floor this skips up to about 22 a for a CNOT.
+    * One cap.  While D_j moves away from 0, Omega_j t mod pi falls by less
+      than pi a^2 / (Omega_j (Omega_j + |D_j|)) per row, the admitted sine
+      sqrt(cap) Omega_j / a rises by less than sqrt(cap) pi / (t a), and sin
+      stays above its chord to 0 on [0, pi].
+    * The band.  A row within sep of +-delta2 skips the rest of the band.
 
-    From there a block of rows is screened as arrays with the scalar test's
-    own formula, the flip caps widened by _SCREEN_SLACK; the admitted
-    candidates then meet the scalar test in walk order, so the pick is the
-    float that the walk from the floor would return.
+    Each bound widens the cap by _SCREEN_SLACK, allows the rounding of the
+    phases (``_phase_rounding``) and drops one row, so the scalar test alone
+    decides.  A detuning that overflows ends its side.  Past a t = 4.14e10
+    the rounding of Omega t outweighs a step and no bound could skip;
+    ``_compile_phase_block`` refuses such a block before this runs.
     """
     shift = d12 / 4.0
     floor_abs = _PARKING_FLOOR * a
-    k_up = math.ceil(((floor_abs + shift) * 2.0 * t - theta) / _TWO_PI)
-    k_down = math.floor(((-floor_abs + shift) * 2.0 * t - theta) / _TWO_PI)
 
-    def admissible(k, xp, cap):
-        # the floor, both flip probabilities (qubit 2 in its ground and its
-        # excited state) and the separation from +-delta2; & serves floats
-        # and arrays alike
-        delta = (theta + _TWO_PI * k) / (2.0 * t) - shift
-        return delta, ((abs(delta) >= floor_abs)
-                       & (_leakage(delta, a, t, xp) <= cap)
-                       & (_leakage(delta + d12 / 2.0, a, t, xp) <= cap)
-                       & (abs(delta - delta2) >= sep) & (abs(delta + delta2) >= sep))
+    def walk(k0, side, rows):
+        # the first of the first `rows` rows on one side that passes, or None
+        i = 0
+        while i < rows:
+            delta = (theta + _TWO_PI * (k0 + side * i)) / (2.0 * t) - shift
+            if not math.isfinite(delta + d12 / 2.0):
+                return None
+            # the floor, both flips (qubit 2 in either state), the separation
+            if (abs(delta) >= floor_abs
+                    and _leakage(delta, a, t) <= _FLIP_CAP
+                    and _leakage(delta + d12 / 2.0, a, t) <= _FLIP_CAP
+                    and abs(delta - delta2) >= sep and abs(delta + delta2) >= sep):
+                return i, delta
+            i += 1 + _control_rows_refused(delta, side, a, t, d12, delta2, sep)
+        return None
 
-    i0, n = _control_walk_start(a, t, d12), 32
-    while i0 < _K_MAX:
-        # rows i0 .. i1 - 1; row i holds k_up + i, k_down - i; floats, so no
-        # k overflows
-        i1 = min(i0 + n, _K_MAX)
-        i = np.arange(i0, i1, dtype=float)[:, None]
-        k = np.array([k_up, k_down], dtype=float) + np.array([1.0, -1.0]) * i
-        _, screen = admissible(k, np, _FLIP_CAP * (1.0 + _SCREEN_SLACK))
-        for j in np.flatnonzero(screen).tolist():
-            row, down = divmod(j, 2)
-            delta, ok = admissible(k_down - i0 - row if down else k_up + i0 + row,
-                                   math, _FLIP_CAP)
-            if ok:
-                return delta
-        i0, n = i1, min(2 * n, 2048)
-    raise CompilationError(
-        f"no admissible always-on parking for qubit 1 within "
-        f"k <= {_K_MAX} (theta {theta:.4f} rad, duration {t:.4f}, "
-        f"floor {floor_abs:.4f})"
-    )
+    up = walk(math.ceil(((floor_abs + shift) * 2.0 * t - theta) / _TWO_PI), 1, _K_MAX)
+    pick = walk(math.floor(((-floor_abs + shift) * 2.0 * t - theta) / _TWO_PI), -1,
+                up[0] if up else _K_MAX) or up
+    if pick is None:
+        raise CompilationError(
+            f"no admissible always-on parking for qubit 1 within "
+            f"k <= {_K_MAX} (theta {theta:.4f} rad, duration {t:.4f}, "
+            f"floor {floor_abs:.4f})"
+        )
+    return pick[1]
 
 
 def _full_cycle_parking(a, t, shift):
@@ -544,7 +531,8 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     parking helpers replace them for each driven qubit: an exact drive-aware
     solve for qubit 2 (on the qubit-1-excited branch, matching its role as
     the rotated qubit in the CNOT sequence) and the bare accrual equation
-    with flip caps and a separation constraint for qubit 1.
+    with flip caps and a separation constraint for qubit 1; a driven qubit
+    whose a t is past the roundoff limit is refused first, qubit 2 before 1.
     """
     # An overflowed stream is never phase-neutral, so every such ledger gets here.
     for name in _STREAMS:
@@ -581,6 +569,17 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     delta2 = th2 / (2.0 * t) - shift
 
     a1, a2 = (device.q1.a, device.q2.a) if mode == "always_on" else (0.0, 0.0)
+    # Where the flip cap binds (Omega ~ a / sqrt(cap)) a detuning step moves
+    # Omega t mod pi by about pi cap / 2; past this a t its rounding is more,
+    # so the parking walks cannot skip and a flip test reads roundoff.
+    roundoff_at = _HALF_PI * _FLIP_CAP * math.sqrt(_FLIP_CAP) / _phase_rounding(1.0)
+    for qubit, a in ((2, a2), (1, a1)):
+        if a * t >= roundoff_at:
+            raise CompilationError(
+                f"always-on parking of qubit {qubit} rests on roundoff: its drive "
+                f"{a:.3g} times the block duration {t:.3g} passes {roundoff_at:.3g} "
+                f"(|delta12| {abs(d12):.3g} is below about 1e-10 times the drive)"
+            )
     if a2 > 0.0:
         # Target the exact parked phase on the branch where qubit 1 is
         # excited (qubit-2 effective detuning delta2 + Delta_12/2 there);

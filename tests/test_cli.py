@@ -451,6 +451,17 @@ def test_main_simulate_names_an_overflowing_ledger(tmp_path, capsys):
     assert capsys.readouterr().err == "error: phase ledger overflows: pending_z1 = -inf\n"
 
 
+def test_main_simulate_names_a_block_past_the_roundoff_limit(capsys):
+    # a zz(1) block at d12 = 1e-307 lasts 2e307; qubit 1's parking walk used
+    # to overflow math.ceil into a traceback
+    assert main(["simulate", "--d12", "1e-307", "--a2", "0", "--mode", "always-on",
+                 "--gates", "zz:1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: always-on parking of qubit 1 rests on roundoff: its drive 1 times the block "
+        "duration 2e+307 passes 4.14e+10 (|delta12| 1e-307 is below about 1e-10 times the "
+        "drive)\n")
+
+
 # ---------------------------------------------------------------------------
 # config keys: only the keys a command reads are accepted
 # ---------------------------------------------------------------------------

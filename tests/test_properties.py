@@ -11,7 +11,6 @@ from capqubit.hamiltonian import DeviceParams, QubitParams
 from capqubit.linalg import wrap_angle
 from capqubit.pulsecompiler import (
     _FLIP_CAP,
-    _LEAK_CAP,
     CompilationError,
     GateSpec,
     compile_schedule,
@@ -91,7 +90,7 @@ def test_always_on_gate_lists_compose(gates, ratio):
             # qubit 1 on both neighbour branches, qubit 2 where qubit 1 is excited
             for d1 in (seg.delta1, seg.delta1 + ratio / 2.0):
                 assert _flip(d1, seg.a1, t) <= _FLIP_CAP * (1.0 + CAP_SLACK)
-            assert _flip(seg.delta2 + ratio / 2.0, seg.a2, t) <= _LEAK_CAP * (1.0 + CAP_SLACK)
+            assert _flip(seg.delta2 + ratio / 2.0, seg.a2, t) <= _FLIP_CAP * (1.0 + CAP_SLACK)
         else:  # an x pulse; the other qubit is its parked spectator
             d, a = (seg.delta2, seg.a2) if seg.label.startswith("rx(q1") else (seg.delta1, seg.a1)
             assert _flip(d + ratio / 4.0, a, t) <= SPECTATOR_FLIP_MAX

@@ -993,13 +993,43 @@ def test_exact_parking_search_fails_fast_when_no_branch_is_admissible():
 
 
 def test_exact_parking_search_names_an_overflowing_phase():
-    # at |Delta_12| = 1e-307 a zz(1) block lasts 2e307, and qubit 2's parked
-    # phase 2 Omega t overflows before its walk starts (a2 = 0.7 overflows
-    # Omega t itself)
+    # at |Delta_12| = 1e-307 a zz(1) block lasts 2e307, where qubit 2's parked
+    # phase 2 Omega t used to overflow (a2 = 0.7 overflows Omega t itself); the
+    # block is refused before either search runs, naming qubit 2, solved first
     for a2 in (0.5, 0.7):
         dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, a2), 1e-307)
-        with pytest.raises(CompilationError, match="exact parking overflows"):
+        with pytest.raises(CompilationError,
+                           match="^always-on parking of qubit 2 rests on roundoff: its drive "
+                                 f"{a2:g} times the block duration 2e\\+307 passes 4.14e\\+10"):
             _compile_phase_block(1.0, dev, "always_on", owing())
+
+
+@pytest.mark.parametrize("d12,reason", [
+    (1e-200, "always-on parking of qubit 1 rests on roundoff"),
+    (1e-11, "always-on parking of qubit 1 rests on roundoff"),
+    (1e-10, "no admissible always-on parking for qubit 1"),
+])
+def test_always_on_block_past_the_roundoff_limit_is_refused_fast(d12, reason):
+    # a zz(1) block lasts t = 2 / |Delta_12|.  Past a t = 4.14e10 one
+    # detuning step moves qubit 1's Omega t mod pi by less than its rounding,
+    # so no bound of the walk can skip and its flip test reads roundoff (its
+    # 1e6 single-row steps took 18 s at 1e-200): the block is refused by name.
+    # Just inside the limit the walk runs, and fails on its k cap.
+    dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 0.0), d12)
+    start = time.perf_counter()
+    with pytest.raises(CompilationError, match=f"^{reason}"):
+        _compile_phase_block(1.0, dev, "always_on", owing())
+    assert time.perf_counter() - start < 1.0
+
+
+def test_qubit_1_walk_ends_a_side_whose_detunings_overflow():
+    # at |Delta_12| = 1e308 a zz(1) block lasts 2e-308, so one row moves
+    # delta by pi / t ~ 1.6e308: each side overflows within a row or two,
+    # where the flip test would raise on sin(inf); the walk ends the side
+    # instead and reports its k cap, as the numpy screen did
+    dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 0.0), 1e308)
+    with pytest.raises(CompilationError, match="^no admissible always-on parking for qubit 1"):
+        _compile_phase_block(1.0, dev, "always_on", owing())
 
 
 def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
@@ -1011,9 +1041,10 @@ def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
 
 
 def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
-    # the same search at the real _K_MAX: the flip-cap bound starts the walk
-    # at its last row, so it fails in under 1 ms (measured); screening all
-    # 2e6 candidates from the floor took 0.13-0.19 s, the scalar walk 4 s
+    # the same search at the real _K_MAX: at the floor, the bound on both
+    # flip caps skips every row on each side, so it fails in 0.12-0.28 ms
+    # (measured); screening all 2e6 candidates from the floor took 0.13-0.19
+    # s, the walk over every candidate 4 s
     dev = DeviceParams(QubitParams(0.0, 1e5), QubitParams(0.0, 1.0), 0.5)
     start = time.perf_counter()
     with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
@@ -1022,11 +1053,11 @@ def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
 
 
 def test_qubit_1_parking_search_fails_fast_from_a_low_start():
-    # at |Delta_12| = 1e-5 the flip-cap bound excludes nothing, so the walk
-    # starts at row 0 and screens up to _K_MAX, none of it as far as sep = 100
-    # from qubit 2's detuning: 0.11-0.19 s measured
+    # at |Delta_12| = 1e-5 the flip caps refuse no row near the floor, and
+    # none of the rows up to _K_MAX is as far as sep = 100 from qubit 2's
+    # detuning: the band skips them all from row 0, in 0.04-0.06 ms
+    # (measured), where screening them in numpy took 0.18-0.23 s
     t = 4.0 * math.pi / 1e-5
-    assert pulsecompiler._control_walk_start(1.0, t, 1e-5) == 0
     start = time.perf_counter()
     with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
         pulsecompiler._control_parking(0.3, 1.0, t, 1e-5, 0.0, 100.0)
@@ -1034,10 +1065,10 @@ def test_qubit_1_parking_search_fails_fast_from_a_low_start():
 
 
 def test_always_on_cnot_compiles_fast_at_weak_coupling():
-    # at ratio 1e-3 the qubit-1 search starts about 12200 rows past the floor
-    # and screens a few hundred candidates per block: 0.6-0.9 ms measured,
-    # against 4-6 ms screening the 2.5e4 from the floor and 133-144 ms for a
-    # scalar walk over them
+    # at ratio 1e-3 the qubit-1 walk judges 35 failing rows over both
+    # blocks and skips the other 5e4 below its picks: the whole CNOT compiles
+    # in 0.73-0.79 ms (measured), against 0.9-1.2 ms screening in numpy from
+    # a proven start row and 133-144 ms for a walk over every candidate
     times = []
     for _ in range(5):
         start = time.perf_counter()
@@ -1046,28 +1077,30 @@ def test_always_on_cnot_compiles_fast_at_weak_coupling():
     assert sorted(times)[2] < 0.040
 
 
-def test_qubit_1_walk_starts_past_the_floor_at_weak_coupling(monkeypatch):
-    # each of the CNOT's two blocks skips the rows its flip caps refuse
-    starts = []
-    walk_start = pulsecompiler._control_walk_start
+def test_qubit_1_walk_judges_few_rows_at_weak_coupling(monkeypatch):
+    # each failing row the walk judges asks _control_rows_refused how many
+    # rows after it to skip: over the CNOT's two blocks at ratio 1e-3 it
+    # judges 35 (measured) and skips the other 5e4 below its picks
+    judged = []
+    rows_refused = pulsecompiler._control_rows_refused
 
-    def recorded(a, t, d12):
-        starts.append(walk_start(a, t, d12))
-        return starts[-1]
+    def recorded(*args):
+        judged.append(rows_refused(*args))
+        return judged[-1]
 
-    monkeypatch.setattr(pulsecompiler, "_control_walk_start", recorded)
+    monkeypatch.setattr(pulsecompiler, "_control_rows_refused", recorded)
     compile_cnot(_sweep_device(1e-3), "always_on")
-    assert len(starts) == 2 and min(starts) > 0
+    assert len(judged) <= 60 and sum(judged) > 10**4
 
 
 # ---------------------------------------------------------------------------
-# the screened parking searches against the scalar walks they replace
+# the skipping parking searches against the scalar walks over every candidate
 # ---------------------------------------------------------------------------
 
 def reference_exact_detuning(beta, a, t, shift):
     """Reference: qubit 2's search as a scalar walk that bisects every branch."""
     floor_abs = pulsecompiler._PARKING_FLOOR * a
-    om_req = a * abs(math.sin(beta / 2.0)) / math.sqrt(pulsecompiler._LEAK_CAP)
+    om_req = a * abs(math.sin(beta / 2.0)) / math.sqrt(pulsecompiler._FLIP_CAP)
     d_req = math.sqrt(max(om_req * om_req - a * a, 0.0)) * 0.999
     start = max(floor_abs + abs(shift) + 0.05 * a, d_req)
     f_start = pulsecompiler._phase_unwrapped(start, a, t)
@@ -1088,11 +1121,11 @@ def reference_exact_detuning(beta, a, t, shift):
             root = 0.5 * (lo + hi)
             delta = sign * root - shift
             if (abs(delta) >= floor_abs
-                    and pulsecompiler._leakage(sign * root, a, t) <= pulsecompiler._LEAK_CAP):
+                    and pulsecompiler._leakage(sign * root, a, t) <= pulsecompiler._FLIP_CAP):
                 return delta
     raise CompilationError(
         f"no exact parking detuning found (target angle {beta:.4f} rad, "
-        f"duration {t:.4f}, floor {floor_abs:.4f}, leak cap {pulsecompiler._LEAK_CAP:g})"
+        f"duration {t:.4f}, floor {floor_abs:.4f}, leak cap {pulsecompiler._FLIP_CAP:g})"
     )
 
 
@@ -1118,34 +1151,51 @@ def reference_control_parking(theta, a, t, d12, delta2, sep):
     )
 
 
-def test_qubit_1_walk_start_skips_only_rows_the_flip_caps_refuse():
-    # the bound in _control_parking's docstring, row by row: over seeded
-    # draws from the property domain below, every candidate under the start
-    # fails the flip caps on both sides, even widened by _SCREEN_SLACK as the
-    # screen widens them, so none can pass the scalar test (the floor and
-    # the separation from delta2, which a2 enters, only refuse more)
+def test_qubit_1_walk_skips_only_rows_that_fail():
+    # the three bounds in _control_parking's docstring, row by row: over
+    # seeded draws from the property domain below, with delta2 in qubit 1's
+    # own range so that the band lies in the walk's path, each row the walk
+    # judges on either side skips only rows that fail the flip caps, widened
+    # by _SCREEN_SLACK, or the separation (the floor refuses only more),
+    # checked in numpy for up to 3000 rows per side and draw
     rng = np.random.default_rng(20261019)
     cap = pulsecompiler._FLIP_CAP * (1.0 + pulsecompiler._SCREEN_SLACK)
-    skipped = 0
-    for _ in range(200):
-        theta, a, remainder = (float(x) for x in rng.uniform(
-            (-math.pi, 0.05, pulsecompiler._ZZ_ROUNDOFF), (math.pi, 20.0, 2.0 * math.pi)))
+
+    def flips(d, a, t):
+        om = np.hypot(d, a)
+        return (a / om) ** 2 * np.sin(om * t) ** 2 <= cap
+
+    skipped = checked = 0
+    for _ in range(500):
+        theta, a, a2, remainder, far, wide = (float(x) for x in rng.uniform(
+            (-math.pi, 0.05, 0.05, pulsecompiler._ZZ_ROUNDOFF, 15.0, 0.0),
+            (math.pi, 20.0, 20.0, 2.0 * math.pi, 40.0, 10.0)))
         d12 = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, math.log10(0.5)))
         t = 2.0 * remainder / abs(d12)
-        start = pulsecompiler._control_walk_start(a, t, d12)
-        floor_abs = pulsecompiler._PARKING_FLOOR * a
-        shift = d12 / 4.0
-        k_up = math.ceil(((floor_abs + shift) * 2.0 * t - theta) / (2.0 * math.pi))
-        k_down = math.floor(((-floor_abs + shift) * 2.0 * t - theta) / (2.0 * math.pi))
-        for i0 in range(0, start, 2**16):
-            i = np.arange(i0, min(i0 + 2**16, start), dtype=float)
-            k = np.concatenate([k_up + i, k_down - i])
-            delta = (theta + 2.0 * math.pi * k) / (2.0 * t) - shift
-            flips = ((pulsecompiler._leakage(delta, a, t, np) <= cap)
-                     & (pulsecompiler._leakage(delta + d12 / 2.0, a, t, np) <= cap))
-            assert not flips.any(), (theta, a, t, d12, start)
-        skipped += start
-    assert skipped > 10**6  # the bound does skip rows
+        delta2, sep = float(rng.choice([1.0, -1.0])) * far * a, wide * max(a, a2)
+        shift, floor_abs = d12 / 4.0, pulsecompiler._PARKING_FLOOR * a
+        first = {1: math.ceil(((floor_abs + shift) * 2.0 * t - theta) / (2.0 * math.pi)),
+                 -1: math.floor(((-floor_abs + shift) * 2.0 * t - theta) / (2.0 * math.pi))}
+
+        def row(side, i):  # a row's detuning, as _control_parking builds it
+            return (theta + 2.0 * math.pi * (first[side] + side * i)) / (2.0 * t) - shift
+
+        def passes(d):
+            return (flips(d, a, t) & flips(d + d12 / 2.0, a, t)
+                    & (np.abs(d - delta2) >= sep) & (np.abs(d + delta2) >= sep))
+
+        for side in (1, -1):
+            i, budget = 0, 3000
+            while i < pulsecompiler._K_MAX and budget > 0:
+                n = pulsecompiler._control_rows_refused(row(side, i), side, a, t, d12, delta2, sep)
+                d = row(side, np.arange(i + 1, i + 1 + min(n, budget), dtype=float))
+                assert not passes(d).any(), (theta, a, t, d12, delta2, sep, side, i)
+                skipped, checked, budget = skipped + n, checked + d.size, budget - d.size - 1
+                i += 1 + n
+                if passes(row(side, i)):
+                    break  # the walk's pick, or as good as
+    # 1.6e6 of the 2.3e7 rows skipped are checked
+    assert checked > 10**6 and skipped > 10**7
 
 
 def search_outcome(search, *args):
@@ -1175,6 +1225,27 @@ def test_parking_searches_pick_the_scalar_walks_float(seed):
     assert q2 == search_outcome(reference_exact_detuning, beta, a2, t, d12 / 2.0)
     delta2 = float.fromhex(q2) if q2.startswith(("0x", "-0x")) else 0.0
     args = (theta, a1, t, d12, delta2, pulsecompiler._SEPARATION_MIN * max(a1, a2))
+    assert (search_outcome(pulsecompiler._control_parking, *args)
+            == search_outcome(reference_control_parking, *args))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_qubit_1_search_picks_the_scalar_walks_float_past_the_band(seed):
+    # delta2 inside qubit 1's own range (15 a1 to 40 a1, either sign) and
+    # sep up to 10 max(a1, a2), so that the band around +-delta2 often lies
+    # between the floor and the pick, where qubit 2's own solve rarely puts
+    # it (the band moved the pick in 113 of 400 seeds); |Delta_12|
+    # log-uniform in [1e-2, 0.5] keeps the reference walk short
+    rng = np.random.default_rng(seed)
+    theta = -float(rng.uniform(-math.pi, math.pi))
+    a1, a2, remainder, far, wide = (float(x) for x in rng.uniform(
+        (0.05, 0.05, pulsecompiler._ZZ_ROUNDOFF, 15.0, 0.0),
+        (20.0, 20.0, 2.0 * math.pi, 40.0, 10.0)))
+    d12 = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-2.0, math.log10(0.5)))
+    delta2 = float(rng.choice([1.0, -1.0])) * far * a1
+    t = 2.0 * remainder / abs(d12)
+    args = (theta, a1, t, d12, delta2, wide * max(a1, a2))
     assert (search_outcome(pulsecompiler._control_parking, *args)
             == search_outcome(reference_control_parking, *args))
 
