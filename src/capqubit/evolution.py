@@ -6,11 +6,13 @@ propagator is a product of matrix exponentials.  ``propagate_many`` stacks
 the segment Hamiltonians of any number of schedules and computes all their
 exponentials in one ``expm_unitary`` call; ``propagate`` is that call on one
 schedule, so there is one exact path.  An independent Runge-Kutta
-integrator of i d psi/dt = H psi (``propagate_rk4``) applies each segment's
-fixed RK4 step matrix n - 1 times by repeated squaring, and refuses a step
-outside RK4's stability interval; it exists only to cross-check the exact
-route and shares no code path with ``expm_unitary`` beyond the Hamiltonian
-core.
+integrator of i d psi/dt = H psi (``propagate_rk4``) builds every segment's
+fixed RK4 step matrices in one stacked call, squares the stack of full steps
+once per bit of the largest step count, and applies to the state each
+segment's powers for its n - 1 full steps, then its partial step; it refuses
+a step outside RK4's stability interval.  It exists only to cross-check the
+exact route and shares no code path with ``expm_unitary`` beyond the
+Hamiltonian core.
 
 The capacitive coupling is a device constant: it appears in every segment's
 Hamiltonian and is deliberately NOT a per-segment control.
@@ -36,6 +38,7 @@ __all__ = [
 
 # RK4's stability interval on the imaginary axis is |h lambda| <= 2 sqrt(2).
 _RK4_STABLE = 2.0 * math.sqrt(2.0)
+_EYE = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -191,20 +194,26 @@ def _rk4_step_matrix(m, h):
 
     With M constant over the step, the four stage slopes are themselves
     linear in psi, so the entire update psi <- psi + (h/6)(k1+2k2+2k3+k4)
-    collapses to a fixed matrix applied per step.
+    collapses to a fixed matrix applied per step.  ``m`` is a (..., 4, 4)
+    stack and ``h`` a scalar or one step per matrix; each stacked result is
+    bit for bit its lone call's.
     """
-    eye = np.eye(m.shape[0], dtype=complex)
+    h = np.asarray(h, dtype=float)[..., None, None]
     k1 = m
-    k2 = m @ (eye + (h / 2.0) * k1)
-    k3 = m @ (eye + (h / 2.0) * k2)
-    k4 = m @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = m @ (_EYE + (h / 2.0) * k1)
+    k3 = m @ (_EYE + (h / 2.0) * k2)
+    k4 = m @ (_EYE + h * k3)
+    return _EYE + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def propagate_rk4(schedule: Schedule, psi0, dt):
-    """Fixed-step RK4 integration of the Schrodinger equation: within each
-    segment the one RK4 step matrix is raised to the power n - 1 by repeated
-    squaring, never via ``expm_unitary``; one partial step then ends it.
+    """Fixed-step RK4 integration of the Schrodinger equation, never via
+    ``expm_unitary``: each segment is n - 1 full steps of its RK4 step
+    matrix S, then one partial step.  The full and partial step matrices of
+    every segment come from one stacked ``_rk4_step_matrix`` call, and one
+    chain of stacked squarings gives S^(2^k) for every segment at once; the
+    state then takes, segment by segment in time order, the power of each
+    set bit of that segment's n - 1 and its partial step.
 
     Args:
         schedule: pulse program (same semantics as ``propagate``).
@@ -214,7 +223,8 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
             dt times the largest row sum of |H_k| is at most 2 sqrt(2).  The
             row sum bounds H_k's spectral radius, and 2 sqrt(2) is where
             RK4's stability interval on the imaginary axis ends; past it
-            the state grows without bound.
+            the state grows without bound.  Segments are checked in time
+            order, each before the next one's Hamiltonian is built.
 
     Returns:
         The final state vector.  No renormalization is applied -- the norm
@@ -229,6 +239,7 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
         raise ValueError(
             f"dt={dt} too coarse: must be <= shortest segment / 10 = {shortest / 10.0}"
         )
+    hs, counts, lasts = [], [], []
     for j, seg in enumerate(schedule.segments):
         try:
             h = segment_hamiltonian(seg, schedule.device, schedule.model)
@@ -241,9 +252,21 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
                 f"segment {j}: dt={dt} is unstable: dt * max row sum |H| = {reach:.3e} "
                 f"exceeds RK4's limit 2*sqrt(2)"
             )
-        m = -1j * h
-        n_steps = max(1, math.ceil(seg.duration / dt - 1e-12))
-        psi = np.linalg.matrix_power(_rk4_step_matrix(m, dt), n_steps - 1) @ psi
-        last = seg.duration - (n_steps - 1) * dt
-        psi = _rk4_step_matrix(m, last) @ psi
+        count = max(1, math.ceil(seg.duration / dt - 1e-12)) - 1  # full steps
+        hs.append(h)
+        counts.append(count)
+        lasts.append(seg.duration - count * dt)
+    n = len(hs)
+    m = -1j * np.array(hs)
+    steps = _rk4_step_matrix(np.concatenate((m, m)), [dt] * n + lasts)
+    full, partial = steps[:n], steps[n:]
+    # powers[k][j] is segment j's full step matrix to the power 2^k
+    powers = [full]
+    for _ in range(max(counts).bit_length() - 1):
+        powers.append(powers[-1] @ powers[-1])
+    for j, count in enumerate(counts):
+        for k in range(count.bit_length()):
+            if count >> k & 1:
+                psi = powers[k][j] @ psi
+        psi = partial[j] @ psi
     return psi

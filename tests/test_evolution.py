@@ -360,6 +360,21 @@ def test_rk4_matches_exact_on_random_schedules():
     assert checks.rk4_state_error(cases) <= checks.RK4_TOL
 
 
+def test_rk4_state_error_makes_one_eigendecomposition_for_all_cases(eigh_calls):
+    # the exact side is one propagate_many call, and its total propagators
+    # applied to each case's state give propagate's final states bit for bit,
+    # so the check reads the same float as a per-case loop
+    rng = np.random.default_rng(111)
+    cases = [(random_schedule(rng, device_d12=float(rng.uniform(-0.5, 0.5))),
+              random_state(rng)) for _ in range(4)]
+    worst = checks.rk4_state_error(cases)
+    assert eigh_calls == [(sum(len(s.segments) for s, _ in cases), 4, 4)]
+    assert worst == max(
+        float(np.linalg.norm(propagate(s, psi0).final_state - propagate_rk4(
+            s, psi0, s.total_duration / checks.RK4_STEPS))) for s, psi0 in cases)
+    assert checks.rk4_state_error([]) == 0.0
+
+
 def stepwise_rk4(schedule, psi0, dt):
     """Reference: the same RK4 step matrix applied one step at a time."""
     psi = np.asarray(psi0, dtype=complex)
@@ -385,6 +400,55 @@ def test_rk4_squaring_is_the_stepwise_integrator():
         dt = sched.total_duration / 1e3
         assert np.max(np.abs(propagate_rk4(sched, psi0, dt)
                              - stepwise_rk4(sched, psi0, dt))) <= SQUARING_TOL
+
+
+@pytest.mark.parametrize("durations", [(0.1, 3.0), (3.0, 0.1), (0.1, 3.0, 1.27, 0.55)])
+def test_rk4_segments_of_different_step_counts_are_the_stepwise_integrator(durations):
+    # at dt = 0.01 the segments take 10, 300, 127 and 55 steps, so their
+    # exponents n - 1 have different bit lengths and set bits: a power table
+    # indexed by the wrong segment or cut at the first segment's bit length
+    # moves the state by O(1)
+    rng = np.random.default_rng(112)
+    segs = tuple(PulseSegment(duration=t, delta1=float(rng.uniform(-2.0, 2.0)),
+                              delta2=float(rng.uniform(-2.0, 2.0)),
+                              a1=float(rng.uniform(0.0, 2.0)), a2=float(rng.uniform(0.0, 2.0)))
+                 for t in durations)
+    sched = Schedule(segments=segs, device=device(d12=0.3))
+    psi0 = random_state(rng)
+    assert np.max(np.abs(propagate_rk4(sched, psi0, 0.01)
+                         - stepwise_rk4(sched, psi0, 0.01))) <= SQUARING_TOL
+
+
+def test_rk4_builds_every_step_matrix_in_one_stacked_call(monkeypatch):
+    # each segment's full step dt and its partial last step, 2N matrices
+    calls = []
+    step_matrix = capqubit.evolution._rk4_step_matrix
+
+    def recorded(m, h):
+        calls.append((np.shape(m), np.shape(h)))
+        return step_matrix(m, h)
+
+    monkeypatch.setattr(capqubit.evolution, "_rk4_step_matrix", recorded)
+    rng = np.random.default_rng(113)
+    sched = random_schedule(rng, device_d12=0.2)
+    propagate_rk4(sched, KET_11, sched.total_duration / 1e3)
+    n = len(sched.segments)
+    assert calls == [((2 * n, 4, 4), (2 * n,))]
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 10))
+def test_stacked_rk4_step_matrix_equals_per_matrix_calls_bit_for_bit(seed, count):
+    # one step per matrix, and one step shared by the stack
+    rng = np.random.default_rng(seed)
+    ms = np.array([-1j * segment_hamiltonian(seg, device(float(rng.uniform(-0.5, 0.5))))
+                   for seg in random_segments(rng, count)]) * 10.0 ** rng.uniform(-3.0, 3.0)
+    hs = rng.uniform(0.0, 1e-2, count)
+    stacked = _rk4_step_matrix(ms, hs)
+    shared = _rk4_step_matrix(ms, float(hs[0]))
+    for k in range(count):
+        assert stacked[k].tobytes() == _rk4_step_matrix(ms[k], float(hs[k])).tobytes()
+        assert shared[k].tobytes() == _rk4_step_matrix(ms[k], float(hs[0])).tobytes()
 
 
 def test_rk4_never_calls_expm_unitary(monkeypatch):
@@ -413,6 +477,18 @@ def test_rk4_refuses_an_unstable_step_naming_the_segment(d1, dt):
     with pytest.raises(ValueError, match=r"segment 1: dt=.* is unstable: dt \* max row sum"
                                          r" \|H\| = .* exceeds RK4's limit 2\*sqrt\(2\)"):
         propagate_rk4(sched, KET_11, dt=dt)
+
+
+def test_rk4_refuses_an_unstable_segment_before_building_the_next():
+    # segment 1's Hamiltonian cannot be built, but segment 0 is checked
+    # first: its largest row sum of |H| is 3.6, so dt = 0.9 gives 3.24
+    wild = PulseSegment(duration=10.0, delta1=2.5, delta2=0.0, a1=0.0, a2=1.0)
+    overflowing = PulseSegment(duration=10.0, delta1=1e308, delta2=1e308, a1=0.0, a2=0.0)
+    sched = Schedule(segments=(wild, overflowing), device=device(0.1))
+    with pytest.raises(ValueError, match=r"^segment 0: dt=0\.9 is unstable"):
+        propagate_rk4(sched, KET_11, dt=0.9)
+    with pytest.raises(ValueError, match="segment 1: " + ENTRY_OVERFLOWS):
+        propagate_rk4(sched, KET_11, dt=0.01)
 
 
 def test_rk4_accepts_the_step_at_its_stability_limit():

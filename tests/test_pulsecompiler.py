@@ -1198,6 +1198,72 @@ def test_qubit_1_walk_skips_only_rows_that_fail():
     assert checked > 10**6 and skipped > 10**7
 
 
+def test_qubit_1_walk_toward_zero_skips_only_rows_that_fail():
+    # with |Delta_12| / 2 above the floor 10 a, the branch D_2 = delta +
+    # Delta_12 / 2 of the rows past the floor moves toward 0 as the walk moves
+    # out (the up side for Delta_12 < 0, the down side for Delta_12 > 0),
+    # where neither its chord bound nor its Omega_min holds.  A zz remainder
+    # r gives a block t = 2 r / |Delta_12|, which puts fewer than r / pi rows
+    # there, so r is drawn log-uniform in [2 pi, 1000] to reach the walk's
+    # longer skips.  Over seeded draws with a1 in [0.005, 0.02] and |Delta_12|
+    # in [0.3, 0.5], both signs, each row a side's walk judges skips only
+    # rows that fail the scalar test, and the search picks the reference
+    # walk's float or raises its error
+    rng = np.random.default_rng(20261020)
+    cap = pulsecompiler._FLIP_CAP
+
+    def passes(d, a, t, d12, delta2, sep):
+        ok = (np.abs(d) >= pulsecompiler._PARKING_FLOOR * a)
+        ok &= (np.abs(d - delta2) >= sep) & (np.abs(d + delta2) >= sep)
+        for branch in (d, d + d12 / 2.0):
+            om = np.hypot(branch, a)
+            ok &= (a / om) ** 2 * np.sin(om * t) ** 2 <= cap
+        return ok
+
+    inward = 0
+    for _ in range(200):
+        theta, a, a2, far, wide = (float(x) for x in rng.uniform(
+            (-math.pi, 0.005, 0.005, 15.0, 0.0), (math.pi, 0.02, 0.02, 40.0, 10.0)))
+        d12 = float(rng.choice([1.0, -1.0]) * rng.uniform(0.3, 0.5))
+        t = 2.0 * 10.0 ** float(rng.uniform(math.log10(2.0 * math.pi), 3.0)) / abs(d12)
+        delta2, sep = float(rng.choice([1.0, -1.0])) * far * a, wide * max(a, a2)
+        args = (theta, a, t, d12, delta2, sep)
+        assert (search_outcome(pulsecompiler._control_parking, *args)
+                == search_outcome(reference_control_parking, *args)), args
+        shift, floor_abs = d12 / 4.0, pulsecompiler._PARKING_FLOOR * a
+        first = {1: math.ceil(((floor_abs + shift) * 2.0 * t - theta) / (2.0 * math.pi)),
+                 -1: math.floor(((-floor_abs + shift) * 2.0 * t - theta) / (2.0 * math.pi))}
+
+        def row(side, i):  # a row's detuning, as _control_parking builds it
+            return (theta + 2.0 * math.pi * (first[side] + side * i)) / (2.0 * t) - shift
+
+        for side in (1, -1):
+            i = 0
+            while i < 3000 and not passes(row(side, i), *args[1:]):
+                inward += side * (row(side, i) + d12 / 2.0) < 0.0
+                n = pulsecompiler._control_rows_refused(row(side, i), side, *args[1:])
+                skipped = row(side, np.arange(i + 1, i + 1 + min(n, 3000), dtype=float))
+                assert not passes(skipped, *args[1:]).any(), (args, side, i)
+                i += 1 + n
+    assert inward > 500  # failing rows judged on a branch that moves toward 0
+
+
+def test_qubit_1_phase_drift_bound_takes_the_drive_on_a_branch_moving_toward_zero():
+    # row 14 of the up side at Delta_12 = -0.4, a = 0.01, t = 2e4 (a block
+    # of zz remainder 4000), theta = 2: D_2 = -0.0978 moves toward 0, where
+    # Omega_2 and the per-row motion of phi grow as the walk goes on, so phi's
+    # drift is bounded with Omega_min = a and the both-caps bound skips no
+    # row.  Omega_min taken from this row (0.098) would let it skip 10: the
+    # dropped last row absorbs that over every draw of the test above, so
+    # only this row-level check sees it
+    a, t, d12, theta = 0.01, 2e4, -0.4, 2.0
+    k = math.ceil(((pulsecompiler._PARKING_FLOOR * a + d12 / 4.0) * 2.0 * t - theta)
+                  / (2.0 * math.pi)) + 14
+    delta = (theta + 2.0 * math.pi * k) / (2.0 * t) - d12 / 4.0
+    assert -0.098 < delta + d12 / 2.0 < -0.097
+    assert pulsecompiler._control_rows_refused(delta, 1, a, t, d12, 0.0, 0.0) == 0
+
+
 def search_outcome(search, *args):
     """The detuning a search returns, as float.hex, or its error message."""
     try:
