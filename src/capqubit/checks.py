@@ -7,7 +7,6 @@ checks against the same constants, each on draws of its own.
 """
 
 import math
-import sys
 
 import numpy as np
 
@@ -129,15 +128,14 @@ def rk4_state_error(cases):
     return worst
 
 
-def run_verify(stream=None):
-    """Run every check on fixed draws and print a pass/fail table; returns
-    0 iff all pass, else 1 with the first failing check named last."""
-    out = stream if stream is not None else sys.stdout
+def run_verify():
+    """Run every check on fixed draws and print a pass/fail table to stdout;
+    returns 0 iff all pass, else 1 with the first failing check named last."""
     rng = np.random.default_rng(20250814)
     failures = []
 
     def report(name, ok, detail=""):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}{f'  [{detail}]' if detail else ''}", file=out)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}{f'  [{detail}]' if detail else ''}")
         if not ok:
             failures.append(name)
 
@@ -204,7 +202,7 @@ def run_verify(stream=None):
            worst <= DIPOLE_EQUIVALENCE_TOL, f"max diff {worst:.2e}")
 
     if failures:
-        print(f"\nFAILED: {failures[0]}", file=out)
+        print(f"\nFAILED: {failures[0]}")
         return 1
-    print("\nall checks passed", file=out)
+    print("\nall checks passed")
     return 0

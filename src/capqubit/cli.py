@@ -12,7 +12,8 @@ Commands:
 * ``verify``: run the invariant suite of :mod:`capqubit.checks`.
 
 Each command is declared once, in ``_COMMANDS``: its help, its settings,
-how they become the objects its ``RunConfig`` carries, and its handler.
+the objects it builds from several of them, and its handler, which reads
+its settings by name.
 One setting is one flag and one config key: its name is the key and, with
 ``-`` for ``_``, the flag.  Every command but ``verify`` takes
 ``--precision`` and a ``--config <file>`` of flat ``key = value`` lines
@@ -26,7 +27,7 @@ import argparse
 import math
 import operator
 import sys
-from dataclasses import dataclass
+import types
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .hamiltonian import DeviceParams, QubitParams, effective_levels
 from .pulsecompiler import MODES, GateSpec, _verify_propagator, compile_schedule, ideal_product
 from .experiments import SweepConfig, cnot_response, run_sweep
 
-__all__ = ["RunConfig", "parse_args", "emit_csv", "main"]
+__all__ = ["parse_args", "emit_csv", "main"]
 
 # The sweep CSV's columns in order, each with the SweepRow field it prints.
 _CSV_COLUMNS = (("ratio", "ratio"), ("mode", "mode"), ("amplitude", "amplitude"),
@@ -47,23 +48,6 @@ CSV_HEADER = ",".join(column for column, _field in _CSV_COLUMNS)
 _DEFAULT_PRECISION = 12
 _PRECISION_RANGE = (6, 17)
 _REQUIRED = object()  # the default of a setting that must be given
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: one command plus the objects it runs."""
-
-    command: str
-    precision: int = _DEFAULT_PRECISION
-    device: DeviceParams = None  # levels, simulate
-    ratio: float = None  # cnot
-    mode: str = None  # cnot, simulate
-    sweep: SweepConfig = None
-    out: str = None  # sweep
-    # simulate
-    gates: tuple = None
-    psi0: tuple = None
-    tol: float = None
 
 
 def _check_precision(precision):
@@ -193,8 +177,9 @@ def _build_parser():
 
 
 def parse_args(argv):
-    """Parse argv into a RunConfig holding the validated objects each command
-    runs; usage problems, invalid values included, exit with status 2."""
+    """Parse argv into a namespace holding the command, each of its validated
+    settings under its own name, and the objects its row builds from them;
+    usage problems, invalid values included, exit with status 2."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
     _text, settings, build, _run = _COMMANDS[ns.command]
@@ -225,7 +210,7 @@ def parse_args(argv):
 
     try:
         v = {setting[0]: resolve(*setting) for setting in settings}
-        return RunConfig(ns.command, v.get("precision", _DEFAULT_PRECISION), **build(v))
+        return types.SimpleNamespace(command=ns.command, **v, **build(v))
     except ValueError as exc:
         parser.error(f"{ns.command}: {exc}")
 
@@ -261,7 +246,7 @@ def emit_csv(rows, destination, precision=_DEFAULT_PRECISION):
 # Command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_levels(cfg: RunConfig):
+def _cmd_levels(cfg):
     print("qubit  neighbor  E")
     for qubit in (1, 2):
         for neighbor_state, excited in (("excited", True), ("ground", False)):
@@ -270,7 +255,7 @@ def _cmd_levels(cfg: RunConfig):
     return 0
 
 
-def _cmd_cnot(cfg: RunConfig):
+def _cmd_cnot(cfg):
     row = cnot_response(cfg.ratio, cfg.mode)
     for column, field in _CSV_COLUMNS:
         if column == "phase_deviation_rad":  # no baseline for a single run
@@ -280,12 +265,12 @@ def _cmd_cnot(cfg: RunConfig):
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig):
+def _cmd_sweep(cfg):
     emit_csv(run_sweep(cfg.sweep), cfg.out or sys.stdout, cfg.precision)
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig):
+def _cmd_simulate(cfg):
     schedule, _compiled = compile_schedule(cfg.gates, cfg.device, cfg.mode)
     psi0 = np.array(cfg.psi0, dtype=complex)
     result = propagate(schedule, psi0)
@@ -319,9 +304,10 @@ def _cmd_simulate(cfg: RunConfig):
 # default, check, help) in the order parse_args resolves them, so the first
 # bad setting in this order is the one reported; cast reads a flag's or a
 # config value's text, and check, if any, validates the value from any
-# source, default included, and returns what the command uses.  build turns
-# the resolved settings into the objects RunConfig carries, and run is the
-# handler.  A command with no settings takes no --config.
+# source, default included, and returns what the command uses.  build makes
+# the objects that need several settings, and run is the handler; parse_args
+# hands it every setting and built object by name.  A command with no
+# settings takes no --config.
 _PRECISION = ("precision", int, _DEFAULT_PRECISION, _check_precision,
               "significant digits for printed numbers (6-17, default 12)")
 _COMMANDS = {
@@ -335,7 +321,7 @@ _COMMANDS = {
         _PRECISION,
         ("ratio", float, _REQUIRED, lambda ratio: _finite_positive("ratio", ratio), None),
         ("mode", str, "gated", _normalize_mode, "gated | always-on"),
-    ), lambda v: {"ratio": v["ratio"], "mode": v["mode"]}, _cmd_cnot),
+    ), lambda v: {}, _cmd_cnot),
     "sweep": ("coupling sweep, CSV output", (
         _PRECISION,
         ("mode", str, "gated", lambda mode: _normalize_mode(mode, allow_both=True),
@@ -347,8 +333,8 @@ _COMMANDS = {
         ("out", str, None, _check_out, "CSV destination (default stdout)"),
         ("baseline_ratio", float, 1e-3, None, None),
     ), lambda v: {"sweep": SweepConfig(v["min"], v["max"], v["points"], spacing=v["spacing"],
-                                       modes=v["mode"], baseline_ratio=v["baseline_ratio"]),
-                  "out": v["out"]}, _cmd_sweep),
+                                       modes=v["mode"], baseline_ratio=v["baseline_ratio"])},
+        _cmd_sweep),
     # idle levels stay at zero, since the compiler sets every segment's detunings
     "simulate": ("run an explicit gate list", (
         _PRECISION,
@@ -359,8 +345,7 @@ _COMMANDS = {
         ("a1", float, 1.0, lambda a1: QubitParams(0.0, a1), None),
         ("a2", float, 1.0, lambda a2: QubitParams(0.0, a2), None),
         ("d12", float, _REQUIRED, None, None),
-    ), lambda v: {"device": DeviceParams(v["a1"], v["a2"], v["d12"]), "mode": v["mode"],
-                  "gates": v["gates"], "psi0": v["psi0"], "tol": v["tol"]}, _cmd_simulate),
+    ), lambda v: {"device": DeviceParams(v["a1"], v["a2"], v["d12"])}, _cmd_simulate),
     "verify": ("run the built-in invariant suite", (), lambda v: {},
                lambda _cfg: run_verify()),
 }

@@ -81,11 +81,15 @@ class SweepConfig:
             raise ValueError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
         if isinstance(self.modes, str):
             raise ValueError(f"modes must be a sequence of modes, got the string {self.modes!r}")
-        modes = tuple(dict.fromkeys(self.modes))
+        try:
+            modes = tuple(self.modes)
+        except TypeError:
+            raise ValueError(f"modes must be a sequence of modes, got {self.modes!r}") from None
+        for mode in modes:  # before deduplicating, which hashes each mode
+            _require_mode(mode)
+        modes = tuple(dict.fromkeys(modes))
         if not modes:
             raise ValueError("at least one mode is required")
-        for mode in modes:
-            _require_mode(mode)
         object.__setattr__(self, "modes", modes)
 
     def grid(self):

@@ -64,8 +64,8 @@ def _require_finite_entries(name, m):
     # LAPACK and norms pass NaN along instead of failing, and nan > tol is False.
     if not np.isfinite(m).all():
         first = np.argwhere(~np.isfinite(m))[0]
-        i, j = first[-2:]
-        raise ValueError(f"{name}{_at(first[:-2])} entry ({i + 1},{j + 1}) is not finite: "
+        entry = ",".join(str(k + 1) for k in first[-2:])
+        raise ValueError(f"{name}{_at(first[:-2])} entry ({entry}) is not finite: "
                          f"{m[tuple(first)]}")
 
 
@@ -176,11 +176,14 @@ def distance_up_to_global_phase(a, b):
     phase rather than through the expanded form
     sqrt(||A||^2 + ||B||^2 - 2 |tr(B^dagger A)|), whose cancellation noise
     floor (~1e-7 for 4x4 unitaries) would mask genuinely tiny distances.
+    An entry that is not finite is a ValueError naming it.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _require_finite_entries("matrix a", a)
+    _require_finite_entries("matrix b", b)
     overlap = np.sum(b.conj() * a)
     if overlap == 0.0:
         # Orthogonal case: the phase is irrelevant and the expanded form is

@@ -107,6 +107,11 @@ def _require_mode(mode):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _require_gate_spec(spec):
+    if not isinstance(spec, GateSpec):
+        raise ValueError(f"expected GateSpec, got {spec!r}")
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """One abstract gate request.
@@ -205,6 +210,7 @@ def ideal_gate(g: GateSpec):
     """Exact 4x4 matrix of a gate request in the fixed product basis: the
     CNOT permutation, or for every other kind the Pauli-string rotation
     stated once at the head of this section."""
+    _require_gate_spec(g)
     if g.kind == "cnot":
         return _CNOT.copy()
     half = g.angle / 2.0
@@ -643,8 +649,7 @@ def compile_schedule(gates, device: DeviceParams, mode):
     _require_mode(mode)
     expanded = []
     for spec in gates:
-        if not isinstance(spec, GateSpec):
-            raise ValueError(f"expected GateSpec, got {spec!r}")
+        _require_gate_spec(spec)
         if spec.kind == "ry":
             expanded += [GateSpec("rz", spec.qubit, -_HALF_PI),
                          GateSpec("rx", spec.qubit, spec.angle),
@@ -682,6 +687,7 @@ def verify_schedule(schedule: Schedule, target, tol):
 
     Returns {'distance', 'pass', 'phase_offset'}: the global-phase-invariant
     distance, whether it meets tol, and the optimal phase arg tr(T^dagger U).
+    tol must be finite and >= 0.
     """
     psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     return _verify_propagator(propagate(schedule, psi0).total_propagator, target, tol)
@@ -694,6 +700,8 @@ def _verify_propagator(u, target, tol):
         raise ValueError(f"target must be 4x4, got shape {target.shape}")
     _require_unitary("target", target, 1e-10)
     _require_finite("tol", tol)
+    if tol < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     distance = distance_up_to_global_phase(u, target)
     overlap = np.sum(target.conj() * u)
     phase_offset = float(np.angle(overlap)) if overlap != 0.0 else 0.0

@@ -16,15 +16,10 @@ import pytest
 from capqubit import checks
 from capqubit.cli import main
 from capqubit.evolution import PulseSegment, Schedule
-from capqubit.experiments import SweepConfig, cnot_response, run_sweep
+from capqubit.experiments import (INITIAL_STATE, SweepConfig, _sweep_device, cnot_response,
+                                  run_sweep)
 from capqubit.hamiltonian import DeviceParams, QubitParams
 from capqubit.pulsecompiler import GateSpec, compile_cnot, compile_schedule
-
-KET_11 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-
-
-def sweep_device(ratio):
-    return DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 1.0), ratio)
 
 
 @pytest.fixture(scope="module")
@@ -90,14 +85,14 @@ def test_criterion_3_exact_vs_rk4():
                          a1=float(rng.uniform(0.0, 2.0)), a2=float(rng.uniform(0.0, 2.0)))
             for _ in range(n)
         )
-        sched = Schedule(segments=segs, device=sweep_device(float(rng.uniform(-0.5, 0.5))))
+        sched = Schedule(segments=segs, device=_sweep_device(float(rng.uniform(-0.5, 0.5))))
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         return sched, psi / np.linalg.norm(psi)
 
     start = time.perf_counter()
     worst_random = checks.rk4_state_error(draw() for _ in range(100))
     worst_cnot = checks.rk4_state_error(
-        (compile_cnot(sweep_device(ratio), "gated"), KET_11) for ratio in (0.05, 0.1)
+        (compile_cnot(_sweep_device(ratio), "gated"), INITIAL_STATE) for ratio in (0.05, 0.1)
     )
     elapsed = time.perf_counter() - start
     print(
@@ -114,7 +109,7 @@ def test_criterion_4_ideal_composition_is_cnot():
     # composition tolerance (global phase factored out); under 1 s
     start = time.perf_counter()
     cnot = [GateSpec("cnot")]
-    worst = max(checks.composition_error(cnot, compile_schedule(cnot, sweep_device(ratio), "gated")[1])
+    worst = max(checks.composition_error(cnot, compile_schedule(cnot, _sweep_device(ratio), "gated")[1])
                 for ratio in (0.05, 0.1))
     elapsed = time.perf_counter() - start
     print(f"criterion 4: composition distance {worst:.3e} in {elapsed:.2f}s")

@@ -304,10 +304,9 @@ def test_emit_csv_rejects_bad_input(tmp_path):
 # verify suite and command dispatch
 # ---------------------------------------------------------------------------
 
-def test_run_verify_passes():
-    buf = io.StringIO()
-    assert run_verify(buf) == 0
-    text = buf.getvalue()
+def test_run_verify_passes(capsys):
+    assert run_verify() == 0
+    text = capsys.readouterr().out
     assert text.count("PASS") == 8
     assert "FAIL" not in text.replace("PASS", "")
     assert "all checks passed" in text
@@ -324,9 +323,8 @@ def test_run_verify_reports_a_failing_check(monkeypatch, capsys):
         return h
 
     monkeypatch.setattr(checks, "build_capacitive_pauli_form", perturbed)
-    buf = io.StringIO()
-    assert run_verify(buf) == 1
-    lines = buf.getvalue().splitlines()
+    assert run_verify() == 1
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL  hamiltonian identity")
     assert "at entry (2,3)" in lines[0]
     assert lines[-1].startswith("FAILED: hamiltonian identity")
@@ -627,3 +625,4 @@ def test_public_names_are_pinned():
         "SweepConfig", "SweepRow", "cnot_response", "run_sweep",
     }
     assert len(capqubit.__all__) == 31
+    assert capqubit.cli.__all__ == ["parse_args", "emit_csv", "main"]

@@ -1,6 +1,7 @@
 """Tests for the coupling-sweep experiment layer."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,15 @@ def test_sweep_config_rejects_a_string_of_modes():
     with pytest.raises(ValueError,
                        match="modes must be a sequence of modes, got the string 'gated'"):
         SweepConfig(0.01, 0.1, 5, modes="gated")
+
+
+def test_sweep_config_names_modes_it_cannot_read():
+    # each mode is checked before deduplication hashes it
+    with pytest.raises(ValueError, match="modes must be a sequence of modes, got None"):
+        SweepConfig(0.01, 0.1, 5, modes=None)
+    with pytest.raises(ValueError, match=re.escape("mode must be one of ('gated', 'always_on'), "
+                                                   "got ['gated']")):
+        SweepConfig(0.01, 0.1, 5, modes=[["gated"]])
 
 
 def test_sweep_config_deduplicates_modes():

@@ -301,6 +301,19 @@ def test_distance_rejects_shape_mismatch():
         distance_up_to_global_phase(np.eye(2), np.eye(4))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -math.inf)])
+def test_distance_names_an_entry_that_is_not_finite(bad):
+    # named, as eigh names one, rather than carried into a nan distance
+    m = np.eye(4, dtype=complex)
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match=re.escape("matrix b entry (3,2) is not finite")):
+        distance_up_to_global_phase(np.eye(4), m)
+    with pytest.raises(ValueError, match=re.escape("matrix a entry (3,2) is not finite")):
+        distance_up_to_global_phase(m, np.eye(4))
+    with pytest.raises(ValueError, match=re.escape("matrix a entry (2) is not finite")):
+        distance_up_to_global_phase(m[2], np.ones(4))
+
+
 # ---------------------------------------------------------------------------
 # non-finite input and degenerate spectra
 # ---------------------------------------------------------------------------

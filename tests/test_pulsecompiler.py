@@ -698,6 +698,21 @@ def test_verify_schedule_input_checks():
             verify_schedule(schedule, target, tol=0.1)
 
 
+def test_verify_schedule_rejects_a_negative_tolerance():
+    # no distance is below a negative tol, so such a check could never pass
+    schedule = compile_cnot(device(0.01), "gated")
+    with pytest.raises(ValueError, match="tol must be >= 0, got -1.0"):
+        verify_schedule(schedule, np.eye(4), tol=-1.0)
+    assert not verify_schedule(schedule, np.eye(4), tol=0.0)["pass"]
+
+
+def test_ideal_gates_name_a_request_that_is_not_a_gatespec():
+    # named as compile_schedule names it, not failing on a missing .kind
+    for call in (lambda: ideal_gate("cnot"), lambda: ideal_product(["cnot"])):
+        with pytest.raises(ValueError, match="expected GateSpec, got 'cnot'"):
+            call()
+
+
 def test_compiled_gate_rejects_content_that_is_not_gatespecs():
     # content is a tuple of GateSpecs; a matrix or a string is named
     for bad in (np.eye(4), "rx(q1,0.5)", (np.eye(4),), (GateSpec("rz", 1, 0.5), "zz")):
