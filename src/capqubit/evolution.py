@@ -3,21 +3,23 @@
 A ``Schedule`` is an ordered list of ``PulseSegment`` settings applied to a
 fixed device; within a segment the Hamiltonian is constant, so the exact
 propagator is a product of matrix exponentials.  ``propagate_many`` stacks
-the segment Hamiltonians of any number of schedules and computes all their
-exponentials in one ``expm_unitary`` call; ``propagate`` is that call on one
-schedule, so there is one exact path.  An independent Runge-Kutta
-integrator of i d psi/dt = H psi (``propagate_rk4``) builds every segment's
-fixed RK4 step matrices in one stacked call, squares the stack of full steps
-once per bit of the largest step count, and applies to the state each
-segment's powers for its n - 1 full steps, then its partial step; it refuses
-a step outside RK4's stability interval.  It exists only to cross-check the
-exact route and shares no code path with ``expm_unitary`` beyond the
-Hamiltonian core.
+the segments of any number of schedules and runs the stack in chunks of
+whole schedules: one ``expm_unitary`` call per chunk, then the products of
+schedules with the same segment count as stacked matrix products;
+``propagate`` is that call on one schedule, so there is one exact path.  An
+independent Runge-Kutta integrator of i d psi/dt = H psi (``propagate_rk4``)
+builds every segment's fixed RK4 step matrices in one stacked call, squares
+the stack of full steps once per bit of the largest step count, and applies
+to the state each segment's powers for its n - 1 full steps, then its
+partial step; it refuses a step outside RK4's stability interval.  It exists
+only to cross-check the exact route and shares no code path with
+``expm_unitary`` beyond the Hamiltonian core.
 
 The capacitive coupling is a device constant: it appears in every segment's
 Hamiltonian and is deliberately NOT a per-segment control.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +41,12 @@ __all__ = [
 # RK4's stability interval on the imaginary axis is |h lambda| <= 2 sqrt(2).
 _RK4_STABLE = 2.0 * math.sqrt(2.0)
 _EYE = np.eye(4, dtype=complex)
+# propagate_many runs its stack this many segments at a time.  Over the
+# 8004 segments of a gated 2000-point sweep, time per segment falls from
+# about 10 us at 16 and 6.4 us at 64 to a flat 5.9-6.9 us from 128 up to
+# one unchunked stack, while the tracemalloc peak grows from 2.2 MB at 512
+# to 14.3 MB unchunked.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -129,36 +137,19 @@ def _segment_error(k, s, j, exc):
     return ValueError(f"stack index {k} (schedule {s}, segment {j}): {exc}")
 
 
-def propagate_many(schedules, psi0):
-    """Exact evolution of several schedules from one initial state, one
-    ``EvolutionResult`` per schedule, in order.
-
-    The segment Hamiltonians of all the schedules, each with its own device
-    and model, are stacked in order into one (N, 4, 4) array, so one
-    ``expm_unitary`` call (one LAPACK eigendecomposition) gives every
-    U_k = exp(-i H_k t_k).  Each schedule's unitaries are then multiplied in
-    time order: segments act in list order (first element first in time), so
-    its total propagator is U_n ... U_2 U_1.  Every result is bit for bit
-    what the schedule gives alone.  A segment whose Hamiltonian cannot be
-    built, or whose unitary cannot be formed, is named by its index in the
-    stack and in its schedule.
-    """
-    psi = _check_initial_state(psi0)
-    schedules = tuple(schedules)
-    if not schedules:
-        return []
+def _propagate_chunk(schedules, k0, s0, psi):
+    """``propagate_many``'s results for whole schedules whose segments are
+    the stack entries k0, k0 + 1, ..., the first of them schedule s0."""
     hs, durations = [], []
     for s, sched in enumerate(schedules):
-        if not isinstance(sched, Schedule):
-            raise ValueError(f"schedule {s} must be a Schedule, got {sched!r}")
         for j, seg in enumerate(sched.segments):
             try:
                 hs.append(segment_hamiltonian(seg, sched.device, sched.model))
             except ValueError as exc:
-                raise _segment_error(len(hs), s, j, exc) from None
+                raise _segment_error(k0 + len(hs), s0 + s, j, exc) from None
             durations.append(seg.duration)
     try:
-        us = iter(expm_unitary(np.array(hs), np.array(durations)))
+        us = expm_unitary(np.array(hs), np.array(durations))
     except ValueError:
         # each stacked unitary is its lone call's, so the first segment whose
         # lone call fails is the one to name
@@ -168,19 +159,69 @@ def propagate_many(schedules, psi0):
                 try:
                     expm_unitary(hs[k], seg.duration)
                 except ValueError as exc:
-                    raise _segment_error(k, s, j, exc) from None
+                    raise _segment_error(k0 + k, s0 + s, j, exc) from None
                 k += 1
         raise
+    if len(schedules) == 1:
+        # a lone schedule multiplies its 4x4 unitaries in turn, which costs
+        # less than the bookkeeping of a stack of one
+        factors = iter(us)
+        u = next(factors) @ _EYE
+        for factor in factors:
+            u = factor @ u
+        totals, finals = (u,), (u @ psi,)
+    else:
+        totals, k = [], 0
+        for n, run in itertools.groupby(len(sched.segments) for sched in schedules):
+            # a run of m schedules of n segments each multiplies as one stack
+            m = len(tuple(run))
+            factors = us[k:k + m * n].reshape(m, n, 4, 4).swapaxes(0, 1)
+            u = factors[0] @ _EYE
+            for factor in factors[1:]:
+                u = factor @ u
+            totals.append(u)
+            k += m * n
+        totals = np.concatenate(totals)
+        finals = totals @ psi
+    return [EvolutionResult(final_state=final, total_propagator=u_total,
+                            norm_drift=abs(float(np.linalg.norm(final)) - 1.0))
+            for final, u_total in zip(finals, totals)]
+
+
+def propagate_many(schedules, psi0):
+    """Exact evolution of several schedules from one initial state, one
+    ``EvolutionResult`` per schedule, in order.
+
+    The segments of all the schedules, each with its own device and model,
+    form one stack in order.  It runs in chunks of whole schedules, at most
+    ``_CHUNK`` segments each unless one schedule is longer, so its memory is
+    bounded by a chunk.  A chunk builds the Hamiltonians of its segments,
+    then one ``expm_unitary`` call (one LAPACK eigendecomposition) gives
+    every U_k = exp(-i H_k t_k).  Segments act in list order (first element
+    first in time), so a schedule's total propagator is U_n ... U_2 U_1 I.
+    Each run of consecutive schedules with the same segment count forms
+    these products as one stack of matrix products, and a chunk's final
+    states come from one stacked product with psi0.  Every result is bit for
+    bit what the schedule gives alone.  Every entry is checked to be a
+    Schedule before any chunk runs.  A segment whose Hamiltonian cannot be
+    built, or whose unitary cannot be formed, is named by its index in the
+    whole stack and in its schedule; chunks run in stack order, and each
+    builds all its Hamiltonians before it exponentiates them.
+    """
+    psi = _check_initial_state(psi0)
+    schedules = tuple(schedules)
+    for s, sched in enumerate(schedules):
+        if not isinstance(sched, Schedule):
+            raise ValueError(f"schedule {s} must be a Schedule, got {sched!r}")
     results = []
-    for sched in schedules:
-        u_total = np.eye(4, dtype=complex)
-        for _ in sched.segments:
-            u_total = next(us) @ u_total
-        final = u_total @ psi
-        drift = abs(float(np.linalg.norm(final)) - 1.0)
-        results.append(
-            EvolutionResult(final_state=final, total_propagator=u_total, norm_drift=drift)
-        )
+    s = k = 0  # the chunk's first schedule and its first stack index
+    while s < len(schedules):
+        stop, size = s + 1, len(schedules[s].segments)
+        while stop < len(schedules) and size + len(schedules[stop].segments) <= _CHUNK:
+            size += len(schedules[stop].segments)
+            stop += 1
+        results += _propagate_chunk(schedules[s:stop], k, s, psi)
+        s, k = stop, k + size
     return results
 
 

@@ -83,8 +83,10 @@ def _require_unitary(name, u, tol):
 def _require_hermitian(m):
     """Raise ValueError naming the worst entry pair of the first matrix that
     is not Hermitian to _HERMITIAN_RTOL of its own largest entry (a stack-wide
-    scale or argmax would let a small bad matrix hide behind a large one)."""
-    dev = np.abs(m - m.conj().swapaxes(-1, -2))
+    scale or argmax would let a small bad matrix hide behind a large one);
+    else return the skew part m - m^dagger."""
+    skew = m - m.conj().swapaxes(-1, -2)
+    dev = np.abs(skew)
     bad = dev.max(axis=(-2, -1)) > _HERMITIAN_RTOL * (1.0 + np.abs(m).max(axis=(-2, -1)))
     if bad.any():
         k = tuple(np.argwhere(bad)[0])
@@ -93,6 +95,7 @@ def _require_hermitian(m):
             f"matrix{_at(k)} is not Hermitian: entries ({i + 1},{j + 1}) and "
             f"({j + 1},{i + 1}) differ by {dev[k][i, j]:.3e}"
         )
+    return skew
 
 
 def _require_durations(t, shape):
@@ -105,9 +108,9 @@ def _require_durations(t, shape):
                          f"got shape {ts.shape}")
     if ts.dtype.kind not in "iuf":
         raise ValueError(f"durations must be real numbers, got dtype {ts.dtype}")
-    bad = ~(np.isfinite(ts) & (ts >= 0.0))
-    if bad.any():
-        k = tuple(np.argwhere(bad)[0])
+    good = np.isfinite(ts) & (ts >= 0.0)
+    if not good.all():
+        k = tuple(np.argwhere(~good)[0])
         raise ValueError(f"duration{_at(k)} must be finite and nonnegative, got {ts[k]}")
     return ts[..., None]
 
@@ -131,11 +134,11 @@ def eigh(matrix):
     m = np.asarray(matrix, dtype=complex)
     _require_square(m)
     _require_finite_entries("matrix", m)
-    _require_hermitian(m)
+    skew = _require_hermitian(m)
     # LAPACK reads only one triangle, so hand it the Hermitian part, formed
     # from the small m - m^dagger so that it cannot overflow and equals m,
     # signed zeros included, when m is exactly Hermitian.
-    w, v = np.linalg.eigh(m - (m - m.conj().swapaxes(-1, -2)) / 2.0)
+    w, v = np.linalg.eigh(m - skew / 2.0)
     # LAPACK rescales its result, which can overflow for finite entries
     if not np.isfinite(w).all():
         first = np.argwhere(~np.isfinite(w))[0]
@@ -159,9 +162,9 @@ def expm_unitary(hamiltonian, t):
     w, v = eigh(hamiltonian)
     with np.errstate(over="ignore"):
         exponent = -1j * w * t
-    bad = ~np.isfinite(exponent)
-    if bad.any():
-        first = np.argwhere(bad)[0]
+    finite = np.isfinite(exponent)
+    if not finite.all():
+        first = np.argwhere(~finite)[0]
         lam, dur = w[tuple(first)], np.broadcast_to(t, w.shape)[tuple(first)]
         raise ValueError(f"matrix{_at(first[:-1])} has eigenvalue {lam:.3e}, whose phase "
                          f"lambda * t over duration {dur:.3e} is not a finite float")
@@ -176,18 +179,29 @@ def distance_up_to_global_phase(a, b):
     phase rather than through the expanded form
     sqrt(||A||^2 + ||B||^2 - 2 |tr(B^dagger A)|), whose cancellation noise
     floor (~1e-7 for 4x4 unitaries) would mask genuinely tiny distances.
-    An entry that is not finite is a ValueError naming it.
+    An entry that is not finite is a ValueError naming it, and so is an
+    overlap |tr(B^dagger A)| or a distance that leaves the float range.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _require_finite_entries("matrix a", a)
-    _require_finite_entries("matrix b", b)
-    overlap = np.sum(b.conj() * a)
-    if overlap == 0.0:
-        # Orthogonal case: the phase is irrelevant and the expanded form is
-        # exact (nothing cancels).
-        return math.sqrt(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2))
-    phase = overlap / abs(overlap)
-    return float(np.linalg.norm(a - phase * b))
+    # Finite entries can still overflow these sums, so the results are
+    # checked.  A non-finite entry always makes the overlap non-finite, so
+    # the entries are checked, and the first bad one named, only then.
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = np.sum(b.conj() * a)
+        magnitude = abs(overlap)
+        if not math.isfinite(magnitude):
+            _require_finite_entries("matrix a", a)
+            _require_finite_entries("matrix b", b)
+            raise ValueError(f"overlap |tr(B^dagger A)| = {magnitude} is not a finite float")
+        if overlap == 0.0:
+            # Orthogonal case: the phase is irrelevant and the expanded form
+            # is exact (nothing cancels).
+            distance = math.sqrt(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2))
+        else:
+            distance = float(np.linalg.norm(a - (overlap / magnitude) * b))
+    if not math.isfinite(distance):
+        raise ValueError(f"distance {distance} is not a finite float")
+    return distance

@@ -8,11 +8,11 @@ strengths a_1, a_2; the coupling Delta_12 is a device constant that can
 never be switched off, which shapes the whole design:
 
 * Virtual z policy: z rotations are never emitted as physical segments.
-  They accumulate in the phase ledger, a dict of the ``_STREAMS`` that
-  ``compile_schedule`` owns and its steps update in place; it is the only
-  way a z request reaches a phase block, and the detuning choice of the
-  next block discharges it.  The ledger keeps two kinds of stream: gate
-  content (virtual z requests, which surface in the delivering block's gate
+  They accumulate in the phase ledger, a dict of the ``_STREAMS`` that the
+  compile loop owns and its steps update in place; it is the only way a z
+  request reaches a phase block, and the detuning choice of the next block
+  discharges it.  The ledger keeps two kinds of stream: gate content
+  (virtual z requests, which surface in the delivering block's gate
   content) and coupling surplus (the deterministic z/zz phases, Delta_12 t
   / 2 each, that the always-present coupling accrues during rotation
   segments; blocks cancel these physically and they never appear in gate
@@ -38,13 +38,16 @@ never be switched off, which shapes the whole design:
   the difference -- the drive-induced level shift integrated over the
   block -- is the dominant, intentionally unmodeled always-on phase error.
 
-The CNOT is the NMR-style gate list ``_CNOT_SEQUENCE``: x(-pi/2) on the
+The CNOT is the NMR-style request list ``_CNOT_SEQUENCE``: x(-pi/2) on the
 target, virtual z's and a zz(pi/2) block, x(+pi/2) on the target, a virtual
 z and a second zz(pi/2) block.  The virtual z's are the brackets that turn
 bare x rotations into y rotations; ``compile_schedule`` expands the CNOT into
-this list and compiles it like any other.  The composition is checked
-against the ideal CNOT by ``verify_schedule`` and the ideal-composition
-oracle rather than assumed.
+this list and compiles it like any other.  The steps return their gate
+content as plain (kind, qubit, angle) values, and only ``compile_schedule``
+builds GateSpecs and CompiledGates from them; ``compile_cnot`` compiles the
+list to its Schedule alone.  The composition is checked against the ideal
+CNOT by ``verify_schedule`` and the ideal-composition oracle rather than
+assumed.
 """
 
 import math
@@ -144,7 +147,7 @@ class GateSpec:
                 raise ValueError("cnot takes no qubit or angle parameters")
 
 
-# The phase ledger: compile_schedule's loop state, one float per stream, kept
+# The phase ledger: _compile_steps' loop state, one float per stream, kept
 # unreduced; the block that delivers the streams wraps the owed totals to
 # (-pi, pi].
 #
@@ -467,15 +470,16 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
     spectator is fully idle; in always-on mode it keeps its drive and is
     parked on a full generalized-Rabi cycle.  The coupling surplus accrued
     during the segment is added to the ledger ``owed`` in place; a zero
-    angle emits nothing and adds nothing.
+    angle emits nothing and adds nothing.  Returns the step's segments and
+    its gate content as ``(kind, qubit, angle)`` values.
     """
-    content = (GateSpec("rx", qubit, angle),)
+    content = (("rx", qubit, angle),)
     if not (-_TWO_PI < angle <= _TWO_PI):
         raise CompilationError(
             f"rotation angle must lie in (-2 pi, 2 pi], got {angle}"
         )
     if angle == 0.0:
-        return CompiledGate((), content)
+        return (), content
 
     a_drive = device.q1.a if qubit == 1 else device.q2.a
     if a_drive <= 0.0:
@@ -515,7 +519,7 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
     if qubit == 2 or a_spec == 0.0:
         owed["surplus_z2"] += surplus
     owed["pending_zz"] += surplus
-    return CompiledGate((segment,), content)
+    return (segment,), content
 
 
 def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
@@ -539,6 +543,8 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     the rotated qubit in the CNOT sequence) and the bare accrual equation
     with flip caps and a separation constraint for qubit 1; a driven qubit
     whose a t is past the roundoff limit is refused first, qubit 2 before 1.
+    Returns the step's segments and its gate content as ``(kind, qubit,
+    angle)`` values, as ``_compile_x_rotation`` does.
     """
     # An overflowed stream is never phase-neutral, so every such ledger gets here.
     for name in _STREAMS:
@@ -548,10 +554,10 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     # physically below but are not gate content.
     z1 = wrap_angle(-owed["pending_z1"])
     z2 = wrap_angle(-owed["pending_z2"])
-    content = (GateSpec("rz", 1, z1), GateSpec("rz", 2, z2), GateSpec("zz", None, theta_zz))
+    content = (("rz", 1, z1), ("rz", 2, z2), ("zz", None, theta_zz))
 
     if theta_zz == 0.0 and _is_phase_neutral(owed):
-        return CompiledGate((), content)
+        return (), content
     if device.delta12 == 0.0:
         raise CompilationError(
             "coupling absent (delta12 = 0); zz angle unreachable"
@@ -603,28 +609,68 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
         label=f"block({z1:.4g},{z2:.4g},{theta_zz:.4g})",
     )
     owed.update(dict.fromkeys(_STREAMS, 0.0))
-    return CompiledGate((segment,), content)
+    return (segment,), content
 
 
 # The CNOT (control qubit 1, target qubit 2) as the NMR sequence of bare x
 # pulses on the target between z and zz evolutions: y(-90) . U . y(+90) . U'
 # with the y rotations' virtual-z brackets folded into the z requests.  It
 # composes to the ideal CNOT up to a global phase; acceptance checks that
-# product, not this comment.
+# product, not this comment.  Requests are (kind, qubit, angle) values, as
+# compile_schedule expands them.
 _CNOT_SEQUENCE = (
-    GateSpec("rx", 2, -_HALF_PI),
-    GateSpec("rz", 1, -_HALF_PI),
-    GateSpec("rz", 2, _HALF_PI),
-    GateSpec("zz", None, _HALF_PI),
-    GateSpec("rx", 2, _HALF_PI),
-    GateSpec("rz", 2, _HALF_PI),
-    GateSpec("zz", None, _HALF_PI),
+    ("rx", 2, -_HALF_PI),
+    ("rz", 1, -_HALF_PI),
+    ("rz", 2, _HALF_PI),
+    ("zz", None, _HALF_PI),
+    ("rx", 2, _HALF_PI),
+    ("rz", 2, _HALF_PI),
+    ("zz", None, _HALF_PI),
 )
 
 
+def _compiled_gate(step):
+    """The CompiledGate of one step's (segments, content) pair."""
+    segments, content = step
+    return CompiledGate(segments, tuple([GateSpec(*request) for request in content]))
+
+
+def _compile_steps(requests, device: DeviceParams, mode):
+    """Yield each step of expanded (kind, qubit, angle) requests in time
+    order, discharge and closing blocks included, as its (segments,
+    content) pair.  An rz is booked in the ledger and its step is empty."""
+    owed = dict.fromkeys(_STREAMS, 0.0)
+    for kind, qubit, angle in requests:
+        if kind == "rx":
+            if not _is_phase_neutral(owed):
+                yield _compile_phase_block(0.0, device, mode, owed)
+            yield _compile_x_rotation(qubit, angle, device, mode, owed)
+        elif kind == "rz":
+            owed[f"pending_z{qubit}"] -= angle
+            yield (), ()
+        else:  # zz
+            yield _compile_phase_block(angle, device, mode, owed)
+
+    if not _is_phase_neutral(owed):
+        yield _compile_phase_block(0.0, device, mode, owed)
+
+
+def _schedule(segments, device: DeviceParams):
+    """The Schedule of compiled segments, which must not be empty."""
+    if not segments:
+        raise CompilationError(
+            "compiled schedule has no physical segments (only virtual gates)"
+        )
+    return Schedule(segments=segments, device=device)
+
+
 def compile_cnot(device: DeviceParams, mode):
-    """Compile the full CNOT into an executable Schedule."""
-    return compile_schedule((GateSpec("cnot"),), device, mode)[0]
+    """Compile the full CNOT into an executable Schedule: the schedule that
+    ``compile_schedule`` gives for one cnot request, without the gate
+    content it returns alongside."""
+    _require_mode(mode)
+    steps = _compile_steps(_CNOT_SEQUENCE, device, mode)
+    return _schedule(tuple(seg for segments, _ in steps for seg in segments), device)
 
 
 def compile_schedule(gates, device: DeviceParams, mode):
@@ -632,54 +678,39 @@ def compile_schedule(gates, device: DeviceParams, mode):
 
     Each request is checked once, when its GateSpec is built, and the mode
     once here; the private x-pulse and phase-block steps trust both.  The
-    phase ledger is this loop's state, one dict of ``_STREAMS`` shared by
-    every gate, and the steps update it in place.  Each ry(theta) is first
-    expanded into rz(-pi/2), rx(theta), rz(+pi/2), brackets virtual, and
-    each cnot into ``_CNOT_SEQUENCE``.  A drive segment mixes the rotation
-    axes, so any pending z/zz phase must be physically settled before one
-    starts: a discharge block is inserted ahead of every rx whose incoming
-    ledger is not phase-neutral, which also delivers an ry's leading
-    bracket.  After the last gate any residual pending phase is discharged
-    into a closing block.  Returns (schedule, compiled_gates) including any
-    inserted discharge blocks.  An rz emits nothing: it is a virtual request
-    booked in the ledger, and its content is delivered by the next phase
-    block; it still gets an empty CompiledGate, so compiled_gates keeps one
-    entry per expanded request.
+    phase ledger is one dict of ``_STREAMS`` shared by every gate, and the
+    steps update it in place.  Each ry(theta) is first expanded into
+    rz(-pi/2), rx(theta), rz(+pi/2), brackets virtual, and each cnot into
+    ``_CNOT_SEQUENCE``.  A drive segment mixes the rotation axes, so any
+    pending z/zz phase must be physically settled before one starts: a
+    discharge block is inserted ahead of every rx whose incoming ledger is
+    not phase-neutral, which also delivers an ry's leading bracket.  After
+    the last gate any residual pending phase is discharged into a closing
+    block.  Returns (schedule, compiled_gates) including any inserted
+    discharge blocks; the steps hand back their gate content as plain
+    values, and this is the one place it becomes GateSpecs and
+    CompiledGates.  An rz emits nothing: it is a virtual request booked in
+    the ledger, and its content is delivered by the next phase block; it
+    still gets an empty CompiledGate, so compiled_gates keeps one entry per
+    expanded request.
     """
     _require_mode(mode)
-    expanded = []
+    requests = []
     for spec in gates:
         _require_gate_spec(spec)
         if spec.kind == "ry":
-            expanded += [GateSpec("rz", spec.qubit, -_HALF_PI),
-                         GateSpec("rx", spec.qubit, spec.angle),
-                         GateSpec("rz", spec.qubit, _HALF_PI)]
+            requests += [("rz", spec.qubit, -_HALF_PI),
+                         ("rx", spec.qubit, spec.angle),
+                         ("rz", spec.qubit, _HALF_PI)]
         elif spec.kind == "cnot":
-            expanded += _CNOT_SEQUENCE
+            requests += _CNOT_SEQUENCE
         else:
-            expanded.append(spec)
-    owed = dict.fromkeys(_STREAMS, 0.0)
-    compiled = []
-    for spec in expanded:
-        if spec.kind == "rx":
-            if not _is_phase_neutral(owed):
-                compiled.append(_compile_phase_block(0.0, device, mode, owed))
-            compiled.append(_compile_x_rotation(spec.qubit, spec.angle, device, mode, owed))
-        elif spec.kind == "rz":
-            owed[f"pending_z{spec.qubit}"] -= spec.angle
-            compiled.append(CompiledGate((), ()))
-        else:  # zz
-            compiled.append(_compile_phase_block(spec.angle, device, mode, owed))
-
-    if not _is_phase_neutral(owed):
-        compiled.append(_compile_phase_block(0.0, device, mode, owed))
-
-    segments = tuple(seg for g in compiled for seg in g.segments)
-    if not segments:
-        raise CompilationError(
-            "compiled schedule has no physical segments (only virtual gates)"
-        )
-    return Schedule(segments=segments, device=device), tuple(compiled)
+            requests.append((spec.kind, spec.qubit, spec.angle))
+    # a list, not a tuple grown from the generator: growing the tuple left
+    # the allocator fragmented, and peak RSS crept up over many compiles
+    compiled = [_compiled_gate(step) for step in _compile_steps(requests, device, mode)]
+    schedule = _schedule(tuple(seg for g in compiled for seg in g.segments), device)
+    return schedule, tuple(compiled)
 
 
 def verify_schedule(schedule: Schedule, target, tol):

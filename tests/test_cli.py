@@ -1,6 +1,7 @@
 """Tests for the command-line interface: parsing, CSV output, verify suite,
 and the README's documented examples and public names."""
 
+import hashlib
 import io
 import math
 import re
@@ -330,6 +331,33 @@ def test_run_verify_reports_a_failing_check(monkeypatch, capsys):
     assert lines[-1].startswith("FAILED: hamiltonian identity")
     assert main(["verify"]) == 1
     assert "FAILED: hamiltonian identity" in capsys.readouterr().out
+
+
+# The sha256 of two canonical outputs.  They pin every byte that the
+# sweep and verify commands print, so that a change meant to leave the
+# numbers alone shows that it did.
+CANONICAL_SWEEP_SHA256 = "eac0973271faa9e3811bbd294887e0e56b1922eed5011f8679e73bcea5ab428b"
+VERIFY_STDOUT_SHA256 = "db90b7ecd9e91a121498c61231c27439dde3de61137d7b612d229eba064d0d98"
+
+
+def test_canonical_sweep_csv_is_pinned(tmp_path):
+    """The canonical sweep CSV (both modes, 50 points over [1e-3, 0.5]) hashes
+    to its pin.  A change that means to move these numbers, such as a fix
+    of the always-on amplitude dip (ROADMAP item 1), updates the pin and
+    names the moved rows in CHANGES.md."""
+    path = tmp_path / "canonical.csv"
+    assert main(["sweep", "--min", "0.001", "--max", "0.5", "--points", "50",
+                 "--mode", "both", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CANONICAL_SWEEP_SHA256
+
+
+def test_verify_stdout_is_pinned(capsys):
+    """The verify report hashes to its pin.  A change that means to move a
+    reported number, such as a fix of the always-on amplitude dip (ROADMAP
+    item 1), updates the pin and names the moved lines in CHANGES.md."""
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_STDOUT_SHA256
 
 
 def test_main_levels(capsys):

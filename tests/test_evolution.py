@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,63 @@ def test_propagate_rejects_a_phase_that_overflows():
         propagate(sched, KET_11)
     with pytest.raises(ValueError, match="unstable"):
         propagate_rk4(Schedule(segments=(seg,), device=device()), KET_11, dt=1e9)
+
+
+def test_propagate_many_runs_whole_schedules_in_chunks(monkeypatch, eigh_calls):
+    # with a chunk of 5 segments, the schedules of 3 + 1, 5, 2, 7 (longer
+    # than a chunk), 4, 4 + 1 and 1 + 2 segments make one chunk each, never
+    # splitting a schedule, and every result is the unchunked one bit for bit
+    rng = np.random.default_rng(17)
+    counts = (3, 1, 5, 2, 7, 4, 4, 1, 1, 2)
+    schedules = [Schedule(segments=random_segments(rng, count),
+                          device=device(d12=float(rng.uniform(-0.5, 0.5))))
+                 for count in counts]
+    psi0 = random_state(rng)
+    whole = propagate_many(schedules, psi0)
+    assert eigh_calls == [(sum(counts), 4, 4)]
+    eigh_calls.clear()
+    monkeypatch.setattr(capqubit.evolution, "_CHUNK", 5)
+    chunked = propagate_many(schedules, psi0)
+    assert [shape[0] for shape in eigh_calls] == [4, 5, 2, 7, 4, 5, 3]
+    for a, b in zip(chunked, whole, strict=True):
+        assert a.total_propagator.tobytes() == b.total_propagator.tobytes()
+        assert a.final_state.tobytes() == b.final_state.tobytes()
+        assert a.norm_drift == b.norm_drift
+
+
+def test_propagate_many_names_a_failing_segment_by_its_global_index_across_chunks(
+        monkeypatch):
+    # schedules of 2 segments in chunks of 3: the failing segment sits in
+    # the third chunk, and is named by its index in the whole stack
+    monkeypatch.setattr(capqubit.evolution, "_CHUNK", 3)
+    calm = PulseSegment(duration=1.0, delta1=0.1, delta2=0.2, a1=0.3, a2=0.4)
+    huge_phase = PulseSegment(duration=1e10, delta1=1e300, delta2=0.0, a1=0.0, a2=0.0)
+    pair = Schedule(segments=(calm, calm), device=device())
+    for bad, message in ((huge_phase, r"matrix has eigenvalue -?1\.000e\+300"),
+                         (OVERFLOWING, ENTRY_OVERFLOWS)):
+        failing = Schedule(segments=(calm, bad), device=device(0.1))
+        with pytest.raises(ValueError, match=r"^stack index 5 \(schedule 2, segment 1\): "
+                                             + message):
+            propagate_many([pair, pair, failing, pair], KET_11)
+
+
+def test_propagate_many_memory_is_bounded_by_its_chunk():
+    # eight chunks of 4-segment schedules: above what the results retain,
+    # the peak stays within 4 kB per segment of one chunk (about 1.6 kB is
+    # used), where one stack of all eight chunks took about 1.6 kB per
+    # segment of all of them
+    rng = np.random.default_rng(19)
+    count = 2 * capqubit.evolution._CHUNK
+    schedules = [Schedule(segments=random_segments(rng, 4), device=device(d12=0.1))
+                 for _ in range(count)]
+    tracemalloc.start()
+    try:
+        results = propagate_many(schedules, KET_11)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == count
+    assert peak - retained < 4096 * capqubit.evolution._CHUNK
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, 8])

@@ -314,6 +314,22 @@ def test_distance_names_an_entry_that_is_not_finite(bad):
         distance_up_to_global_phase(m[2], np.ones(4))
 
 
+def test_distance_names_an_overlap_or_distance_past_the_float_range():
+    # finite entries whose overlap or distance overflows used to give nan or
+    # inf with a RuntimeWarning
+    huge = np.full((2, 2), 1e200)
+    overlap = re.escape("overlap |tr(B^dagger A)| = inf is not a finite float")
+    with pytest.raises(ValueError, match=overlap):
+        distance_up_to_global_phase(huge, huge)
+    with pytest.raises(ValueError, match="distance inf is not a finite float"):
+        distance_up_to_global_phase(np.diag([1e200, 0.0]), np.diag([0.0, 1e200]))
+    with pytest.raises(ValueError, match="distance inf is not a finite float"):
+        distance_up_to_global_phase(np.full((2, 2), 1e300), np.full((2, 2), 1e-300))
+    # just inside the range, the same inputs scaled down give their distance
+    assert distance_up_to_global_phase(huge * 1e-60, huge * 1e-60) == 0.0
+    assert distance_up_to_global_phase(np.diag([3e100, 0.0]), np.diag([0.0, 4e100])) == 5e100
+
+
 # ---------------------------------------------------------------------------
 # non-finite input and degenerate spectra
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from capqubit.pulsecompiler import (
     verify_schedule,
     _compile_phase_block,
     _compile_x_rotation,
+    _compiled_gate,
     _is_phase_neutral,
 )
 
@@ -60,6 +61,16 @@ def owing(z1=0.0, z2=0.0):
     booked as compile_schedule books an rz: the only way z angles reach a
     phase block."""
     return streams(pending_z1=0.0 - z1, pending_z2=0.0 - z2)
+
+
+def x_rotation(*args):
+    """The x-pulse step as the CompiledGate that compile_schedule makes of it."""
+    return _compiled_gate(_compile_x_rotation(*args))
+
+
+def phase_block(*args):
+    """The phase-block step as the CompiledGate that compile_schedule makes of it."""
+    return _compiled_gate(_compile_phase_block(*args))
 
 
 def propagated(segments, dev):
@@ -219,13 +230,13 @@ def test_empty_block_leaves_the_ledger_as_it_is():
     assert schedule.segments[0].label == "block(0.3,0,0)"
     assert schedule.segments[0].delta1.hex() == "-0x1.860b04b552c4ap-7"
     led = owing(6.0 * math.pi)
-    assert _compile_phase_block(0.0, dev, "gated", led).segments == ()
+    assert phase_block(0.0, dev, "gated", led).segments == ()
     assert led == owing(6.0 * math.pi)
 
 
 def test_closing_block_intends_content_only():
     led = streams(pending_z1=-0.4, surplus_z1=0.9, pending_zz=0.3)
-    g = _compile_phase_block(0.0, device(0.05), "gated", led)
+    g = phase_block(0.0, device(0.05), "gated", led)
     # the block cancels all three streams physically, but it delivers only
     # R_z(0.4) on qubit 1 as content: surplus and zz streams are
     # compensation, not gate content, and stay out of the ideal layer
@@ -243,7 +254,7 @@ def test_closing_block_intends_content_only():
 # ---------------------------------------------------------------------------
 
 def test_x_rotation_gated_duration_and_exactness():
-    g = _compile_x_rotation(2, HALF_PI, device(0.0), "gated", owing())
+    g = x_rotation(2, HALF_PI, device(0.0), "gated", owing())
     assert len(g.segments) == 1
     seg = g.segments[0]
     assert seg.duration == math.pi / 4.0
@@ -254,15 +265,15 @@ def test_x_rotation_gated_duration_and_exactness():
 
 
 def test_x_rotation_negative_angle_wraps_duration():
-    g = _compile_x_rotation(2, -HALF_PI, device(0.0), "gated", owing())
+    g = x_rotation(2, -HALF_PI, device(0.0), "gated", owing())
     assert g.segments[0].duration == pytest.approx(3.0 * math.pi / 4.0, abs=1e-15)
-    g = _compile_x_rotation(1, 2.0 * math.pi, device(0.0), "gated", owing())
+    g = x_rotation(1, 2.0 * math.pi, device(0.0), "gated", owing())
     assert g.segments[0].duration == pytest.approx(math.pi, abs=1e-15)
 
 
 def test_x_rotation_zero_angle_is_free():
     led = streams(pending_z1=0.2)
-    g = _compile_x_rotation(1, 0.0, device(0.1), "gated", led)
+    g = x_rotation(1, 0.0, device(0.1), "gated", led)
     assert g.segments == ()
     assert led == streams(pending_z1=0.2)
     assert g.content == (GateSpec("rx", 1, 0.0),)
@@ -270,7 +281,7 @@ def test_x_rotation_zero_angle_is_free():
 
 def test_x_rotation_coupling_error_is_first_order():
     # with the coupling on, a bare pulse picks up O(Delta12 * t) phase error
-    g = _compile_x_rotation(2, HALF_PI, device(0.01), "gated", owing())
+    g = x_rotation(2, HALF_PI, device(0.01), "gated", owing())
     u = propagated(g.segments, device(0.01))
     d = distance_up_to_global_phase(u, ideal_gate(GateSpec("rx", 2, HALF_PI)))
     assert 1e-3 < d < 5e-2
@@ -279,7 +290,7 @@ def test_x_rotation_coupling_error_is_first_order():
 def test_x_rotation_books_coupling_surplus_gated():
     d12 = 0.08
     led = streams(pending_z1=0.3, surplus_z1=0.1)
-    g = _compile_x_rotation(2, HALF_PI, device(d12), "gated", led)
+    g = x_rotation(2, HALF_PI, device(d12), "gated", led)
     t = g.segments[0].duration
     surplus = d12 * t / 2.0
     # an idle spectator books the surplus too; gate content is left alone
@@ -289,7 +300,7 @@ def test_x_rotation_books_coupling_surplus_gated():
 
 def test_x_rotation_always_on_parks_spectator():
     led = owing()
-    g = _compile_x_rotation(2, HALF_PI, device(0.05), "always_on", led)
+    g = x_rotation(2, HALF_PI, device(0.05), "always_on", led)
     seg = g.segments[0]
     assert seg.a1 == 1.0 and seg.a2 == 1.0  # spectator drive stays on
     assert seg.delta2 == 0.0  # driven qubit resonant
@@ -301,13 +312,13 @@ def test_x_rotation_always_on_parks_spectator():
 
 
 def test_x_rotation_always_on_exact_at_zero_coupling():
-    g = _compile_x_rotation(2, HALF_PI, device(0.0), "always_on", owing())
+    g = x_rotation(2, HALF_PI, device(0.0), "always_on", owing())
     u = propagated(g.segments, device(0.0))
     assert distance_up_to_global_phase(u, ideal_gate(GateSpec("rx", 2, HALF_PI))) <= EXACT_TOL
 
 
 def test_x_rotation_always_on_accuracy_with_coupling():
-    g = _compile_x_rotation(2, HALF_PI, device(0.05), "always_on", owing())
+    g = x_rotation(2, HALF_PI, device(0.05), "always_on", owing())
     u = propagated(g.segments, device(0.05))
     d = distance_up_to_global_phase(u, ideal_gate(GateSpec("rx", 2, HALF_PI)))
     assert d < 0.1
@@ -315,19 +326,19 @@ def test_x_rotation_always_on_accuracy_with_coupling():
 
 def test_x_rotation_errors():
     with pytest.raises(CompilationError):
-        _compile_x_rotation(1, 2.0 * math.pi + 0.1, device(0.0), "gated", owing())
+        x_rotation(1, 2.0 * math.pi + 0.1, device(0.0), "gated", owing())
     with pytest.raises(CompilationError):
-        _compile_x_rotation(1, -2.0 * math.pi, device(0.0), "gated", owing())
+        x_rotation(1, -2.0 * math.pi, device(0.0), "gated", owing())
     with pytest.raises(CompilationError):
-        _compile_x_rotation(1, HALF_PI, device(0.0, a=0.0), "gated", owing())
+        x_rotation(1, HALF_PI, device(0.0, a=0.0), "gated", owing())
 
 
 def test_always_on_x_rotation_too_short_to_park_raises_compilation_error():
     # A pulse of 5e-161 would need a spectator detuning of ~6e160, whose
     # square overflows: a named CompilationError, not a non-finite segment.
     with pytest.raises(CompilationError, match="too short to park"):
-        _compile_x_rotation(1, 1e-160, device(0.5), "always_on", owing())
-    assert _compile_x_rotation(1, 1e-150, device(0.5), "always_on", owing()).segments
+        x_rotation(1, 1e-160, device(0.5), "always_on", owing())
+    assert x_rotation(1, 1e-150, device(0.5), "always_on", owing()).segments
 
 
 def test_always_on_x_rotation_too_long_to_park_raises_compilation_error():
@@ -338,7 +349,7 @@ def test_always_on_x_rotation_too_long_to_park_raises_compilation_error():
     with pytest.raises(CompilationError, match=re.escape(
             "spectator parking overflows: its Rabi frequency 10.7 times the pulse "
             "duration 5e+307 is not finite")):
-        _compile_x_rotation(2, 1.0, dev, "always_on", owing())
+        x_rotation(2, 1.0, dev, "always_on", owing())
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +380,7 @@ def test_y_rotation_bracket_composition_oracle():
     # the virtual-z decomposition R_z(pi/2) U_x R_z(-pi/2) = R_y at zero
     # coupling, where U_x is the x-rotation core evolved exactly
     for theta in (HALF_PI, -1.1, 2.8):
-        g = _compile_x_rotation(2, theta, device(0.0), "gated", owing())
+        g = x_rotation(2, theta, device(0.0), "gated", owing())
         core = propagated(g.segments, device(0.0))
         u = (
             ideal_gate(GateSpec("rz", 2, HALF_PI))
@@ -416,7 +427,7 @@ def test_phase_block_worked_example():
     # t = 2 (pi/2) / 0.25 = 4 pi, and the detunings solve
     # theta_i = (2 Delta_i + Delta12/2) t exactly.
     dev = device(0.25)
-    g = _compile_phase_block(HALF_PI, dev, "gated", owing(-HALF_PI, HALF_PI))
+    g = phase_block(HALF_PI, dev, "gated", owing(-HALF_PI, HALF_PI))
     assert len(g.segments) == 1
     seg = g.segments[0]
     assert seg.duration == 4.0 * math.pi
@@ -439,7 +450,7 @@ def test_phase_block_matches_ideal_triple():
         d12 = float(rng.choice([0.25, -0.1, 0.04]))
         dev = device(d12)
         led = owing(th1, th2)
-        g = _compile_phase_block(thzz, dev, "gated", led)
+        g = phase_block(thzz, dev, "gated", led)
         u = propagated(g.segments, dev)
         ideal = (
             ideal_gate(GateSpec("rz", 1, th1))
@@ -454,7 +465,7 @@ def test_phase_block_absorbs_pending_phase():
     # a block delivers its zz angle and what the ledger owes
     dev = device(0.25)
     led = owing(0.9)  # owes R_z(0.9) on qubit 1
-    g = _compile_phase_block(HALF_PI, dev, "gated", led)
+    g = phase_block(HALF_PI, dev, "gated", led)
     u = propagated(g.segments, dev)
     ideal = ideal_gate(GateSpec("rz", 1, 0.9)) @ ideal_gate(GateSpec("zz", None, HALF_PI))
     assert distance_up_to_global_phase(u, ideal) <= EXACT_TOL
@@ -465,7 +476,7 @@ def test_phase_block_pure_z_promotes_full_cycle():
     # zero zz remainder is promoted to a full 2 pi coupling cycle so the
     # segment keeps a positive duration
     dev = device(0.25)
-    g = _compile_phase_block(0.0, dev, "gated", owing(HALF_PI, 0.0))
+    g = phase_block(0.0, dev, "gated", owing(HALF_PI, 0.0))
     assert g.segments[0].duration == 16.0 * math.pi
     u = propagated(g.segments, dev)
     assert distance_up_to_global_phase(u, ideal_gate(GateSpec("rz", 1, HALF_PI))) <= EXACT_TOL
@@ -485,7 +496,7 @@ def test_phase_block_tiny_zz_remainder_takes_the_full_cycle():
 
 def test_phase_block_trivial_when_nothing_requested():
     led = owing()
-    g = _compile_phase_block(0.0, device(0.25), "gated", led)
+    g = phase_block(0.0, device(0.25), "gated", led)
     assert g.segments == ()
     assert np.array_equal(ideal_composition([g]), np.eye(4))
     assert led == streams()
@@ -493,7 +504,7 @@ def test_phase_block_trivial_when_nothing_requested():
 
 def test_phase_block_negative_coupling():
     dev = device(-0.2)
-    g = _compile_phase_block(1.1, dev, "gated", owing(0.3, -0.7))
+    g = phase_block(1.1, dev, "gated", owing(0.3, -0.7))
     u = propagated(g.segments, dev)
     ideal = (
         ideal_gate(GateSpec("rz", 1, 0.3))
@@ -505,7 +516,7 @@ def test_phase_block_negative_coupling():
 
 def test_phase_block_requires_coupling():
     with pytest.raises(CompilationError) as err:
-        _compile_phase_block(HALF_PI, device(0.0), "gated", owing())
+        phase_block(HALF_PI, device(0.0), "gated", owing())
     assert "coupling" in str(err.value)
 
 
@@ -514,7 +525,7 @@ def test_phase_block_always_on_structure():
     # flips are capped, and the control-excited branch phase (the one the
     # CNOT sequence uses) is delivered to the solver's accuracy
     dev = device(0.05)
-    g = _compile_phase_block(HALF_PI, dev, "always_on", owing(-HALF_PI, HALF_PI))
+    g = phase_block(HALF_PI, dev, "always_on", owing(-HALF_PI, HALF_PI))
     seg = g.segments[0]
     assert seg.a1 == 1.0 and seg.a2 == 1.0
     assert abs(seg.delta1) >= 10.0 and abs(seg.delta2) >= 10.0
@@ -567,13 +578,13 @@ def reference_cnot_pieces(device: DeviceParams, mode):
             f"CNOT requires both drives > 0, got a1={device.q1.a}, a2={device.q2.a}"
         )
     led = streams()
-    g1 = _compile_x_rotation(2, -HALF_PI, device, mode, led)
+    g1 = x_rotation(2, -HALF_PI, device, mode, led)
     led["pending_z1"] -= -HALF_PI
     led["pending_z2"] -= HALF_PI
-    g2 = _compile_phase_block(HALF_PI, device, mode, led)
-    g3 = _compile_x_rotation(2, HALF_PI, device, mode, led)
+    g2 = phase_block(HALF_PI, device, mode, led)
+    g3 = x_rotation(2, HALF_PI, device, mode, led)
     led["pending_z2"] -= HALF_PI
-    g4 = _compile_phase_block(HALF_PI, device, mode, led)
+    g4 = phase_block(HALF_PI, device, mode, led)
     return (g1, g2, g3, g4)
 
 
@@ -598,6 +609,56 @@ def test_cnot_gate_list_is_the_four_hand_compiled_pieces(a1, a2, ratio, mode):
     dev = DeviceParams(QubitParams(0.0, a1), QubitParams(0.0, a2), ratio)
     listed = segments_or_error(lambda: compile_schedule([GateSpec("cnot")], dev, mode)[1], dev)
     assert listed == segments_or_error(lambda: reference_cnot_pieces(dev, mode), dev)
+
+
+def schedule_or_error(compile_one):
+    """The compiled schedule's segments as float.hex lines, or the
+    CompilationError message."""
+    try:
+        return hex_segments(compile_one())
+    except CompilationError as err:
+        return str(err)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["gated", "always_on"]),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_compile_cnot_is_compile_schedule_of_one_cnot(seed, mode, sign):
+    # seeded devices: levels in [-2, 2], drives log-uniform in [0.1, 10] and
+    # |Delta_12| log-uniform in [1e-3, 0.5]; the schedule is the same to the
+    # last bit, labels included, or the compile fails with the same message
+    rng = np.random.default_rng(seed)
+    q1, q2 = (QubitParams(float(rng.uniform(-2.0, 2.0)), 10.0 ** float(rng.uniform(-1.0, 1.0)))
+              for _ in range(2))
+    dev = DeviceParams(q1, q2, sign * 10.0 ** float(rng.uniform(-3.0, math.log10(0.5))))
+    assert schedule_or_error(lambda: compile_cnot(dev, mode)) == schedule_or_error(
+        lambda: compile_schedule((GateSpec("cnot"),), dev, mode)[0])
+
+
+@pytest.fixture
+def gate_objects_built(monkeypatch):
+    """Count every GateSpec and CompiledGate built while a test runs."""
+    built = {"GateSpec": 0, "CompiledGate": 0}
+    for cls in (GateSpec, CompiledGate):
+        check = cls.__post_init__
+
+        def counting(self, check=check, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("mode", ["gated", "always_on"])
+def test_compile_cnot_builds_no_gate_content(gate_objects_built, mode):
+    compile_cnot(device(0.05), mode)
+    assert gate_objects_built == {"GateSpec": 0, "CompiledGate": 0}
+    # compile_schedule builds the content it returns for one cnot: 8
+    # GateSpecs (one per x pulse, three per block) in 7 CompiledGates,
+    # besides the request itself
+    compile_schedule((GateSpec("cnot"),), device(0.05), mode)
+    assert gate_objects_built == {"GateSpec": 1 + 8, "CompiledGate": 7}
 
 
 def test_compiling_builds_no_matrix(monkeypatch):
@@ -1016,7 +1077,7 @@ def test_exact_parking_search_names_an_overflowing_phase():
         with pytest.raises(CompilationError,
                            match="^always-on parking of qubit 2 rests on roundoff: its drive "
                                  f"{a2:g} times the block duration 2e\\+307 passes 4.14e\\+10"):
-            _compile_phase_block(1.0, dev, "always_on", owing())
+            phase_block(1.0, dev, "always_on", owing())
 
 
 @pytest.mark.parametrize("d12,reason", [
@@ -1033,7 +1094,7 @@ def test_always_on_block_past_the_roundoff_limit_is_refused_fast(d12, reason):
     dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 0.0), d12)
     start = time.perf_counter()
     with pytest.raises(CompilationError, match=f"^{reason}"):
-        _compile_phase_block(1.0, dev, "always_on", owing())
+        phase_block(1.0, dev, "always_on", owing())
     assert time.perf_counter() - start < 1.0
 
 
@@ -1044,7 +1105,7 @@ def test_qubit_1_walk_ends_a_side_whose_detunings_overflow():
     # instead and reports its k cap, as the numpy screen did
     dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 0.0), 1e308)
     with pytest.raises(CompilationError, match="^no admissible always-on parking for qubit 1"):
-        _compile_phase_block(1.0, dev, "always_on", owing())
+        phase_block(1.0, dev, "always_on", owing())
 
 
 def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
@@ -1052,7 +1113,7 @@ def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
     monkeypatch.setattr(pulsecompiler, "_K_MAX", 1000)
     dev = DeviceParams(QubitParams(0.0, 1e5), QubitParams(0.0, 1.0), 0.5)
     with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
-        _compile_phase_block(HALF_PI, dev, "always_on", owing(0.3, 0.2))
+        phase_block(HALF_PI, dev, "always_on", owing(0.3, 0.2))
 
 
 def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
@@ -1063,7 +1124,7 @@ def test_qubit_1_parking_search_fails_fast_at_its_real_cap():
     dev = DeviceParams(QubitParams(0.0, 1e5), QubitParams(0.0, 1.0), 0.5)
     start = time.perf_counter()
     with pytest.raises(CompilationError, match="no admissible always-on parking for qubit 1"):
-        _compile_phase_block(HALF_PI, dev, "always_on", owing(0.3, 0.2))
+        phase_block(HALF_PI, dev, "always_on", owing(0.3, 0.2))
     assert time.perf_counter() - start < 1.0
 
 
