@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
-from .evolution import PulseSegment, Schedule, propagate, propagate_many, propagate_rk4
-from .experiments import INITIAL_STATE, _sweep_device
+from .evolution import (INITIAL_STATE, PulseSegment, Schedule, propagate, propagate_many,
+                        propagate_rk4)
+from .experiments import _sweep_device
 from .hamiltonian import (_Z1, _Z2, DeviceParams, QubitParams, build_capacitive,
                           build_capacitive_pauli_form, build_dipole, effective_levels)
 from .linalg import distance_up_to_global_phase, eigh
@@ -27,6 +28,18 @@ COMPOSITION_TOL = 1e-10  # ideal composition vs requested product, global phase 
 PHASE_BLOCK_TOL = 1e-12  # phase block off-diagonal mass and diagonal phase error
 RK4_TOL = 1e-6  # exact vs RK4 final-state error at dt = T / RK4_STEPS
 RK4_STEPS = 10**5
+
+# Acceptance thresholds on the CNOT sweep from |1>|1> (criteria 5 and 6),
+# calibrated with the build rather than derived.
+GATED_AMP_MIN = 0.99  # gated target amplitude, every grid ratio <= 0.1
+GATED_AMP_MIN_WEAK = 0.999  # gated target amplitude at ratio <= 0.01
+GATED_PHASE_DEV_MAX = 0.02  # gated |phase deviation| in rad, ratios <= 0.1
+ALWAYS_ON_AMP_MIN = 0.99  # always-on target amplitude, ratios <= 0.1
+# Gated physical distance of a gate list per unit |ratio|.  One gate costs at
+# most pi/sqrt(2) |ratio| (an x pulse of nearly 2 pi; a CNOT's two pulses
+# cost 1.7 |ratio|), phase blocks are exact, and distances of a product add
+# at most linearly.
+GATE_LIST_DISTANCE_PER_RATIO = 14.0
 
 
 def builder_identity_error(devices):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import DeviceParams, QubitParams
-from .evolution import propagate, propagate_many
+from .evolution import INITIAL_STATE, propagate, propagate_many
 from .linalg import _require_finite, distance_up_to_global_phase, wrap_angle
 from .pulsecompiler import (
     CompilationError,
@@ -43,7 +43,6 @@ __all__ = [
     "run_sweep",
 ]
 
-INITIAL_STATE = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 _CNOT = ideal_gate(GateSpec("cnot"))
 _SPACINGS = ("log", "linear")
 _MAX_POINTS = 10**4

@@ -6,6 +6,7 @@ built on three primitives:
 * ``eigh``: eigendecomposition of a Hermitian matrix, or of a stack of them
   in one call, by LAPACK (``np.linalg.eigh``) behind validation: square,
   finite, and each matrix Hermitian to 1e-12 of its own largest entry.
+  LAPACK gets the validated array itself and reads its lower triangle.
   Eigenvalues ascend and are finite; eigenvectors are orthonormal.
 * ``expm_unitary``: the unitary exp(-i H t) assembled from the
   eigendecomposition, V diag(e^{-i lambda t}) V^dagger, for one matrix or a
@@ -83,10 +84,8 @@ def _require_unitary(name, u, tol):
 def _require_hermitian(m):
     """Raise ValueError naming the worst entry pair of the first matrix that
     is not Hermitian to _HERMITIAN_RTOL of its own largest entry (a stack-wide
-    scale or argmax would let a small bad matrix hide behind a large one);
-    else return the skew part m - m^dagger."""
-    skew = m - m.conj().swapaxes(-1, -2)
-    dev = np.abs(skew)
+    scale or argmax would let a small bad matrix hide behind a large one)."""
+    dev = np.abs(m - m.conj().swapaxes(-1, -2))
     bad = dev.max(axis=(-2, -1)) > _HERMITIAN_RTOL * (1.0 + np.abs(m).max(axis=(-2, -1)))
     if bad.any():
         k = tuple(np.argwhere(bad)[0])
@@ -95,7 +94,6 @@ def _require_hermitian(m):
             f"matrix{_at(k)} is not Hermitian: entries ({i + 1},{j + 1}) and "
             f"({j + 1},{i + 1}) differ by {dev[k][i, j]:.3e}"
         )
-    return skew
 
 
 def _require_durations(t, shape):
@@ -123,7 +121,9 @@ def eigh(matrix):
         matrix: array-like of shape (n, n), or (..., n, n) for a stack, with
             finite entries, each matrix Hermitian (validated; the error names
             the offending entry, or worst entry pair, and for a stack the
-            index of its matrix).
+            index of its matrix).  LAPACK gets the array itself and reads
+            only its lower triangle, so a matrix Hermitian only to within the
+            tolerance decomposes as that triangle, not as both averaged.
 
     Returns:
         (eigenvalues, eigenvectors): eigenvalues ascending as a real array of
@@ -134,11 +134,8 @@ def eigh(matrix):
     m = np.asarray(matrix, dtype=complex)
     _require_square(m)
     _require_finite_entries("matrix", m)
-    skew = _require_hermitian(m)
-    # LAPACK reads only one triangle, so hand it the Hermitian part, formed
-    # from the small m - m^dagger so that it cannot overflow and equals m,
-    # signed zeros included, when m is exactly Hermitian.
-    w, v = np.linalg.eigh(m - skew / 2.0)
+    _require_hermitian(m)
+    w, v = np.linalg.eigh(m)
     # LAPACK rescales its result, which can overflow for finite entries
     if not np.isfinite(w).all():
         first = np.argwhere(~np.isfinite(w))[0]

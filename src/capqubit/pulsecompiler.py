@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import PulseSegment, Schedule, propagate
+from .evolution import INITIAL_STATE, PulseSegment, Schedule, propagate
 from .hamiltonian import _Z1, _Z2, DeviceParams, _place_drives, _require_qubit
 from .linalg import _require_finite, _require_unitary, distance_up_to_global_phase, wrap_angle
 
@@ -166,8 +166,8 @@ _STREAMS = ("pending_z1", "pending_z2", "pending_zz", "surplus_z1", "surplus_z2"
 
 def _is_phase_neutral(owed):
     """True when every stream of the ledger is an exact multiple of 2 pi on
-    its own."""
-    return all(wrap_angle(owed[name]) == 0.0 for name in _STREAMS)
+    its own.  A stream that is exactly zero, as most are, skips the wrap."""
+    return all(owed[name] == 0.0 or wrap_angle(owed[name]) == 0.0 for name in _STREAMS)
 
 
 @dataclass(frozen=True)
@@ -720,8 +720,7 @@ def verify_schedule(schedule: Schedule, target, tol):
     distance, whether it meets tol, and the optimal phase arg tr(T^dagger U).
     tol must be finite and >= 0.
     """
-    psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    return _verify_propagator(propagate(schedule, psi0).total_propagator, target, tol)
+    return _verify_propagator(propagate(schedule, INITIAL_STATE).total_propagator, target, tol)
 
 
 def _verify_propagator(u, target, tol):

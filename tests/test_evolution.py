@@ -279,7 +279,7 @@ def test_overflowing_hamiltonian_entry_is_named_by_both_propagators(model):
 
 
 def test_propagate_of_a_level_near_the_float_limit_stays_unitary():
-    # the Hermitian part that eigh hands LAPACK used to overflow to NaN here
+    # the Hermitian part that eigh once formed for LAPACK overflowed to NaN here
     seg = PulseSegment(duration=1.0, delta1=1e308, delta2=0.0, a1=0.0, a2=0.0)
     result = propagate(Schedule(segments=(seg,), device=device()), KET_11)
     assert np.isfinite(result.total_propagator).all()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from capqubit import checks
+from capqubit.evolution import PulseSegment, segment_hamiltonian
 from capqubit.hamiltonian import (
     DeviceParams,
     QubitParams,
@@ -115,6 +116,21 @@ def test_capacitive_matches_kron_oracle():
         # addends exactly, so agreement is to one ulp, not bitwise
         assert np.max(np.abs(h - oracle)) <= 5e-15
         assert np.max(np.abs(h - h.conj().T)) <= HERMITICITY_TOL
+
+
+def test_every_builder_returns_an_exactly_hermitian_matrix():
+    # eigh hands LAPACK the array itself, which reads one triangle; every
+    # matrix the package builds has both triangles equal bit for bit
+    rng = np.random.default_rng(53)
+    for _ in range(2000):
+        d1, d2, d12 = rng.uniform(-5.0, 5.0, 3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        a1, a2 = rng.uniform(0.0, 5.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        dev = device(d1, d2, a1, a2, d12)
+        seg = PulseSegment(duration=1.0, delta1=d1, delta2=d2, a1=a1, a2=a2)
+        for h in (build_capacitive(dev), build_capacitive_pauli_form(dev), build_dipole(dev),
+                  segment_hamiltonian(seg, dev, "capacitive"),
+                  segment_hamiltonian(seg, dev, "dipole")):
+            assert np.array_equal(h, h.conj().T)
 
 
 def test_capacitive_equals_pauli_form_bitwise():

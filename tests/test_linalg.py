@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capqubit import checks
 from capqubit.linalg import (
     distance_up_to_global_phase,
     eigh,
@@ -166,6 +167,25 @@ def test_eigh_hands_lapack_an_exactly_hermitian_matrix_unchanged(monkeypatch):
     h = np.array([[1.0, complex(2.0, -0.0)], [complex(2.0, 0.0), -0.0]])
     eigh(h)
     assert seen[0].tobytes() == h.tobytes()  # signed zeros included
+
+
+def test_eigh_hands_lapack_a_nearly_hermitian_matrix_unchanged():
+    # an upper triangle off from the lower by about 1e-13 relative passes
+    # validation; LAPACK decomposes that same array, reading its lower
+    # triangle, which still reconstructs the Hermitian part
+    rng = np.random.default_rng(29)
+    h = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+    m = h.copy()
+    upper = np.triu(np.ones((4, 4), dtype=bool), 1)
+    m[:, upper] *= 1.0 + 1e-13 * rng.uniform(0.5, 1.0, (6, upper.sum()))
+    assert not np.array_equal(m, m.conj().swapaxes(-1, -2))
+    w, v = eigh(m)
+    w_lapack, v_lapack = np.linalg.eigh(m)
+    assert w.tobytes() == w_lapack.tobytes() and v.tobytes() == v_lapack.tobytes()
+    part = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    for p, wk, vk in zip(part, w, v):
+        assert (np.linalg.norm((vk * wk) @ vk.conj().T - p) / (1.0 + np.linalg.norm(p))
+                <= checks.EIGH_TOL)
 
 
 def test_expm_rejects_a_phase_that_overflows():

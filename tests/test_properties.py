@@ -18,11 +18,6 @@ from capqubit.pulsecompiler import (
     verify_schedule,
 )
 
-# Gated physical distance of a gate list per unit |ratio|.  One gate costs at
-# most pi/sqrt(2) |ratio| (an x pulse of nearly 2 pi; a CNOT's two pulses
-# cost 1.7 |ratio|), phase blocks are exact, and distances of a product add
-# at most linearly; the same bound as the gate-list benchmark workload.
-GATE_LIST_DISTANCE_PER_RATIO = 14.0
 # The compiler admits a parking detuning right at its cap, and this test
 # recomputes the flip probability from the stored detuning plus the branch
 # shift, which may differ from the compiler's value by an ulp.  The cap binds
@@ -72,7 +67,7 @@ def test_gated_gate_lists(gates, ratio):
     last = schedule.segments[-1]
     assert last.label.startswith("block(") or wrap_angle(ratio * last.duration / 2.0) == 0.0
     report = verify_schedule(schedule, ideal_product(gates), 1.0)
-    assert report["distance"] <= GATE_LIST_DISTANCE_PER_RATIO * abs(ratio)
+    assert report["distance"] <= checks.GATE_LIST_DISTANCE_PER_RATIO * abs(ratio)
 
 
 @settings(max_examples=100)

@@ -661,6 +661,17 @@ def test_compile_cnot_builds_no_gate_content(gate_objects_built, mode):
     assert gate_objects_built == {"GateSpec": 1 + 8, "CompiledGate": 7}
 
 
+def test_gated_cnot_wraps_only_its_two_blocks_angles(monkeypatch):
+    # each of the two phase blocks wraps its content z1, z2 and its physical
+    # th1, th2; every neutrality check meets a ledger of exact zeros, which
+    # needs no wrap
+    calls = []
+    wrap = pulsecompiler.wrap_angle
+    monkeypatch.setattr(pulsecompiler, "wrap_angle", lambda x: calls.append(x) or wrap(x))
+    compile_cnot(device(0.05), "gated")
+    assert len(calls) == 2 * 4
+
+
 def test_compiling_builds_no_matrix(monkeypatch):
     # gate content stays GateSpecs until ideal_composition asks for the
     # matrix: compiling a mixed list calls ideal_gate nowhere
