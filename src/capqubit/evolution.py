@@ -1,18 +1,23 @@
 """Piecewise-constant time evolution of the two-qubit state.
 
-A ``Schedule`` is an ordered list of ``PulseSegment`` settings applied to a
-fixed device; within a segment the Hamiltonian is constant, so the exact
-propagator is a product of matrix exponentials.  ``propagate_many`` stacks
-the segments of any number of schedules and runs the stack in chunks of
-whole schedules: one ``expm_unitary`` call per chunk, then the products of
+A ``Schedule`` is a pulse program for a fixed device.  It holds its segments'
+controls as one float array of shape (n, 5), a row per segment in time
+order: duration, delta1, delta2, a1, a2.  The labels sit beside it, and
+``schedule.segments`` gives the rows back as ``PulseSegment``s.  Within a
+segment the Hamiltonian is constant, so the exact propagator is a product of
+matrix exponentials.  ``propagate_many`` runs the schedules in chunks of
+whole schedules: a chunk concatenates its schedules' arrays, builds all its
+Hamiltonians in one call of the stacked core (``hamiltonian._hamiltonians``),
+exponentiates them in one ``expm_unitary`` call, and forms the products of
 schedules with the same segment count as stacked matrix products;
 ``propagate`` is that call on one schedule, so there is one exact path.  An
 independent Runge-Kutta integrator of i d psi/dt = H psi (``propagate_rk4``)
-builds every segment's fixed RK4 step matrices in one stacked call, squares
-the stack of full steps once per bit of the largest step count, and applies
-to the state each segment's powers for its n - 1 full steps, then its
-partial step; it refuses a step outside RK4's stability interval.  It exists
-only to cross-check the exact route and shares no code path with
+builds a schedule's Hamiltonians in one core call, checks every segment's
+step against RK4's stability interval in one vector operation, builds every
+segment's fixed RK4 step matrices in one stacked call, squares the stack of
+full steps once per bit of the largest step count, and applies to the state
+each segment's powers for its n - 1 full steps, then its partial step.  It
+exists only to cross-check the exact route and shares no code path with
 ``expm_unitary`` beyond the Hamiltonian core.
 
 The capacitive coupling is a device constant: it appears in every segment's
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import DeviceParams, _coupling, _hamiltonian
+from .hamiltonian import DeviceParams, _coupling, _hamiltonians, _RowError
 from .linalg import _require_finite, expm_unitary
 
 __all__ = [
@@ -76,30 +81,86 @@ class PulseSegment:
             raise ValueError(
                 f"drive strengths must be >= 0, got a1={self.a1}, a2={self.a2}"
             )
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a str, got {self.label!r}")
 
 
-@dataclass(frozen=True)
+def _segment_row(duration, delta1, delta2, a1, a2, label):
+    """A segment's controls and label as a row for ``Schedule._of_rows``,
+    checked once by ``PulseSegment``'s rules: a float control that breaks
+    one fails the chained test, and building the segment then raises that
+    rule's named error."""
+    if not (0.0 < duration < math.inf and -math.inf < delta1 < math.inf
+            and -math.inf < delta2 < math.inf and 0.0 <= a1 < math.inf and 0.0 <= a2 < math.inf):
+        PulseSegment(duration, delta1, delta2, a1, a2, label)
+    return (duration, delta1, delta2, a1, a2), label
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Schedule:
-    """An ordered, non-empty pulse program for one device."""
+    """An ordered, non-empty pulse program for one device.
 
-    segments: tuple
+    ``controls`` is a read-only float array of shape (n, 5), one row per
+    segment in time order: duration, delta1, delta2, a1, a2.  ``labels``
+    holds the segments' labels in the same order.  A schedule is built from
+    ``PulseSegment``s, each checked when it was made; ``segments`` gives
+    them back, with every field a plain float of the same bits.
+    """
+
+    controls: np.ndarray
+    labels: tuple
     device: DeviceParams
-    model: str = "capacitive"
+    model: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
-            raise ValueError("schedule must contain at least one segment")
-        for seg in self.segments:
+    def __init__(self, segments, device, model="capacitive"):
+        try:
+            segments = tuple(segments)
+        except TypeError:
+            raise ValueError(
+                f"segments must be an iterable of PulseSegments, got {segments!r}") from None
+        for seg in segments:
             if not isinstance(seg, PulseSegment):
                 raise ValueError(f"schedule entries must be PulseSegment, got {seg!r}")
-        if not isinstance(self.device, DeviceParams):
-            raise ValueError(f"device must be a DeviceParams, got {self.device!r}")
-        _coupling(self.model)
+        self._hold([((seg.duration, seg.delta1, seg.delta2, seg.a1, seg.a2), seg.label)
+                    for seg in segments], device, model)
+
+    @classmethod
+    def _of_rows(cls, rows, device, model="capacitive"):
+        """The schedule of ``_segment_row`` rows, which were checked when made."""
+        schedule = object.__new__(cls)
+        schedule._hold(rows, device, model)
+        return schedule
+
+    def _hold(self, rows, device, model):
+        if not rows:
+            raise ValueError("schedule must contain at least one segment")
+        if not isinstance(device, DeviceParams):
+            raise ValueError(f"device must be a DeviceParams, got {device!r}")
+        _coupling(model)
+        controls, labels = zip(*rows)
+        controls = np.array(controls, dtype=float)
+        controls.flags.writeable = False
+        for name, value in (("controls", controls), ("labels", labels),
+                            ("device", device), ("model", model)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return ((self.labels, self.device, self.model) == (other.labels, other.device, other.model)
+                and np.array_equal(self.controls, other.controls))
+
+    def __hash__(self):
+        return hash((self.labels, self.device, self.model))
+
+    @property
+    def segments(self):
+        return tuple(PulseSegment(*row, label)
+                     for row, label in zip(self.controls.tolist(), self.labels))
 
     @property
     def total_duration(self):
-        return math.fsum(seg.duration for seg in self.segments)
+        return math.fsum(self.controls[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -116,8 +177,9 @@ def segment_hamiltonian(seg: PulseSegment, device: DeviceParams, model="capaciti
     """Instantaneous 4x4 Hamiltonian of one segment: the segment supplies the
     qubit controls, the device supplies the fixed coupling.  Both were
     validated when they were built, so their numbers go straight to the
-    Hamiltonian core, which names an unknown model."""
-    return _hamiltonian(model, seg.delta1, seg.delta2, seg.a1, seg.a2, device.delta12)
+    stacked Hamiltonian core as a stack of one; an unknown model is named."""
+    controls = np.array(((seg.duration, seg.delta1, seg.delta2, seg.a1, seg.a2),))
+    return _hamiltonians(_coupling(model), controls, device.delta12)[0]
 
 
 def _check_initial_state(psi0):
@@ -134,34 +196,43 @@ def _check_initial_state(psi0):
     return psi
 
 
-def _segment_error(k, s, j, exc):
-    return ValueError(f"stack index {k} (schedule {s}, segment {j}): {exc}")
+def _segment_error(schedules, k0, s0, k, exc):
+    """The error naming entry k of a chunk of ``schedules`` whose first
+    segment is stack index k0 and whose first schedule is s0."""
+    j = k
+    for s, sched in enumerate(schedules):
+        if j < len(sched.controls):
+            break
+        j -= len(sched.controls)
+    return ValueError(f"stack index {k0 + k} (schedule {s0 + s}, segment {j}): {exc}")
 
 
 def _propagate_chunk(schedules, k0, s0, psi):
     """``propagate_many``'s results for whole schedules whose segments are
     the stack entries k0, k0 + 1, ..., the first of them schedule s0."""
-    hs, durations = [], []
-    for s, sched in enumerate(schedules):
-        for j, seg in enumerate(sched.segments):
-            try:
-                hs.append(segment_hamiltonian(seg, sched.device, sched.model))
-            except ValueError as exc:
-                raise _segment_error(k0 + len(hs), s0 + s, j, exc) from None
-            durations.append(seg.duration)
+    counts = [len(sched.controls) for sched in schedules]
+    if len(schedules) == 1:
+        (sched,) = schedules
+        controls, coupling, d12 = sched.controls, _coupling(sched.model), sched.device.delta12
+    else:
+        controls = np.concatenate([sched.controls for sched in schedules])
+        coupling = np.repeat([_coupling(sched.model) for sched in schedules], counts, axis=0).T
+        d12 = np.repeat([sched.device.delta12 for sched in schedules], counts)
     try:
-        us = expm_unitary(np.array(hs), np.array(durations))
+        hs = _hamiltonians(coupling, controls, d12)
+    except _RowError as exc:
+        raise _segment_error(schedules, k0, s0, exc.row, exc) from None
+    durations = controls[:, 0]
+    try:
+        us = expm_unitary(hs, durations)
     except ValueError:
         # each stacked unitary is its lone call's, so the first segment whose
         # lone call fails is the one to name
-        k = 0
-        for s, sched in enumerate(schedules):
-            for j, seg in enumerate(sched.segments):
-                try:
-                    expm_unitary(hs[k], seg.duration)
-                except ValueError as exc:
-                    raise _segment_error(k0 + k, s0 + s, j, exc) from None
-                k += 1
+        for k, (h, duration) in enumerate(zip(hs, durations)):
+            try:
+                expm_unitary(h, duration)
+            except ValueError as exc:
+                raise _segment_error(schedules, k0, s0, k, exc) from None
         raise
     if len(schedules) == 1:
         # a lone schedule multiplies its 4x4 unitaries in turn, which costs
@@ -173,7 +244,7 @@ def _propagate_chunk(schedules, k0, s0, psi):
         totals, finals = (u,), (u @ psi,)
     else:
         totals, k = [], 0
-        for n, run in itertools.groupby(len(sched.segments) for sched in schedules):
+        for n, run in itertools.groupby(counts):
             # a run of m schedules of n segments each multiplies as one stack
             m = len(tuple(run))
             factors = us[k:k + m * n].reshape(m, n, 4, 4).swapaxes(0, 1)
@@ -196,9 +267,10 @@ def propagate_many(schedules, psi0):
     The segments of all the schedules, each with its own device and model,
     form one stack in order.  It runs in chunks of whole schedules, at most
     ``_CHUNK`` segments each unless one schedule is longer, so its memory is
-    bounded by a chunk.  A chunk builds the Hamiltonians of its segments,
-    then one ``expm_unitary`` call (one LAPACK eigendecomposition) gives
-    every U_k = exp(-i H_k t_k).  Segments act in list order (first element
+    bounded by a chunk.  A chunk concatenates its schedules' control arrays
+    and builds all their Hamiltonians in one call of the stacked core, then
+    one ``expm_unitary`` call (one LAPACK eigendecomposition) gives every
+    U_k = exp(-i H_k t_k).  Segments act in list order (first element
     first in time), so a schedule's total propagator is U_n ... U_2 U_1 I.
     Each run of consecutive schedules with the same segment count forms
     these products as one stack of matrix products, and a chunk's final
@@ -206,8 +278,9 @@ def propagate_many(schedules, psi0):
     bit what the schedule gives alone.  Every entry is checked to be a
     Schedule before any chunk runs.  A segment whose Hamiltonian cannot be
     built, or whose unitary cannot be formed, is named by its index in the
-    whole stack and in its schedule; chunks run in stack order, and each
-    builds all its Hamiltonians before it exponentiates them.
+    whole stack and in its schedule: the first such segment of the first
+    chunk that has one, whose Hamiltonians are all built before any is
+    exponentiated.
     """
     psi = _check_initial_state(psi0)
     schedules = tuple(schedules)
@@ -217,9 +290,9 @@ def propagate_many(schedules, psi0):
     results = []
     s = k = 0  # the chunk's first schedule and its first stack index
     while s < len(schedules):
-        stop, size = s + 1, len(schedules[s].segments)
-        while stop < len(schedules) and size + len(schedules[stop].segments) <= _CHUNK:
-            size += len(schedules[stop].segments)
+        stop, size = s + 1, len(schedules[s].controls)
+        while stop < len(schedules) and size + len(schedules[stop].controls) <= _CHUNK:
+            size += len(schedules[stop].controls)
             stop += 1
         results += _propagate_chunk(schedules[s:stop], k, s, psi)
         s, k = stop, k + size
@@ -251,7 +324,9 @@ def _rk4_step_matrix(m, h):
 def propagate_rk4(schedule: Schedule, psi0, dt):
     """Fixed-step RK4 integration of the Schrodinger equation, never via
     ``expm_unitary``: each segment is n - 1 full steps of its RK4 step
-    matrix S, then one partial step.  The full and partial step matrices of
+    matrix S, then one partial step.  The schedule's Hamiltonians come from
+    one call of the stacked core, and one vector operation checks every
+    segment's step for stability.  The full and partial step matrices of
     every segment come from one stacked ``_rk4_step_matrix`` call, and one
     chain of stacked squarings gives S^(2^k) for every segment at once; the
     state then takes, segment by segment in time order, the power of each
@@ -265,41 +340,49 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
             dt times the largest row sum of |H_k| is at most 2 sqrt(2).  The
             row sum bounds H_k's spectral radius, and 2 sqrt(2) is where
             RK4's stability interval on the imaginary axis ends; past it
-            the state grows without bound.  Segments are checked in time
-            order, each before the next one's Hamiltonian is built.
+            the state grows without bound.  The error names the first
+            segment in time order that is unstable or whose Hamiltonian
+            cannot be built; a segment that cannot be built is reported as
+            such, as it has no step to check.
 
     Returns:
         The final state vector.  No renormalization is applied -- the norm
         drift is the integrator's own error signal.
     """
     psi = _check_initial_state(psi0)
+    if not isinstance(schedule, Schedule):
+        raise ValueError(f"schedule must be a Schedule, got {schedule!r}")
     _require_finite("dt", dt)
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    shortest = min(seg.duration for seg in schedule.segments)
+    durations = schedule.controls[:, 0].tolist()
+    shortest = min(durations)
     if dt > shortest / 10.0:
         raise ValueError(
             f"dt={dt} too coarse: must be <= shortest segment / 10 = {shortest / 10.0}"
         )
-    hs, counts, lasts = [], [], []
-    for j, seg in enumerate(schedule.segments):
-        try:
-            h = segment_hamiltonian(seg, schedule.device, schedule.model)
-        except ValueError as exc:
-            raise ValueError(f"segment {j}: {exc}") from None
-        with np.errstate(over="ignore"):
-            reach = dt * np.abs(h).sum(axis=1).max()
+    coupling, d12 = _coupling(schedule.model), schedule.device.delta12
+    unbuilt = None
+    try:
+        hs = _hamiltonians(coupling, schedule.controls, d12)
+    except _RowError as exc:
+        # the segments before it are built, to be checked first
+        unbuilt = exc
+        hs = _hamiltonians(coupling, schedule.controls[:exc.row], d12)
+    with np.errstate(over="ignore"):
+        reaches = (dt * np.abs(hs).sum(axis=2).max(axis=1)).tolist()
+    for j, reach in enumerate(reaches):
         if not reach <= _RK4_STABLE:
             raise ValueError(
                 f"segment {j}: dt={dt} is unstable: dt * max row sum |H| = {reach:.3e} "
                 f"exceeds RK4's limit 2*sqrt(2)"
             )
-        count = max(1, math.ceil(seg.duration / dt - 1e-12)) - 1  # full steps
-        hs.append(h)
-        counts.append(count)
-        lasts.append(seg.duration - count * dt)
+    if unbuilt is not None:
+        raise ValueError(f"segment {unbuilt.row}: {unbuilt}")
+    counts = [max(1, math.ceil(duration / dt - 1e-12)) - 1 for duration in durations]  # full steps
+    lasts = [duration - count * dt for duration, count in zip(durations, counts)]
     n = len(hs)
-    m = -1j * np.array(hs)
+    m = -1j * hs
     steps = _rk4_step_matrix(np.concatenate((m, m)), [dt] * n + lasts)
     full, partial = steps[:n], steps[n:]
     # powers[k][j] is segment j's full step matrix to the power 2^k

@@ -172,7 +172,7 @@ def run_sweep(cfg: SweepConfig):
     meet; then one ``propagate_many`` call runs every schedule, in chunks of
     whole schedules (one LAPACK eigendecomposition per chunk).  A gated
     point has 4 segments, so the largest grid (``_MAX_POINTS``) stacks 4e4;
-    a gated CLI ``sweep`` of that size peaks at about 55 MB resident, where
+    a gated CLI ``sweep`` of that size peaks at about 50 MB resident, where
     one unchunked stack took about 129 MB (x86-64 Linux, Python 3.11, numpy
     2.4).
     """

@@ -21,18 +21,30 @@ interaction models are provided:
   contribution is +omega_12 on the aligned states (|1>|1>, |0>|0>) and
   -omega_12 on the anti-aligned ones.
 
-The two capacitive constructions are kept bit-for-bit identical by
-accumulating each matrix entry with ``math.fsum`` over its exact summands:
-both routes then produce the correctly rounded value of the same real
-number, so equality is exact rather than within roundoff.  A sum that leaves
-the float range is a ValueError naming its entry.
+Both models share one stacked core, ``_hamiltonians``: it takes the model's
+coupling row, the (n, 5) controls of n segments (duration, delta1, delta2,
+a1, a2; the duration unused) and the coupling Delta_12, one for all or one
+per segment, and returns the (n, 4, 4) stack in one numpy pass.  Each
+diagonal entry is the correctly rounded sum of its three terms +-delta1,
++-delta2 and c_k Delta_12, the model's coupling coefficient c_k on entry k
+read from the table ``_COUPLING``:
 
-Both models share one core, ``_hamiltonian``, taking the model's name and
-plain numbers (d1, d2, a1, a2, d12); it reads the model's coupling on each
-diagonal entry from the table ``_COUPLING``.  ``build_capacitive`` and
-``build_dipole`` read the numbers from a ``DeviceParams``, and
-``evolution.segment_hamiltonian`` from a pulse segment and its device.  Each
-value was validated when its object was built, so the core validates none.
+* an entry whose coefficient is non-zero somewhere in the stack is
+  ``math.fsum`` of its three terms, row by row;
+* every other entry is the numpy sum of its two level terms, which rounds
+  correctly, plus 0.0, so that an exact zero is +0.0 as fsum gives it;
+* when an entry leaves the float range (numpy reports the overflow, or
+  fsum raises), every row is summed again, entry by entry, by the scalar
+  ``_entry``, which keeps fsum's value or raises a ValueError naming the
+  first entry that overflows; the error names its stack row as well.
+
+So every matrix is bit for bit the one a row-by-row fsum gives.
+``build_capacitive``, ``build_dipole`` and ``evolution.segment_hamiltonian``
+are stacks of one; every value was validated when its object was built, so
+the core validates none.  ``build_capacitive_pauli_form`` assembles the
+capacitive matrix independently, as six Pauli terms with ``math.fsum`` on
+each entry, which makes it equal to ``build_capacitive`` exactly rather than
+within roundoff.
 """
 
 import math
@@ -58,8 +70,15 @@ _Z2 = (1.0, -1.0, 1.0, -1.0)
 
 # Each model's coupling coefficient on the diagonal (|1>|1>, |1>|0>, |0>|1>,
 # |0>|0>): the charge on |1>|1> alone, or the dipolar sigma_z^1 sigma_z^2.
-_COUPLING = {"capacitive": (1.0, 0.0, 0.0, 0.0),
-             "dipole": tuple(z1 * z2 for z1, z2 in zip(_Z1, _Z2))}
+_COUPLING = {"capacitive": np.array((1.0, 0.0, 0.0, 0.0)),
+             "dipole": np.multiply(_Z1, _Z2)}
+# Both sign patterns as a (2, 4, 1) array, to scale a row of delta1s and
+# one of delta2s into each diagonal entry's level terms.
+_Z = np.array((_Z1, _Z2))[:, :, None]
+# Where each 4x4 entry is read from a row (0, H11, H22, H33, H44, a1, a2): a1
+# couples states whose qubit-1 value flips (index pairs (0,2) and (1,3)), a2
+# those whose qubit-2 value flips ((0,1), (2,3)).
+_LAYOUT = np.array(((1, 6, 5, 0), (6, 2, 0, 5), (5, 0, 3, 6), (0, 5, 6, 4)))
 
 
 def _require_qubit(qubit):
@@ -121,15 +140,13 @@ def _entry(k, terms):
         ) from None
 
 
-def _place_drives(h, a1, a2):
-    """Scatter the drive terms: a1 couples states whose qubit-1 value flips
-    (index pairs (0,2) and (1,3)); a2 flips qubit 2 (pairs (0,1), (2,3))."""
-    for i, j in ((0, 2), (1, 3)):
-        h[i, j] = a1
-        h[j, i] = a1
-    for i, j in ((0, 1), (2, 3)):
-        h[i, j] = a2
-        h[j, i] = a2
+class _RowError(ValueError):
+    """A row of a stack whose Hamiltonian cannot be built: the message is its
+    entry's, and ``row`` the row's index in the stack."""
+
+    def __init__(self, row, message):
+        super().__init__(message)
+        self.row = row
 
 
 def _coupling(model):
@@ -140,27 +157,54 @@ def _coupling(model):
         raise ValueError(f"model must be one of {tuple(_COUPLING)}, got {model!r}") from None
 
 
-def _hamiltonian(model, d1, d2, a1, a2, d12):
-    """The model's Hamiltonian on plain numbers that the caller has validated;
-    a zero coefficient adds a term +-0.0, which leaves its entry's sum as is."""
-    c = _coupling(model)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = _entry(0, (d1, d2, c[0] * d12))
-    h[1, 1] = _entry(1, (d1, -d2, c[1] * d12))
-    h[2, 2] = _entry(2, (-d1, d2, c[2] * d12))
-    h[3, 3] = _entry(3, (-d1, -d2, c[3] * d12))
-    _place_drives(h, a1, a2)
-    return h
+@np.errstate(over="raise")
+def _hamiltonians(coupling, controls, d12):
+    """The (n, 4, 4) Hamiltonians of n rows of validated controls, as the
+    module docstring states.  ``coupling`` is a model's row, or a (4, n)
+    array of one row per segment; ``d12`` is one coupling or one per
+    segment.  The first row that cannot be built is a ``_RowError``."""
+    n = len(controls)
+    terms = np.empty((3, 4, n))  # entry k's terms: z1_k delta1, z2_k delta2, c_k delta12
+    np.multiply(_Z, controls.T[1:3, None], out=terms[:2])
+    np.multiply(coupling.reshape(4, -1), d12, out=terms[2])
+    coupled = coupling.tolist() if coupling.ndim == 1 else coupling.any(axis=1).tolist()
+    # each row (0, H11, H22, H33, H44, a1, a2), read into the 4x4 by _LAYOUT
+    cols = np.zeros((n, 7), dtype=complex)
+    real = cols.real
+    real[:, 5:] = controls[:, 3:]
+    diag = real[:, 1:5].T
+    try:
+        # 0.0 + z1_k delta1 + z2_k delta2 in any order: the two-term sum, and
+        # +0.0 where it is an exact zero, as fsum gives
+        np.add.reduce(terms[:2], axis=0, initial=0.0, out=diag)
+        for k, is_coupled in enumerate(coupled):
+            if is_coupled:
+                diag[k] = list(map(math.fsum, zip(*terms[:, k].tolist())))
+    except (FloatingPointError, OverflowError):
+        # an entry left the float range: every row is summed again by _entry,
+        # which keeps fsum's value or names the first entry that overflows
+        for j, row in enumerate(terms.transpose(2, 1, 0).tolist()):
+            try:
+                diag[:, j] = [_entry(k, tuple(t)) for k, t in enumerate(row)]
+            except ValueError as exc:
+                raise _RowError(j, str(exc)) from None
+    return cols.take(_LAYOUT, axis=1)
+
+
+def _device_hamiltonian(model, d: DeviceParams):
+    """The model's Hamiltonian of a device's own levels and drives: a stack of one."""
+    controls = np.array(((0.0, d.q1.delta, d.q2.delta, d.q1.a, d.q2.a),))
+    return _hamiltonians(_COUPLING[model], controls, d.delta12)[0]
 
 
 def build_capacitive(d: DeviceParams):
     """4x4 Hamiltonian H_1 x I + I x H_2 + diag(Delta_12, 0, 0, 0).
 
     The capacitive interaction energy appears only when both qubits are
-    excited.  Diagonal entries are accumulated with ``math.fsum`` (see the
-    module docstring); an entry whose sum overflows is a ValueError naming it.
+    excited.  A stack of one for the core (see the module docstring); an
+    entry whose sum overflows is a ValueError naming it.
     """
-    return _hamiltonian("capacitive", d.q1.delta, d.q2.delta, d.q1.a, d.q2.a, d.delta12)
+    return _device_hamiltonian("capacitive", d)
 
 
 def build_capacitive_pauli_form(d: DeviceParams):
@@ -176,10 +220,11 @@ def build_capacitive_pauli_form(d: DeviceParams):
     """
     quarter = d.delta12 / 4.0
     d1, d2 = d.q1.delta, d.q2.delta
-    h = np.zeros((4, 4), dtype=complex)
+    cols = np.zeros(7)  # (0, H11, H22, H33, H44, a1, a2), read by _LAYOUT
+    cols[5:] = d.q1.a, d.q2.a
     for k in range(4):
         z1, z2 = _Z1[k], _Z2[k]
-        h[k, k] = _entry(
+        cols[1 + k] = _entry(
             k,
             (
                 quarter,  # identity term
@@ -190,15 +235,14 @@ def build_capacitive_pauli_form(d: DeviceParams):
                 z1 * z2 * quarter,  # Ising zz term
             ),
         )
-    _place_drives(h, d.q1.a, d.q2.a)
-    return h
+    return cols[_LAYOUT].astype(complex)
 
 
 def build_dipole(d: DeviceParams):
     """4x4 dipole-model Hamiltonian: single-qubit blocks plus a diagonal
     coupling whose sign follows dipole alignment, +omega_12 on (|1>|1>,
     |0>|0>) and -omega_12 on (|1>|0>, |0>|1>)."""
-    return _hamiltonian("dipole", d.q1.delta, d.q2.delta, d.q1.a, d.q2.a, d.delta12)
+    return _device_hamiltonian("dipole", d)
 
 
 def effective_levels(d: DeviceParams, qubit, neighbor_excited):

@@ -1,8 +1,8 @@
 """Gate-to-pulse compiler for the capacitively coupled two-qubit device.
 
 Translates abstract gate requests (x/y/z rotations, zz phase blocks, CNOT)
-into physical ``PulseSegment`` schedules through one entry,
-``compile_schedule``, which states how requests are checked.  The only
+into physical pulse schedules through one entry, ``compile_schedule``, which
+states how requests are checked.  The only
 physical knobs are the level settings Delta_1, Delta_2 and the drive
 strengths a_1, a_2; the coupling Delta_12 is a device constant that can
 never be switched off, which shapes the whole design:
@@ -42,10 +42,13 @@ The CNOT is the NMR-style request list ``_CNOT_SEQUENCE``: x(-pi/2) on the
 target, virtual z's and a zz(pi/2) block, x(+pi/2) on the target, a virtual
 z and a second zz(pi/2) block.  The virtual z's are the brackets that turn
 bare x rotations into y rotations; ``compile_schedule`` expands the CNOT into
-this list and compiles it like any other.  The steps return their gate
-content as plain (kind, qubit, angle) values, and only ``compile_schedule``
-builds GateSpecs and CompiledGates from them; ``compile_cnot`` compiles the
-list to its Schedule alone.  The composition is checked against the ideal
+this list and compiles it like any other.  Each step returns its segments
+as plain rows, the five controls of a segment and its label, each checked
+by the segment rules where it is made, and its gate content as plain (kind,
+qubit, angle) values.  The rows go straight into the ``Schedule``'s (n, 5)
+control array; only ``compile_schedule`` builds PulseSegments, GateSpecs
+and CompiledGates from them, and ``compile_cnot`` compiles the list to its
+Schedule alone.  The composition is checked against the ideal
 CNOT by ``verify_schedule`` and the ideal-composition oracle rather than
 assumed.
 """
@@ -55,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import INITIAL_STATE, PulseSegment, Schedule, propagate
-from .hamiltonian import _Z1, _Z2, DeviceParams, _place_drives, _require_qubit
+from .evolution import INITIAL_STATE, PulseSegment, Schedule, _segment_row, propagate
+from .hamiltonian import _Z1, _Z2, DeviceParams, QubitParams, _require_qubit, build_capacitive
 from .linalg import _require_finite, _require_unitary, distance_up_to_global_phase, wrap_angle
 
 __all__ = [
@@ -193,13 +196,13 @@ class CompiledGate:
 # Every gate but the CNOT is exp(-i (theta/2) P) about a Pauli string P, and
 # P @ P = I makes it cos(theta/2) I - i sin(theta/2) P.  The seven strings
 # are built once from hamiltonian's conventions: z signs from _Z1/_Z2,
-# sigma_x^q from the drive placement, and sigma_y^q = i sigma_x^q sigma_z^q.
+# sigma_x^q as the Hamiltonian of a unit drive on qubit q alone, and
+# sigma_y^q = i sigma_x^q sigma_z^q.
 
 _Z_SIGNS = np.array([_Z1, _Z2, np.multiply(_Z1, _Z2)])  # rows z1, z2, z1 z2
 _I4 = np.eye(4)
-_X1, _X2 = np.zeros((4, 4)), np.zeros((4, 4))
-_place_drives(_X1, 1.0, 0.0)
-_place_drives(_X2, 0.0, 1.0)
+_X1, _X2 = (build_capacitive(DeviceParams(QubitParams(0.0, a1), QubitParams(0.0, a2), 0.0)).real
+            for a1, a2 in ((1.0, 0.0), (0.0, 1.0)))
 _PAULI = {
     ("rx", 1): _X1, ("ry", 1): 1j * _X1 * _Z_SIGNS[0], ("rz", 1): np.diag(_Z_SIGNS[0]),
     ("rx", 2): _X2, ("ry", 2): 1j * _X2 * _Z_SIGNS[1], ("rz", 2): np.diag(_Z_SIGNS[1]),
@@ -470,8 +473,9 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
     spectator is fully idle; in always-on mode it keeps its drive and is
     parked on a full generalized-Rabi cycle.  The coupling surplus accrued
     during the segment is added to the ledger ``owed`` in place; a zero
-    angle emits nothing and adds nothing.  Returns the step's segments and
-    its gate content as ``(kind, qubit, angle)`` values.
+    angle emits nothing and adds nothing.  Returns the step's segment rows
+    (``evolution._segment_row``) and its gate content as ``(kind, qubit,
+    angle)`` values.
     """
     content = (("rx", qubit, angle),)
     if not (-_TWO_PI < angle <= _TWO_PI):
@@ -498,14 +502,7 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
         delta1, delta2, a1, a2 = 0.0, d_spec, a_drive, a_spec
     else:
         delta1, delta2, a1, a2 = d_spec, 0.0, a_spec, a_drive
-    segment = PulseSegment(
-        duration=t,
-        delta1=delta1,
-        delta2=delta2,
-        a1=a1,
-        a2=a2,
-        label=f"rx(q{qubit},{angle:.6g})",
-    )
+    row = _segment_row(t, delta1, delta2, a1, a2, f"rx(q{qubit},{angle:.6g})")
     # The full cycle nulls a parked spectator's net z phase, so only the
     # driven qubit books surplus; an idle spectator (a_spec = 0) books it too.
     surplus = device.delta12 * t / 2.0
@@ -519,7 +516,7 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
     if qubit == 2 or a_spec == 0.0:
         owed["surplus_z2"] += surplus
     owed["pending_zz"] += surplus
-    return (segment,), content
+    return (row,), content
 
 
 def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
@@ -543,8 +540,8 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     the rotated qubit in the CNOT sequence) and the bare accrual equation
     with flip caps and a separation constraint for qubit 1; a driven qubit
     whose a t is past the roundoff limit is refused first, qubit 2 before 1.
-    Returns the step's segments and its gate content as ``(kind, qubit,
-    angle)`` values, as ``_compile_x_rotation`` does.
+    Returns the step's segment rows and its gate content as ``(kind,
+    qubit, angle)`` values, as ``_compile_x_rotation`` does.
     """
     # An overflowed stream is never phase-neutral, so every such ledger gets here.
     for name in _STREAMS:
@@ -600,16 +597,9 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     if a1 > 0.0:
         delta1 = _control_parking(th1, a1, t, d12, delta2, _SEPARATION_MIN * max(a1, a2))
 
-    segment = PulseSegment(
-        duration=t,
-        delta1=delta1,
-        delta2=delta2,
-        a1=a1,
-        a2=a2,
-        label=f"block({z1:.4g},{z2:.4g},{theta_zz:.4g})",
-    )
+    row = _segment_row(t, delta1, delta2, a1, a2, f"block({z1:.4g},{z2:.4g},{theta_zz:.4g})")
     owed.update(dict.fromkeys(_STREAMS, 0.0))
-    return (segment,), content
+    return (row,), content
 
 
 # The CNOT (control qubit 1, target qubit 2) as the NMR sequence of bare x
@@ -630,15 +620,16 @@ _CNOT_SEQUENCE = (
 
 
 def _compiled_gate(step):
-    """The CompiledGate of one step's (segments, content) pair."""
-    segments, content = step
-    return CompiledGate(segments, tuple([GateSpec(*request) for request in content]))
+    """The CompiledGate of one step's (rows, content) pair."""
+    rows, content = step
+    return CompiledGate(tuple([PulseSegment(*controls, label) for controls, label in rows]),
+                        tuple([GateSpec(*request) for request in content]))
 
 
 def _compile_steps(requests, device: DeviceParams, mode):
     """Yield each step of expanded (kind, qubit, angle) requests in time
-    order, discharge and closing blocks included, as its (segments,
-    content) pair.  An rz is booked in the ledger and its step is empty."""
+    order, discharge and closing blocks included, as its (rows, content)
+    pair.  An rz is booked in the ledger and its step is empty."""
     owed = dict.fromkeys(_STREAMS, 0.0)
     for kind, qubit, angle in requests:
         if kind == "rx":
@@ -655,22 +646,22 @@ def _compile_steps(requests, device: DeviceParams, mode):
         yield _compile_phase_block(0.0, device, mode, owed)
 
 
-def _schedule(segments, device: DeviceParams):
-    """The Schedule of compiled segments, which must not be empty."""
-    if not segments:
+def _schedule(rows, device: DeviceParams):
+    """The Schedule of compiled segment rows, which must not be empty."""
+    if not rows:
         raise CompilationError(
             "compiled schedule has no physical segments (only virtual gates)"
         )
-    return Schedule(segments=segments, device=device)
+    return Schedule._of_rows(rows, device)
 
 
 def compile_cnot(device: DeviceParams, mode):
     """Compile the full CNOT into an executable Schedule: the schedule that
     ``compile_schedule`` gives for one cnot request, without the gate
-    content it returns alongside."""
+    content it returns alongside, and without building a PulseSegment."""
     _require_mode(mode)
     steps = _compile_steps(_CNOT_SEQUENCE, device, mode)
-    return _schedule(tuple(seg for segments, _ in steps for seg in segments), device)
+    return _schedule([row for rows, _ in steps for row in rows], device)
 
 
 def compile_schedule(gates, device: DeviceParams, mode):
@@ -706,11 +697,13 @@ def compile_schedule(gates, device: DeviceParams, mode):
             requests += _CNOT_SEQUENCE
         else:
             requests.append((spec.kind, spec.qubit, spec.angle))
-    # a list, not a tuple grown from the generator: growing the tuple left
-    # the allocator fragmented, and peak RSS crept up over many compiles
-    compiled = [_compiled_gate(step) for step in _compile_steps(requests, device, mode)]
-    schedule = _schedule(tuple(seg for g in compiled for seg in g.segments), device)
-    return schedule, tuple(compiled)
+    # lists, not tuples grown from the generator: growing a tuple left the
+    # allocator fragmented, and peak RSS crept up over many compiles
+    rows, compiled = [], []
+    for step in _compile_steps(requests, device, mode):
+        rows += step[0]
+        compiled.append(_compiled_gate(step))
+    return _schedule(rows, device), tuple(compiled)
 
 
 def verify_schedule(schedule: Schedule, target, tol):

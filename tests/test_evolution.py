@@ -79,9 +79,52 @@ def test_segment_validation():
         PulseSegment(duration=1.0, delta1=0.0, delta2=0.0, a1=-0.5, a2=0.0)
 
 
+def test_segment_label_must_be_a_str():
+    with pytest.raises(ValueError, match="^label must be a str, got 5$"):
+        PulseSegment(1, 0, 0, 1, 0, label=5)
+
+
+def test_schedule_segments_must_be_an_iterable():
+    # a bare number used to escape as "TypeError: 'int' object is not iterable"
+    with pytest.raises(ValueError, match="^segments must be an iterable of PulseSegments, got 5$"):
+        Schedule(5, device())
+
+
+def test_schedule_holds_its_controls_as_one_read_only_array():
+    segs = (PulseSegment(0.5, -0.0, 1.25, 0.0, 2.0, "first"), PulseSegment(3, 1, -2, 1, 0))
+    sched = Schedule(segs, device(0.1), "dipole")
+    assert sched.controls.dtype == float and sched.controls.shape == (2, 5)
+    assert sched.controls.tolist() == [[0.5, -0.0, 1.25, 0.0, 2.0], [3.0, 1.0, -2.0, 1.0, 0.0]]
+    assert math.copysign(1.0, sched.controls[0, 1]) == -1.0
+    assert sched.labels == ("first", "")
+    with pytest.raises(ValueError, match="read-only"):
+        sched.controls[0, 0] = 1.0
+    # the segments come back with the same bits, every field a plain float
+    assert sched.segments == segs
+    assert all(type(getattr(seg, name)) is float for seg in sched.segments
+               for name in ("duration", "delta1", "delta2", "a1", "a2"))
+    assert sched == Schedule(sched.segments, device(0.1), "dipole")
+    assert sched != Schedule(sched.segments, device(0.1))
+    assert hash(sched) == hash(Schedule(sched.segments, device(0.1), "dipole"))
+
+
+@pytest.mark.parametrize("controls", [
+    (0.0, 0.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0, 0.0),
+    (1.0, math.nan, 0.0, 0.0, 0.0), (1.0, 0.0, -math.inf, 0.0, 0.0),
+    (1.0, 0.0, 0.0, -0.5, 0.0), (1.0, 0.0, 0.0, 0.0, -1e-300), (1.0, 0.0, 0.0, math.nan, -1.0),
+])
+def test_a_compiled_row_is_checked_with_the_segments_message(controls):
+    # a compiled segment is a row of the schedule's array, not a PulseSegment;
+    # a row that breaks a segment's rule raises that rule's message
+    with pytest.raises(ValueError) as expected:
+        PulseSegment(*controls, "x")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        capqubit.evolution._segment_row(*controls, "x")
+
+
 def test_schedule_validation():
     seg = PulseSegment(duration=1.0, delta1=0.0, delta2=0.0, a1=0.0, a2=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^schedule must contain at least one segment$"):
         Schedule(segments=(), device=device())
     with pytest.raises(ValueError):
         Schedule(segments=("not a segment",), device=device())
@@ -250,6 +293,36 @@ def test_propagate_many_makes_one_eigendecomposition_for_all_schedules(eigh_call
     assert eigh_calls == [(9, 4, 4)]
 
 
+def test_propagate_many_builds_once_per_chunk(monkeypatch, hamiltonian_builds):
+    # the chunks of test_propagate_many_runs_whole_schedules_in_chunks: each
+    # builds all its Hamiltonians in one call of the stacked core
+    rng = np.random.default_rng(17)
+    counts = (3, 1, 5, 2, 7, 4, 4, 1, 1, 2)
+    schedules = [Schedule(segments=random_segments(rng, count), device=device(d12=0.1),
+                          model=("capacitive", "dipole")[count % 2])
+                 for count in counts]
+    propagate_many(schedules, KET_11)
+    assert hamiltonian_builds == [(sum(counts), 5)]
+    hamiltonian_builds.clear()
+    monkeypatch.setattr(capqubit.evolution, "_CHUNK", 5)
+    propagate_many(schedules, KET_11)
+    assert hamiltonian_builds == [(n, 5) for n in (4, 5, 2, 7, 4, 5, 3)]
+
+
+def test_rk4_builds_once_per_call(hamiltonian_builds):
+    rng = np.random.default_rng(19)
+    sched = Schedule(segments=random_segments(rng, 6), device=device(d12=0.1))
+    propagate_rk4(sched, KET_11, 1e-3)
+    assert hamiltonian_builds == [(6, 5)]
+
+
+def test_rk4_rejects_a_non_schedule_naming_it():
+    # a string used to escape as "AttributeError: 'str' object has no
+    # attribute 'segments'"
+    with pytest.raises(ValueError, match="^schedule must be a Schedule, got 'x'$"):
+        propagate_rk4("x", KET_11, 0.01)
+
+
 def test_propagate_many_rejects_a_non_schedule_naming_it():
     seg = PulseSegment(duration=1.0, delta1=0.0, delta2=0.0, a1=0.0, a2=0.0)
     sched = Schedule(segments=(seg,), device=device())
@@ -264,18 +337,26 @@ ENTRY_OVERFLOWS = r"Hamiltonian entry \(1,1\) overflows"
 
 @pytest.mark.parametrize("model", ["capacitive", "dipole"])
 def test_overflowing_hamiltonian_entry_is_named_by_both_propagators(model):
-    # math.fsum used to escape as a bare OverflowError
+    # math.fsum used to escape as a bare OverflowError.  delta2 = -1e308
+    # overflows delta1 - delta2 on entry (2,2): two level terms alone in the
+    # capacitive model, with the dipolar -Delta_12 in the dipole model
     calm = PulseSegment(duration=1.0, delta1=0.1, delta2=0.2, a1=0.3, a2=0.4)
     calm_sched = Schedule(segments=(calm,), device=device(0.1), model=model)
-    sched = Schedule(segments=(calm, OVERFLOWING), device=device(0.1), model=model)
-    with pytest.raises(ValueError, match=r"stack index 2 \(schedule 1, segment 1\): "
-                                         + ENTRY_OVERFLOWS):
-        propagate_many([calm_sched, sched], KET_11)
-    with pytest.raises(ValueError, match=r"stack index 1 \(schedule 0, segment 1\): "
-                                         + ENTRY_OVERFLOWS):
-        propagate(sched, KET_11)
-    with pytest.raises(ValueError, match="segment 1: " + ENTRY_OVERFLOWS):
-        propagate_rk4(sched, KET_11, dt=0.01)
+    for delta2, entry in (
+            (1e308, r"\(1,1\) overflows: the sum of \(1e\+308, 1e\+308, 0\.1\)"),
+            (-1e308, r"\(2,2\) overflows: the sum of \(1e\+308, 1e\+308, -?0\.[01]\)")):
+        overflowing = PulseSegment(duration=1.0, delta1=1e308, delta2=delta2, a1=0.0, a2=0.0)
+        sched = Schedule(segments=(calm, overflowing, overflowing), device=device(0.1),
+                         model=model)
+        message = "Hamiltonian entry " + entry + " is not a finite float$"
+        with pytest.raises(ValueError, match=r"^stack index 2 \(schedule 1, segment 1\): "
+                                             + message):
+            propagate_many([calm_sched, sched], KET_11)
+        with pytest.raises(ValueError, match=r"^stack index 1 \(schedule 0, segment 1\): "
+                                             + message):
+            propagate(sched, KET_11)
+        with pytest.raises(ValueError, match="^segment 1: " + message):
+            propagate_rk4(sched, KET_11, dt=0.01)
 
 
 def test_propagate_of_a_level_near_the_float_limit_stays_unitary():
@@ -547,6 +628,16 @@ def test_rk4_refuses_an_unstable_segment_before_building_the_next():
         propagate_rk4(sched, KET_11, dt=0.9)
     with pytest.raises(ValueError, match="segment 1: " + ENTRY_OVERFLOWS):
         propagate_rk4(sched, KET_11, dt=0.01)
+
+
+def test_rk4_names_an_unbuildable_segment_before_a_later_unstable_one():
+    # the mirror case: segment 0's Hamiltonian cannot be built and segment 1
+    # is unstable at dt = 0.9, so the error names segment 0's entry
+    wild = PulseSegment(duration=10.0, delta1=2.5, delta2=0.0, a1=0.0, a2=1.0)
+    overflowing = PulseSegment(duration=10.0, delta1=1e308, delta2=1e308, a1=0.0, a2=0.0)
+    sched = Schedule(segments=(overflowing, wild), device=device(0.1))
+    with pytest.raises(ValueError, match="^segment 0: " + ENTRY_OVERFLOWS):
+        propagate_rk4(sched, KET_11, dt=0.9)
 
 
 def test_rk4_accepts_the_step_at_its_stability_limit():

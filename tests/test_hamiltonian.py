@@ -9,8 +9,10 @@ import pytest
 from capqubit import checks
 from capqubit.evolution import PulseSegment, segment_hamiltonian
 from capqubit.hamiltonian import (
+    _COUPLING,
     DeviceParams,
     QubitParams,
+    _hamiltonians,
     build_capacitive,
     build_capacitive_pauli_form,
     build_dipole,
@@ -70,6 +72,121 @@ def test_overflowing_entry_is_a_value_error_naming_it(build, d1, d2, entry):
     # math.fsum used to escape as a bare OverflowError
     with pytest.raises(ValueError, match=rf"Hamiltonian entry \({entry},{entry}\) overflows"):
         build(device(d1=d1, d2=d2, d12=0.5))
+
+
+def scalar_hamiltonian(model, d1, d2, a1, a2, d12):
+    """The row-by-row reference: each diagonal entry is math.fsum of its three
+    terms +-delta1, +-delta2 and c_k delta12, and each drive sits in its two
+    conjugate places.  An entry whose sum overflows raises fsum's
+    OverflowError."""
+    h = np.zeros((4, 4), dtype=complex)
+    for k, (z1, z2, c) in enumerate(zip((1.0, 1.0, -1.0, -1.0), (1.0, -1.0, 1.0, -1.0),
+                                        _COUPLING[model].tolist())):
+        h[k, k] = math.fsum((z1 * d1, z2 * d2, c * d12))
+    for i, j in ((0, 2), (1, 3)):
+        h[i, j] = h[j, i] = a1
+    for i, j in ((0, 1), (2, 3)):
+        h[i, j] = h[j, i] = a2
+    return h
+
+
+def stacked_or_error(model, rows):
+    """The stacked core on rows (delta1, delta2, a1, a2, delta12) of one
+    model, as int64 views per row, or the row and message of its error."""
+    controls = np.array([(1.0, d1, d2, a1, a2) for d1, d2, a1, a2, _ in rows])
+    d12 = np.array([row[4] for row in rows])
+    try:
+        return [h.view(np.int64).tolist() for h in _hamiltonians(_COUPLING[model], controls, d12)]
+    except ValueError as exc:
+        return exc.row, str(exc)
+
+
+def scalar_or_error(model, rows):
+    """The scalar reference on the same rows: the first row whose fsum
+    overflows is named with the entry that overflows first."""
+    out = []
+    for j, (d1, d2, a1, a2, d12) in enumerate(rows):
+        try:
+            out.append(scalar_hamiltonian(model, d1, d2, a1, a2, d12).view(np.int64).tolist())
+        except OverflowError:
+            terms = [(z1 * d1, z2 * d2, c * d12) for z1, z2, c in zip(
+                (1.0, 1.0, -1.0, -1.0), (1.0, -1.0, 1.0, -1.0), _COUPLING[model].tolist())]
+            k = next(k for k, t in enumerate(terms) if not _fsum_is_finite(t))
+            return j, (f"Hamiltonian entry ({k + 1},{k + 1}) overflows: the sum of "
+                       f"{terms[k]} is not a finite float")
+    return out
+
+
+def _fsum_is_finite(terms):
+    try:
+        return math.isfinite(math.fsum(terms))
+    except OverflowError:
+        return False
+
+
+def seeded_rows(rng, count):
+    """Rows (delta1, delta2, a1, a2, delta12) with magnitudes e^-30 to e^30
+    and random signs; a quarter of them nearly cancel on one diagonal entry
+    (delta2 within a few ulps of what zeroes it)."""
+    def magnitude():
+        return float(rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-30.0, 30.0)))
+
+    rows = []
+    for i in range(count):
+        d1, d2, d12 = magnitude(), magnitude(), magnitude()
+        if i % 4 == 0:
+            z1, z2, c = ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
+                         (-1.0, -1.0, 1.0))[int(rng.integers(4))]
+            d2 = -z2 * (z1 * d1 + c * d12)
+            d2 = float(np.nextafter(d2, math.copysign(math.inf, rng.uniform(-1.0, 1.0))))
+        rows.append((d1, d2, abs(magnitude()), abs(magnitude()), d12))
+    return rows
+
+
+@pytest.mark.parametrize("model", ["capacitive", "dipole"])
+def test_stacked_core_is_the_scalar_fsum_core_bit_for_bit(model):
+    # 4000 seeded rows in one stack and in stacks of one agree with the
+    # scalar reference to the last bit of every entry
+    rng = np.random.default_rng(20261020)
+    rows = seeded_rows(rng, 4000)
+    reference = scalar_or_error(model, rows)
+    assert stacked_or_error(model, rows) == reference
+    for j in range(0, 4000, 97):
+        assert stacked_or_error(model, rows[j:j + 1]) == [reference[j]]
+
+
+@pytest.mark.parametrize("model", ["capacitive", "dipole"])
+def test_stacked_core_gives_fsums_signed_zeros(model):
+    # every sign of zero in delta1, delta2 and Delta_12, alone and beside
+    # non-zero values: an exact zero entry is +0.0 as fsum gives it, where
+    # -0.0 - 0.0 in numpy is -0.0
+    values = (0.0, -0.0)
+    rows = [(d1, d2, 0.0, 0.0, d12) for d1 in values for d2 in values for d12 in values]
+    rows += [(d1, d2, 0.5, 0.25, d12) for d1 in (0.0, -0.0, 1.5) for d2 in (-0.0, -1.5)
+             for d12 in (-0.0, 0.75)]
+    reference = scalar_or_error(model, rows)
+    assert stacked_or_error(model, rows) == reference
+    zero = np.array(0.0).view(np.int64)
+    h = _hamiltonians(_COUPLING[model], np.array([(1.0, -0.0, -0.0, 0.0, 0.0)]), -0.0)
+    assert (h.view(np.int64) == zero).all()
+
+
+@pytest.mark.parametrize("model", ["capacitive", "dipole"])
+@pytest.mark.parametrize("d1, d2, d12, row", [
+    (1e308, 1e308, -1e308, 1),   # fsum's own intermediate overflow
+    (1e308, -1e308, 1e308, 1),   # 1e308 on the first entry, an overflow on the second
+    (1e308, 1e308, 0.5, 1),      # a three-term entry overflows
+    (1e308, -1e308, 0.5, 1),     # a two-term entry overflows in the capacitive model
+    (-8e307, -9e307, 5e306, 2),  # sums within a few percent of the float limit
+])
+def test_stacked_core_overflows_where_fsum_does(model, d1, d2, d12, row):
+    # a calm row, the row under test, then a row that overflows: the stack
+    # names the first row that overflows, and the entry fsum names in it,
+    # with the scalar entry's message
+    rows = [(0.1, 0.2, 0.3, 0.4, 0.05), (d1, d2, 0.3, 0.4, d12), (1e308, 1e308, 0.0, 0.0, 1.0)]
+    reference = scalar_or_error(model, rows)
+    assert reference[0] == row
+    assert stacked_or_error(model, rows) == reference
 
 
 def test_capacitive_coupling_only():

@@ -637,9 +637,10 @@ def test_compile_cnot_is_compile_schedule_of_one_cnot(seed, mode, sign):
 
 @pytest.fixture
 def gate_objects_built(monkeypatch):
-    """Count every GateSpec and CompiledGate built while a test runs."""
-    built = {"GateSpec": 0, "CompiledGate": 0}
-    for cls in (GateSpec, CompiledGate):
+    """Count every GateSpec, CompiledGate and PulseSegment built while a test
+    runs."""
+    built = {"GateSpec": 0, "CompiledGate": 0, "PulseSegment": 0}
+    for cls in (GateSpec, CompiledGate, PulseSegment):
         check = cls.__post_init__
 
         def counting(self, check=check, name=cls.__name__):
@@ -651,14 +652,17 @@ def gate_objects_built(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["gated", "always_on"])
-def test_compile_cnot_builds_no_gate_content(gate_objects_built, mode):
+def test_compile_cnot_builds_no_gate_content(gate_objects_built, hamiltonian_builds, mode):
+    # compile_cnot hands its rows to the Schedule's array: no segment object,
+    # and no Hamiltonian either
     compile_cnot(device(0.05), mode)
-    assert gate_objects_built == {"GateSpec": 0, "CompiledGate": 0}
+    assert gate_objects_built == {"GateSpec": 0, "CompiledGate": 0, "PulseSegment": 0}
+    assert hamiltonian_builds == []
     # compile_schedule builds the content it returns for one cnot: 8
     # GateSpecs (one per x pulse, three per block) in 7 CompiledGates,
-    # besides the request itself
+    # besides the request itself, and the CompiledGates hold the 4 segments
     compile_schedule((GateSpec("cnot"),), device(0.05), mode)
-    assert gate_objects_built == {"GateSpec": 1 + 8, "CompiledGate": 7}
+    assert gate_objects_built == {"GateSpec": 1 + 8, "CompiledGate": 7, "PulseSegment": 4}
 
 
 def test_gated_cnot_wraps_only_its_two_blocks_angles(monkeypatch):
