@@ -34,7 +34,7 @@ def main():
     schedule = compile_cnot(dev, "gated")
 
     print(f"coupling / drive ratio: {ratio}")
-    print(f"compiled segments ({len(schedule.segments)}):")
+    print(f"compiled segments ({len(schedule.controls)}):")
     print("  #  duration    delta1      delta2      a1    a2    label")
     for i, seg in enumerate(schedule.segments, 1):
         print(

@@ -278,7 +278,7 @@ def _cmd_simulate(cfg):
     report = _verify_propagator(result.total_propagator, ideal_product(cfg.gates), cfg.tol)
 
     p = cfg.precision
-    print(f"segments = {len(schedule.segments)}")
+    print(f"segments = {len(schedule.controls)}")
     print(f"total_duration = {_fmt(schedule.total_duration, p)}")
     print("  #  duration        delta1          delta2          a1       a2     label")
     for i, seg in enumerate(schedule.segments, 1):

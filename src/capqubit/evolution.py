@@ -20,8 +20,8 @@ each segment's powers for its n - 1 full steps, then its partial step.  It
 exists only to cross-check the exact route and shares no code path with
 ``expm_unitary`` beyond the Hamiltonian core.
 
-The capacitive coupling is a device constant: it appears in every segment's
-Hamiltonian and is deliberately NOT a per-segment control.
+Every schedule is capacitive: its coupling is a device constant in every
+segment's Hamiltonian, one coupling row for all, and NOT a per-segment control.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import DeviceParams, _coupling, _hamiltonians, _RowError
+from .hamiltonian import _COUPLING, DeviceParams, _coupling, _hamiltonians, _RowError
 from .linalg import _require_finite, expm_unitary
 
 __all__ = [
@@ -53,6 +53,7 @@ INITIAL_STATE = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # |1>|1>, both qu
 # one unchunked stack, while the tracemalloc peak grows from 2.2 MB at 512
 # to 14.3 MB unchunked.
 _CHUNK = 512
+_CAPACITIVE = _COUPLING["capacitive"]
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,9 @@ class Schedule:
     controls: np.ndarray
     labels: tuple
     device: DeviceParams
-    model: str
+    model = "capacitive"  # not a field: the bench's traced replay reads it
 
-    def __init__(self, segments, device, model="capacitive"):
+    def __init__(self, segments, device):
         try:
             segments = tuple(segments)
         except TypeError:
@@ -122,36 +123,35 @@ class Schedule:
             if not isinstance(seg, PulseSegment):
                 raise ValueError(f"schedule entries must be PulseSegment, got {seg!r}")
         self._hold([((seg.duration, seg.delta1, seg.delta2, seg.a1, seg.a2), seg.label)
-                    for seg in segments], device, model)
+                    for seg in segments], device)
 
     @classmethod
-    def _of_rows(cls, rows, device, model="capacitive"):
+    def _of_rows(cls, rows, device):
         """The schedule of ``_segment_row`` rows, which were checked when made."""
         schedule = object.__new__(cls)
-        schedule._hold(rows, device, model)
+        schedule._hold(rows, device)
         return schedule
 
-    def _hold(self, rows, device, model):
+    def _hold(self, rows, device):
         if not rows:
             raise ValueError("schedule must contain at least one segment")
         if not isinstance(device, DeviceParams):
             raise ValueError(f"device must be a DeviceParams, got {device!r}")
-        _coupling(model)
         controls, labels = zip(*rows)
         controls = np.array(controls, dtype=float)
         controls.flags.writeable = False
         for name, value in (("controls", controls), ("labels", labels),
-                            ("device", device), ("model", model)):
+                            ("device", device)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, Schedule):
             return NotImplemented
-        return ((self.labels, self.device, self.model) == (other.labels, other.device, other.model)
+        return ((self.labels, self.device) == (other.labels, other.device)
                 and np.array_equal(self.controls, other.controls))
 
     def __hash__(self):
-        return hash((self.labels, self.device, self.model))
+        return hash((self.labels, self.device))
 
     @property
     def segments(self):
@@ -213,13 +213,12 @@ def _propagate_chunk(schedules, k0, s0, psi):
     counts = [len(sched.controls) for sched in schedules]
     if len(schedules) == 1:
         (sched,) = schedules
-        controls, coupling, d12 = sched.controls, _coupling(sched.model), sched.device.delta12
+        controls, d12 = sched.controls, sched.device.delta12
     else:
         controls = np.concatenate([sched.controls for sched in schedules])
-        coupling = np.repeat([_coupling(sched.model) for sched in schedules], counts, axis=0).T
         d12 = np.repeat([sched.device.delta12 for sched in schedules], counts)
     try:
-        hs = _hamiltonians(coupling, controls, d12)
+        hs = _hamiltonians(_CAPACITIVE, controls, d12)
     except _RowError as exc:
         raise _segment_error(schedules, k0, s0, exc.row, exc) from None
     durations = controls[:, 0]
@@ -264,8 +263,8 @@ def propagate_many(schedules, psi0):
     """Exact evolution of several schedules from one initial state, one
     ``EvolutionResult`` per schedule, in order.
 
-    The segments of all the schedules, each with its own device and model,
-    form one stack in order.  It runs in chunks of whole schedules, at most
+    The segments of all the schedules, each with its own device, form one
+    stack in order.  It runs in chunks of whole schedules, at most
     ``_CHUNK`` segments each unless one schedule is longer, so its memory is
     bounded by a chunk.  A chunk concatenates its schedules' control arrays
     and builds all their Hamiltonians in one call of the stacked core, then
@@ -361,14 +360,14 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
         raise ValueError(
             f"dt={dt} too coarse: must be <= shortest segment / 10 = {shortest / 10.0}"
         )
-    coupling, d12 = _coupling(schedule.model), schedule.device.delta12
+    d12 = schedule.device.delta12
     unbuilt = None
     try:
-        hs = _hamiltonians(coupling, schedule.controls, d12)
+        hs = _hamiltonians(_CAPACITIVE, schedule.controls, d12)
     except _RowError as exc:
         # the segments before it are built, to be checked first
         unbuilt = exc
-        hs = _hamiltonians(coupling, schedule.controls[:exc.row], d12)
+        hs = _hamiltonians(_CAPACITIVE, schedule.controls[:exc.row], d12)
     with np.errstate(over="ignore"):
         reaches = (dt * np.abs(hs).sum(axis=2).max(axis=1)).tolist()
     for j, reach in enumerate(reaches):

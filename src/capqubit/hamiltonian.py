@@ -21,16 +21,17 @@ interaction models are provided:
   contribution is +omega_12 on the aligned states (|1>|1>, |0>|0>) and
   -omega_12 on the anti-aligned ones.
 
-Both models share one stacked core, ``_hamiltonians``: it takes the model's
-coupling row, the (n, 5) controls of n segments (duration, delta1, delta2,
-a1, a2; the duration unused) and the coupling Delta_12, one for all or one
-per segment, and returns the (n, 4, 4) stack in one numpy pass.  Each
-diagonal entry is the correctly rounded sum of its three terms +-delta1,
-+-delta2 and c_k Delta_12, the model's coupling coefficient c_k on entry k
-read from the table ``_COUPLING``:
+Both models share one stacked core, ``_hamiltonians``: it takes one model's
+coupling row for the whole stack, the (n, 5) controls of n segments
+(duration, delta1, delta2, a1, a2; the duration unused) and the coupling
+Delta_12, one for all or one per segment (a stack may mix devices), and
+returns the (n, 4, 4) stack in one numpy pass.  Each diagonal entry is the
+correctly rounded sum of its three terms +-delta1, +-delta2 and c_k
+Delta_12, the model's coupling coefficient c_k on entry k read from the
+table ``_COUPLING``:
 
-* an entry whose coefficient is non-zero somewhere in the stack is
-  ``math.fsum`` of its three terms, row by row;
+* an entry whose coefficient is non-zero is ``math.fsum`` of its three
+  terms, row by row;
 * every other entry is the numpy sum of its two level terms, which rounds
   correctly, plus 0.0, so that an exact zero is +0.0 as fsum gives it;
 * when an entry leaves the float range (numpy reports the overflow, or
@@ -160,14 +161,13 @@ def _coupling(model):
 @np.errstate(over="raise")
 def _hamiltonians(coupling, controls, d12):
     """The (n, 4, 4) Hamiltonians of n rows of validated controls, as the
-    module docstring states.  ``coupling`` is a model's row, or a (4, n)
-    array of one row per segment; ``d12`` is one coupling or one per
-    segment.  The first row that cannot be built is a ``_RowError``."""
+    module docstring states.  ``coupling`` is one model's row for every
+    segment; ``d12`` is one coupling or one per segment.  The first row that
+    cannot be built is a ``_RowError``."""
     n = len(controls)
     terms = np.empty((3, 4, n))  # entry k's terms: z1_k delta1, z2_k delta2, c_k delta12
     np.multiply(_Z, controls.T[1:3, None], out=terms[:2])
-    np.multiply(coupling.reshape(4, -1), d12, out=terms[2])
-    coupled = coupling.tolist() if coupling.ndim == 1 else coupling.any(axis=1).tolist()
+    np.multiply(coupling[:, None], d12, out=terms[2])
     # each row (0, H11, H22, H33, H44, a1, a2), read into the 4x4 by _LAYOUT
     cols = np.zeros((n, 7), dtype=complex)
     real = cols.real
@@ -177,8 +177,8 @@ def _hamiltonians(coupling, controls, d12):
         # 0.0 + z1_k delta1 + z2_k delta2 in any order: the two-term sum, and
         # +0.0 where it is an exact zero, as fsum gives
         np.add.reduce(terms[:2], axis=0, initial=0.0, out=diag)
-        for k, is_coupled in enumerate(coupled):
-            if is_coupled:
+        for k, c in enumerate(coupling.tolist()):
+            if c:
                 diag[k] = list(map(math.fsum, zip(*terms[:, k].tolist())))
     except (FloatingPointError, OverflowError):
         # an entry left the float range: every row is summed again by _entry,

@@ -357,14 +357,14 @@ def _control_rows_refused(delta, side, a, t, d12, delta2, sep):
     outward = [side * d >= 0.0 for d in branches]
     gap = max(abs(math.remainder(oms[1] * t - oms[0] * t, math.pi)) - 2.0 * rounding, 0.0)
     om_min = min(oms) if all(outward) else a
-    drift = math.pi * abs(d12) * a * a / (2.0 * om_min * om_min * om_min)
+    drift = math.pi * abs(d12) * (a / om_min) ** 2 / (2.0 * om_min)  # ratios: a*a underflows
     rows = [(a * math.sin(gap / 2.0) / root_cap - max(oms))  # both caps
             / (step + a * drift / (2.0 * root_cap))]
     for d, om, out in zip(branches, oms, outward):
         phase = math.fmod(om * t, math.pi)
         sine = math.sin(phase) - rounding
         if out and sine > root_cap * om / a:
-            fall = math.pi * a * a / (om * (om + abs(d)))  # one cap, by its chord
+            fall = math.pi * (a / om) * (a / (om + abs(d)))  # one cap, by its chord
             rows.append((sine - root_cap * om / a)
                         / (fall * sine / (phase - rounding) + root_cap * step / a))
     rows += [(sep - side * (delta - c)) / step  # the band

@@ -92,7 +92,7 @@ def test_schedule_segments_must_be_an_iterable():
 
 def test_schedule_holds_its_controls_as_one_read_only_array():
     segs = (PulseSegment(0.5, -0.0, 1.25, 0.0, 2.0, "first"), PulseSegment(3, 1, -2, 1, 0))
-    sched = Schedule(segs, device(0.1), "dipole")
+    sched = Schedule(segs, device(0.1))
     assert sched.controls.dtype == float and sched.controls.shape == (2, 5)
     assert sched.controls.tolist() == [[0.5, -0.0, 1.25, 0.0, 2.0], [3.0, 1.0, -2.0, 1.0, 0.0]]
     assert math.copysign(1.0, sched.controls[0, 1]) == -1.0
@@ -103,9 +103,10 @@ def test_schedule_holds_its_controls_as_one_read_only_array():
     assert sched.segments == segs
     assert all(type(getattr(seg, name)) is float for seg in sched.segments
                for name in ("duration", "delta1", "delta2", "a1", "a2"))
-    assert sched == Schedule(sched.segments, device(0.1), "dipole")
-    assert sched != Schedule(sched.segments, device(0.1))
-    assert hash(sched) == hash(Schedule(sched.segments, device(0.1), "dipole"))
+    assert sched == Schedule(sched.segments, device(0.1))
+    assert sched != Schedule(sched.segments, device(0.2))
+    assert sched != Schedule((segs[0], PulseSegment(3, 1, -2, 1, 0, "second")), device(0.1))
+    assert hash(sched) == hash(Schedule(sched.segments, device(0.1)))
 
 
 @pytest.mark.parametrize("controls", [
@@ -128,13 +129,14 @@ def test_schedule_validation():
         Schedule(segments=(), device=device())
     with pytest.raises(ValueError):
         Schedule(segments=("not a segment",), device=device())
-    with pytest.raises(ValueError, match=re.escape(
-            "model must be one of ('capacitive', 'dipole'), got 'adiabatic'")):
-        Schedule(segments=(seg,), device=device(), model="adiabatic")
     with pytest.raises(ValueError, match="^device must be a DeviceParams, got 'dev'$"):
         Schedule(segments=(seg,), device="dev")
     sched = Schedule(segments=(seg, seg), device=device())
     assert sched.total_duration == 2.0
+    # every schedule is capacitive: it takes no model, and reads as one
+    with pytest.raises(TypeError):
+        Schedule((seg,), device(), model="dipole")
+    assert Schedule.model == sched.model == "capacitive"
 
 
 def test_segment_hamiltonian_dispatch():
@@ -233,7 +235,7 @@ def reference_propagate(schedule, psi0):
     """Reference: one expm_unitary call per segment, multiplied in time order."""
     u_total = np.eye(4, dtype=complex)
     for seg in schedule.segments:
-        h = segment_hamiltonian(seg, schedule.device, schedule.model)
+        h = segment_hamiltonian(seg, schedule.device)
         u_total = expm_unitary(h, seg.duration) @ u_total
     return u_total @ np.asarray(psi0, dtype=complex), u_total
 
@@ -248,14 +250,14 @@ def random_segments(rng, count):
 
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8),
-       model=st.sampled_from(["capacitive", "dipole"]), sign=st.sampled_from([1.0, -1.0]))
-def test_propagate_equals_the_per_segment_loop_bit_for_bit(seed, count, model, sign):
+       sign=st.sampled_from([1.0, -1.0]))
+def test_propagate_equals_the_per_segment_loop_bit_for_bit(seed, count, sign):
     # numpy draws from a hypothesis seed, so values fill their ranges rather
     # than crowding the ends; |Delta_12| is log-uniform in [1e-3, 0.5]
     rng = np.random.default_rng(seed)
     segs = random_segments(rng, count)
     d12 = sign * 10.0 ** float(rng.uniform(-3.0, math.log10(0.5)))
-    sched = Schedule(segments=segs, device=device(d12=d12), model=model)
+    sched = Schedule(segments=segs, device=device(d12=d12))
     psi0 = random_state(rng)
     final, u_total = reference_propagate(sched, psi0)
     result = propagate(sched, psi0)
@@ -266,14 +268,13 @@ def test_propagate_equals_the_per_segment_loop_bit_for_bit(seed, count, model, s
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(1, 8), min_size=1, max_size=6))
 def test_propagate_many_equals_the_per_segment_loop_per_schedule(seed, counts):
-    # each schedule draws its own model, coupling sign and |Delta_12|
-    # (log-uniform in [1e-3, 0.5]), so one stack mixes devices and models
+    # each schedule draws its own coupling sign and |Delta_12|
+    # (log-uniform in [1e-3, 0.5]), so one stack mixes devices
     rng = np.random.default_rng(seed)
     schedules = [
         Schedule(segments=random_segments(rng, count),
                  device=device(d12=float(rng.choice([1.0, -1.0]))
-                               * 10.0 ** float(rng.uniform(-3.0, math.log10(0.5)))),
-                 model=str(rng.choice(["capacitive", "dipole"])))
+                               * 10.0 ** float(rng.uniform(-3.0, math.log10(0.5)))))
         for count in counts]
     psi0 = random_state(rng)
     results = propagate_many(schedules, psi0)
@@ -298,8 +299,7 @@ def test_propagate_many_builds_once_per_chunk(monkeypatch, hamiltonian_builds):
     # builds all its Hamiltonians in one call of the stacked core
     rng = np.random.default_rng(17)
     counts = (3, 1, 5, 2, 7, 4, 4, 1, 1, 2)
-    schedules = [Schedule(segments=random_segments(rng, count), device=device(d12=0.1),
-                          model=("capacitive", "dipole")[count % 2])
+    schedules = [Schedule(segments=random_segments(rng, count), device=device(d12=0.1))
                  for count in counts]
     propagate_many(schedules, KET_11)
     assert hamiltonian_builds == [(sum(counts), 5)]
@@ -335,19 +335,17 @@ OVERFLOWING = PulseSegment(duration=1.0, delta1=1e308, delta2=1e308, a1=0.0, a2=
 ENTRY_OVERFLOWS = r"Hamiltonian entry \(1,1\) overflows"
 
 
-@pytest.mark.parametrize("model", ["capacitive", "dipole"])
-def test_overflowing_hamiltonian_entry_is_named_by_both_propagators(model):
+def test_overflowing_hamiltonian_entry_is_named_by_both_propagators():
     # math.fsum used to escape as a bare OverflowError.  delta2 = -1e308
-    # overflows delta1 - delta2 on entry (2,2): two level terms alone in the
-    # capacitive model, with the dipolar -Delta_12 in the dipole model
+    # overflows delta1 - delta2 on entry (2,2): two level terms alone, with
+    # the capacitive coupling's zero
     calm = PulseSegment(duration=1.0, delta1=0.1, delta2=0.2, a1=0.3, a2=0.4)
-    calm_sched = Schedule(segments=(calm,), device=device(0.1), model=model)
+    calm_sched = Schedule(segments=(calm,), device=device(0.1))
     for delta2, entry in (
             (1e308, r"\(1,1\) overflows: the sum of \(1e\+308, 1e\+308, 0\.1\)"),
-            (-1e308, r"\(2,2\) overflows: the sum of \(1e\+308, 1e\+308, -?0\.[01]\)")):
+            (-1e308, r"\(2,2\) overflows: the sum of \(1e\+308, 1e\+308, 0\.0\)")):
         overflowing = PulseSegment(duration=1.0, delta1=1e308, delta2=delta2, a1=0.0, a2=0.0)
-        sched = Schedule(segments=(calm, overflowing, overflowing), device=device(0.1),
-                         model=model)
+        sched = Schedule(segments=(calm, overflowing, overflowing), device=device(0.1))
         message = "Hamiltonian entry " + entry + " is not a finite float$"
         with pytest.raises(ValueError, match=r"^stack index 2 \(schedule 1, segment 1\): "
                                              + message):

@@ -1123,6 +1123,41 @@ def test_qubit_1_walk_ends_a_side_whose_detunings_overflow():
         phase_block(1.0, dev, "always_on", owing())
 
 
+@pytest.mark.parametrize("dev", [
+    DeviceParams(QubitParams(1.1643009485390392, 1.5228165267791054e-138),
+                 QubitParams(0.0, 4.645745237228978e-222), -2.171503134035294e-143),
+    DeviceParams(QubitParams(0.6232800326044425, 3.378713996181449e-153),
+                 QubitParams(-0.42992323504253216, 9.350466679916689e-124), 6.220331511603383e-122),
+    DeviceParams(QubitParams(-0.44454650469412105, 6.170920694072832e-216),
+                 QubitParams(-1.4653327816644373, 7.473511962583361e-305), -5.695449402628399e-215),
+])
+def test_tiny_drives_compile_or_are_refused_by_name(dev):
+    # the qubit-1 walk's bounds divided by a^2 and Omega^3 products, which
+    # underflow to 0 for tiny drives: a bare ZeroDivisionError escaped
+    try:
+        propagate(compile_cnot(dev, "always_on"), KET_11)
+    except CompilationError:
+        pass
+
+
+def test_devices_across_the_float_range_compile_or_are_refused_by_name():
+    # drives and |Delta_12| log-uniform over the float range, both signs:
+    # before the walk's bounds divided as ratios, 4 of these 1000 draws
+    # escaped as a bare ZeroDivisionError
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        a1, a2, d12 = 10.0 ** rng.uniform(-320.0, 308.0, 3)
+        d1, d2 = rng.uniform(-2.0, 2.0, 2)
+        sign = float(rng.choice([1.0, -1.0]))
+        dev = DeviceParams(QubitParams(float(d1), float(a1)),
+                           QubitParams(float(d2), float(a2)), sign * float(d12))
+        for mode in ("gated", "always_on"):
+            try:
+                propagate(compile_cnot(dev, mode), KET_11)
+            except ValueError:  # a CompilationError or another named refusal
+                pass
+
+
 def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
     # with a1 = 1e5 every candidate up to the cap flips qubit 1 past _FLIP_CAP
     monkeypatch.setattr(pulsecompiler, "_K_MAX", 1000)
