@@ -20,6 +20,9 @@ each segment's powers for its n - 1 full steps, then its partial step.  It
 exists only to cross-check the exact route and shares no code path with
 ``expm_unitary`` beyond the Hamiltonian core.
 
+One rule names a failure: the stacked path detects it, and one walk names
+the first segment in time order that fails when rebuilt and checked alone.
+
 Every schedule is capacitive: its coupling is a device constant in every
 segment's Hamiltonian, one coupling row for all, and NOT a per-segment control.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import _COUPLING, DeviceParams, _coupling, _hamiltonians, _RowError
+from .hamiltonian import _COUPLING, DeviceParams, _coupling, _hamiltonians
 from .linalg import _require_finite, expm_unitary
 
 __all__ = [
@@ -196,15 +199,19 @@ def _check_initial_state(psi0):
     return psi
 
 
-def _segment_error(schedules, k0, s0, k, exc):
-    """The error naming entry k of a chunk of ``schedules`` whose first
-    segment is stack index k0 and whose first schedule is s0."""
-    j = k
-    for s, sched in enumerate(schedules):
-        if j < len(sched.controls):
-            break
-        j -= len(sched.controls)
-    return ValueError(f"stack index {k0 + k} (schedule {s0 + s}, segment {j}): {exc}")
+def _first_failure(schedules, check):
+    """The first segment of ``schedules`` in time order that fails alone, as
+    (schedule, segment, stack position, error), or None if none does.  Each
+    segment is rebuilt alone by the stacked core, and ``check`` takes its
+    Hamiltonian and duration."""
+    segments = ((s, j, sched.device.delta12, row) for s, sched in enumerate(schedules)
+                for j, row in enumerate(sched.controls[:, None]))
+    for k, (s, j, d12, row) in enumerate(segments):
+        try:
+            check(_hamiltonians(_CAPACITIVE, row, d12)[0], row[0, 0])
+        except ValueError as exc:
+            return s, j, k, exc
+    return None
 
 
 def _propagate_chunk(schedules, k0, s0, psi):
@@ -218,21 +225,13 @@ def _propagate_chunk(schedules, k0, s0, psi):
         controls = np.concatenate([sched.controls for sched in schedules])
         d12 = np.repeat([sched.device.delta12 for sched in schedules], counts)
     try:
-        hs = _hamiltonians(_CAPACITIVE, controls, d12)
-    except _RowError as exc:
-        raise _segment_error(schedules, k0, s0, exc.row, exc) from None
-    durations = controls[:, 0]
-    try:
-        us = expm_unitary(hs, durations)
+        us = expm_unitary(_hamiltonians(_CAPACITIVE, controls, d12), controls[:, 0])
     except ValueError:
-        # each stacked unitary is its lone call's, so the first segment whose
-        # lone call fails is the one to name
-        for k, (h, duration) in enumerate(zip(hs, durations)):
-            try:
-                expm_unitary(h, duration)
-            except ValueError as exc:
-                raise _segment_error(schedules, k0, s0, k, exc) from None
-        raise
+        failure = _first_failure(schedules, expm_unitary)
+        if failure is None:
+            raise
+        s, j, k, exc = failure
+        raise ValueError(f"stack index {k0 + k} (schedule {s0 + s}, segment {j}): {exc}") from None
     if len(schedules) == 1:
         # a lone schedule multiplies its 4x4 unitaries in turn, which costs
         # less than the bookkeeping of a stack of one
@@ -275,11 +274,10 @@ def propagate_many(schedules, psi0):
     these products as one stack of matrix products, and a chunk's final
     states come from one stacked product with psi0.  Every result is bit for
     bit what the schedule gives alone.  Every entry is checked to be a
-    Schedule before any chunk runs.  A segment whose Hamiltonian cannot be
-    built, or whose unitary cannot be formed, is named by its index in the
-    whole stack and in its schedule: the first such segment of the first
-    chunk that has one, whose Hamiltonians are all built before any is
-    exponentiated.
+    Schedule before any chunk runs.  One rule names a failure: the stacked
+    path detects it, and one walk names the first segment in time order that
+    fails when rebuilt and checked alone (by ``expm_unitary``), by its index
+    in the whole stack and in its schedule.
     """
     psi = _check_initial_state(psi0)
     schedules = tuple(schedules)
@@ -320,6 +318,15 @@ def _rk4_step_matrix(m, h):
     return _EYE + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _require_rk4_stable(hs, dt):
+    """A ValueError unless dt keeps RK4 stable on every Hamiltonian of ``hs``."""
+    with np.errstate(over="ignore"):
+        reach = (dt * np.abs(hs).sum(axis=-1).max(axis=-1)).max()
+    if not reach <= _RK4_STABLE:
+        raise ValueError(f"dt={dt} is unstable: dt * max row sum |H| = {reach:.3e} "
+                         f"exceeds RK4's limit 2*sqrt(2)")
+
+
 def propagate_rk4(schedule: Schedule, psi0, dt):
     """Fixed-step RK4 integration of the Schrodinger equation, never via
     ``expm_unitary``: each segment is n - 1 full steps of its RK4 step
@@ -339,10 +346,10 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
             dt times the largest row sum of |H_k| is at most 2 sqrt(2).  The
             row sum bounds H_k's spectral radius, and 2 sqrt(2) is where
             RK4's stability interval on the imaginary axis ends; past it
-            the state grows without bound.  The error names the first
-            segment in time order that is unstable or whose Hamiltonian
-            cannot be built; a segment that cannot be built is reported as
-            such, as it has no step to check.
+            the state grows without bound.  One rule names a failure:
+            the stacked path detects it, and one walk names the first
+            segment in time order that fails when rebuilt and checked alone
+            (by the stability test).
 
     Returns:
         The final state vector.  No renormalization is applied -- the norm
@@ -360,24 +367,12 @@ def propagate_rk4(schedule: Schedule, psi0, dt):
         raise ValueError(
             f"dt={dt} too coarse: must be <= shortest segment / 10 = {shortest / 10.0}"
         )
-    d12 = schedule.device.delta12
-    unbuilt = None
     try:
-        hs = _hamiltonians(_CAPACITIVE, schedule.controls, d12)
-    except _RowError as exc:
-        # the segments before it are built, to be checked first
-        unbuilt = exc
-        hs = _hamiltonians(_CAPACITIVE, schedule.controls[:exc.row], d12)
-    with np.errstate(over="ignore"):
-        reaches = (dt * np.abs(hs).sum(axis=2).max(axis=1)).tolist()
-    for j, reach in enumerate(reaches):
-        if not reach <= _RK4_STABLE:
-            raise ValueError(
-                f"segment {j}: dt={dt} is unstable: dt * max row sum |H| = {reach:.3e} "
-                f"exceeds RK4's limit 2*sqrt(2)"
-            )
-    if unbuilt is not None:
-        raise ValueError(f"segment {unbuilt.row}: {unbuilt}")
+        hs = _hamiltonians(_CAPACITIVE, schedule.controls, schedule.device.delta12)
+        _require_rk4_stable(hs, dt)
+    except ValueError:
+        _, j, _, exc = _first_failure((schedule,), lambda h, _: _require_rk4_stable(h, dt))
+        raise ValueError(f"segment {j}: {exc}") from None
     counts = [max(1, math.ceil(duration / dt - 1e-12)) - 1 for duration in durations]  # full steps
     lasts = [duration - count * dt for duration, count in zip(durations, counts)]
     n = len(hs)

@@ -37,9 +37,11 @@ table ``_COUPLING``:
 * when an entry leaves the float range (numpy reports the overflow, or
   fsum raises), every row is summed again, entry by entry, by the scalar
   ``_entry``, which keeps fsum's value or raises a ValueError naming the
-  first entry that overflows; the error names its stack row as well.
+  first entry that overflows in the first row that has one.
 
-So every matrix is bit for bit the one a row-by-row fsum gives.
+So every matrix is bit for bit the one a row-by-row fsum gives.  One rule
+names a failure: the stacked path detects it, and one walk names the first
+segment in time order that fails when rebuilt and checked alone.
 ``build_capacitive``, ``build_dipole`` and ``evolution.segment_hamiltonian``
 are stacks of one; every value was validated when its object was built, so
 the core validates none.  ``build_capacitive_pauli_form`` assembles the
@@ -141,15 +143,6 @@ def _entry(k, terms):
         ) from None
 
 
-class _RowError(ValueError):
-    """A row of a stack whose Hamiltonian cannot be built: the message is its
-    entry's, and ``row`` the row's index in the stack."""
-
-    def __init__(self, row, message):
-        super().__init__(message)
-        self.row = row
-
-
 def _coupling(model):
     """The model's row of ``_COUPLING``, or a ValueError naming the models."""
     try:
@@ -163,7 +156,7 @@ def _hamiltonians(coupling, controls, d12):
     """The (n, 4, 4) Hamiltonians of n rows of validated controls, as the
     module docstring states.  ``coupling`` is one model's row for every
     segment; ``d12`` is one coupling or one per segment.  The first row that
-    cannot be built is a ``_RowError``."""
+    cannot be built raises its entry's ValueError."""
     n = len(controls)
     terms = np.empty((3, 4, n))  # entry k's terms: z1_k delta1, z2_k delta2, c_k delta12
     np.multiply(_Z, controls.T[1:3, None], out=terms[:2])
@@ -184,10 +177,7 @@ def _hamiltonians(coupling, controls, d12):
         # an entry left the float range: every row is summed again by _entry,
         # which keeps fsum's value or names the first entry that overflows
         for j, row in enumerate(terms.transpose(2, 1, 0).tolist()):
-            try:
-                diag[:, j] = [_entry(k, tuple(t)) for k, t in enumerate(row)]
-            except ValueError as exc:
-                raise _RowError(j, str(exc)) from None
+            diag[:, j] = [_entry(k, tuple(t)) for k, t in enumerate(row)]
     return cols.take(_LAYOUT, axis=1)
 
 

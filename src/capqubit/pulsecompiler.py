@@ -439,7 +439,7 @@ def _control_parking(theta, a, t, d12, delta2, sep):
 def _full_cycle_parking(a, t, shift):
     """Detuning parking a rotation spectator on an exact generalized-Rabi
     cycle: Omega t = m pi gives zero flip probability and zero net z phase,
-    independent of the drive.  Picks the smallest such m above the floor."""
+    independent of the drive.  Picks the smallest such m >= 1 above the floor."""
     om_min = math.hypot(_PARKING_FLOOR * a + 0.5 * a + abs(shift), a)
     cycles = om_min * t / math.pi
     if not math.isfinite(cycles):
@@ -447,7 +447,7 @@ def _full_cycle_parking(a, t, shift):
             f"spectator parking overflows: its Rabi frequency {om_min:.3g} times the "
             f"pulse duration {t:.3g} is not finite"
         )
-    m = math.ceil(cycles)
+    m = max(1, math.ceil(cycles))  # Omega t / pi can underflow to 0
     om = math.pi * m / t
     delta = math.sqrt(om * om - a * a) - shift
     if not math.isfinite(delta):
@@ -469,13 +469,14 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
 
     The driven qubit sits at Delta = 0 with its device drive strength for a
     duration t = theta / (2 a), negative angles realized as theta + 2 pi
-    (durations are the only knob and must be positive).  In gated mode the
-    spectator is fully idle; in always-on mode it keeps its drive and is
-    parked on a full generalized-Rabi cycle.  The coupling surplus accrued
-    during the segment is added to the ledger ``owed`` in place; a zero
-    angle emits nothing and adds nothing.  Returns the step's segment rows
-    (``evolution._segment_row``) and its gate content as ``(kind, qubit,
-    angle)`` values.
+    (durations are the only knob and must be positive); a drive whose t is
+    not a finite positive float is named in a CompilationError.  In gated
+    mode the spectator is fully idle; in always-on mode it keeps its drive
+    and is parked on a full generalized-Rabi cycle.  The coupling surplus
+    accrued during the segment is added to the ledger ``owed`` in place; a
+    zero angle emits nothing and adds nothing.  Returns the step's segment
+    rows (``evolution._segment_row``) and its gate content as ``(kind,
+    qubit, angle)`` values.
     """
     content = (("rx", qubit, angle),)
     if not (-_TWO_PI < angle <= _TWO_PI):
@@ -492,6 +493,11 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
         )
     theta_pos = angle if angle > 0.0 else angle + _TWO_PI
     t = theta_pos / (2.0 * a_drive)
+    if not 0.0 < t < math.inf:
+        raise CompilationError(
+            f"qubit {qubit}'s drive a = {a_drive:.3g} gives its x pulse no finite "
+            f"positive duration (theta / (2 a) = {t:.3g})"
+        )
 
     a_spec = device.q2.a if qubit == 1 else device.q1.a
     if mode == "always_on" and a_spec > 0.0:

@@ -419,6 +419,24 @@ def test_propagate_many_names_a_failing_segment_by_its_global_index_across_chunk
             propagate_many([pair, pair, failing, pair], KET_11)
 
 
+@pytest.mark.parametrize("chunk", [1, 512])
+def test_both_propagators_name_the_first_failing_segment_in_time_order(monkeypatch, chunk):
+    # a phase that overflows, then an entry that overflows: a failed build
+    # used to win over an earlier failed exponential in the same chunk, so
+    # the segment named depended on the chunk size
+    monkeypatch.setattr(capqubit.evolution, "_CHUNK", chunk)
+    huge_phase = PulseSegment(duration=1e10, delta1=1e300, delta2=0.0, a1=0.0, a2=0.0)
+    first = r"^stack index 0 \(schedule 0, segment 0\): matrix has eigenvalue -?1\.000e\+300"
+    with pytest.raises(ValueError, match=first):
+        propagate_many([Schedule(segments=(huge_phase,), device=device(0.1)),
+                        Schedule(segments=(OVERFLOWING,), device=device(0.1))], KET_11)
+    sched = Schedule(segments=(huge_phase, OVERFLOWING), device=device(0.1))
+    with pytest.raises(ValueError, match=first):
+        propagate(sched, KET_11)
+    with pytest.raises(ValueError, match=r"^segment 0: dt=0\.01 is unstable"):
+        propagate_rk4(sched, KET_11, dt=0.01)
+
+
 def test_propagate_many_memory_is_bounded_by_its_chunk():
     # eight chunks of 4-segment schedules: above what the results retain,
     # the peak stays within 4 kB per segment of one chunk (about 1.6 kB is

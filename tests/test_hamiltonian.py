@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from capqubit import checks
-from capqubit.evolution import PulseSegment, segment_hamiltonian
+from capqubit.evolution import INITIAL_STATE, PulseSegment, Schedule, propagate, segment_hamiltonian
 from capqubit.hamiltonian import (
     _COUPLING,
     DeviceParams,
@@ -92,13 +92,13 @@ def scalar_hamiltonian(model, d1, d2, a1, a2, d12):
 
 def stacked_or_error(model, rows):
     """The stacked core on rows (delta1, delta2, a1, a2, delta12) of one
-    model, as int64 views per row, or the row and message of its error."""
+    model, as int64 views per row, or the message of its error."""
     controls = np.array([(1.0, d1, d2, a1, a2) for d1, d2, a1, a2, _ in rows])
     d12 = np.array([row[4] for row in rows])
     try:
         return [h.view(np.int64).tolist() for h in _hamiltonians(_COUPLING[model], controls, d12)]
     except ValueError as exc:
-        return exc.row, str(exc)
+        return str(exc)
 
 
 def scalar_or_error(model, rows):
@@ -181,12 +181,17 @@ def test_stacked_core_gives_fsums_signed_zeros(model):
 ])
 def test_stacked_core_overflows_where_fsum_does(model, d1, d2, d12, row):
     # a calm row, the row under test, then a row that overflows: the stack
-    # names the first row that overflows, and the entry fsum names in it,
-    # with the scalar entry's message
+    # raises the scalar entry's message for the first row that overflows,
+    # and propagating the rows as one schedule, on that row's coupling,
+    # names that row's segment with the same message
     rows = [(0.1, 0.2, 0.3, 0.4, 0.05), (d1, d2, 0.3, 0.4, d12), (1e308, 1e308, 0.0, 0.0, 1.0)]
-    reference = scalar_or_error(model, rows)
-    assert reference[0] == row
-    assert stacked_or_error(model, rows) == reference
+    first, message = scalar_or_error(model, rows)
+    assert first == row
+    assert stacked_or_error(model, rows) == message
+    if model == "capacitive":
+        schedule = Schedule([PulseSegment(1.0, *r[:4]) for r in rows], device(d12=rows[row][4]))
+        with pytest.raises(ValueError, match=f"segment {row}\\): {re.escape(message)}$"):
+            propagate(schedule, INITIAL_STATE)
 
 
 def test_capacitive_coupling_only():

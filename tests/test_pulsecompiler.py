@@ -352,6 +352,20 @@ def test_always_on_x_rotation_too_long_to_park_raises_compilation_error():
         x_rotation(2, 1.0, dev, "always_on", owing())
 
 
+@pytest.mark.parametrize("mode", ["gated", "always_on"])
+@pytest.mark.parametrize("a2, duration", [(1.78e-314, "inf"), (1e308, "0")])
+def test_x_rotation_without_a_finite_positive_duration_names_the_drive(mode, a2, duration):
+    # an x pulse on qubit 2 lasts theta / (2 a), which is inf for a
+    # subnormal drive and 0 once 2 a overflows: the segment check refused
+    # the gated row as a bare ValueError, and always-on parking named only
+    # the infinite duration or divided by the zero one
+    dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, a2), 0.5)
+    with pytest.raises(CompilationError, match=re.escape(
+            f"qubit 2's drive a = {a2:.3g} gives its x pulse no finite positive duration "
+            f"(theta / (2 a) = {duration})")):
+        x_rotation(2, 1.0, dev, mode, owing())
+
+
 # ---------------------------------------------------------------------------
 # y and z rotations
 # ---------------------------------------------------------------------------
@@ -1130,10 +1144,15 @@ def test_qubit_1_walk_ends_a_side_whose_detunings_overflow():
                  QubitParams(-0.42992323504253216, 9.350466679916689e-124), 6.220331511603383e-122),
     DeviceParams(QubitParams(-0.44454650469412105, 6.170920694072832e-216),
                  QubitParams(-1.4653327816644373, 7.473511962583361e-305), -5.695449402628399e-215),
+    DeviceParams(QubitParams(0.5284808457545496, 1.3807560560918847e-115),
+                 QubitParams(-0.7959040760775378, 8.453214957340904e+217), -1.316e-320),
 ])
 def test_tiny_drives_compile_or_are_refused_by_name(dev):
     # the qubit-1 walk's bounds divided by a^2 and Omega^3 products, which
-    # underflow to 0 for tiny drives: a bare ZeroDivisionError escaped
+    # underflow to 0 for tiny drives: a bare ZeroDivisionError escaped.  In
+    # the last device a tiny spectator drive over a very short pulse made
+    # the cycle count Omega t / pi underflow to 0, and parking on 0 cycles
+    # escaped as a bare "math domain error"
     try:
         propagate(compile_cnot(dev, "always_on"), KET_11)
     except CompilationError:
@@ -1142,8 +1161,12 @@ def test_tiny_drives_compile_or_are_refused_by_name(dev):
 
 def test_devices_across_the_float_range_compile_or_are_refused_by_name():
     # drives and |Delta_12| log-uniform over the float range, both signs:
-    # before the walk's bounds divided as ratios, 4 of these 1000 draws
-    # escaped as a bare ZeroDivisionError
+    # a compile fails only as a CompilationError, and propagate only as a
+    # ValueError naming its segment.  Before the walk's bounds divided as
+    # ratios, 4 of these 1000 draws escaped as a bare ZeroDivisionError;
+    # before a full cycle counted at least once and an x pulse of infinite
+    # duration was refused, compiles escaped as "math domain error" or as
+    # a segment row's "duration must be a finite real number, got inf"
     rng = np.random.default_rng(8)
     for _ in range(1000):
         a1, a2, d12 = 10.0 ** rng.uniform(-320.0, 308.0, 3)
@@ -1153,9 +1176,13 @@ def test_devices_across_the_float_range_compile_or_are_refused_by_name():
                            QubitParams(float(d2), float(a2)), sign * float(d12))
         for mode in ("gated", "always_on"):
             try:
-                propagate(compile_cnot(dev, mode), KET_11)
-            except ValueError:  # a CompilationError or another named refusal
-                pass
+                schedule = compile_cnot(dev, mode)
+            except CompilationError:
+                continue
+            try:
+                propagate(schedule, KET_11)
+            except ValueError as exc:
+                assert re.match(r"stack index \d+ \(schedule 0, segment \d+\): ", str(exc)), exc
 
 
 def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
