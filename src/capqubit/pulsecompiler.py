@@ -38,6 +38,15 @@ never be switched off, which shapes the whole design:
   the difference -- the drive-induced level shift integrated over the
   block -- is the dominant, intentionally unmodeled always-on phase error.
 
+The compile domain: each nonzero drive a_i and |Delta_12| lie in [1e-150,
+1e150] a_ref, or ``_compile_steps`` refuses the device by name; a zero one
+meets its own refusal.  Products, ratios and squares of two such magnitudes
+stay below about 1e302: an x pulse lasts t <= pi / a, its surplus <= 1.6e300,
+its spectator's Omega_min t / pi <= 1.1e301 and Omega_min^2 <= 1.2e302; a
+block lasts t in [2e-12, 4 pi] / |Delta_12|, so gated detunings stay <=
+8e161, qubit 1's rows within _K_MAX <= 1.6e168 and qubit 2's brackets are
+finite below a t = 4.14e10.  Tiny angles and ledger sums are refused by name.
+
 The CNOT is the NMR-style request list ``_CNOT_SEQUENCE``: x(-pi/2) on the
 target, virtual z's and a zz(pi/2) block, x(+pi/2) on the target, a virtual
 z and a second zz(pi/2) block.  The virtual z's are the brackets that turn
@@ -99,6 +108,7 @@ _SCREEN_SLACK = 1e-6
 # at r ~ 1e-184), and skipping r errs by no more than the 1e-12 rad every
 # block's diagonal phases are held to (checks.PHASE_BLOCK_TOL).
 _ZZ_ROUNDOFF = 1e-12
+_DOMAIN = (1e-150, 1e150)  # the compile domain (module docstring), in a_ref
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = math.pi / 2.0
@@ -401,9 +411,8 @@ def _control_parking(theta, a, t, d12, delta2, sep):
 
     Each bound widens the cap by _SCREEN_SLACK, allows the rounding of the
     phases (``_phase_rounding``) and drops one row, so the scalar test alone
-    decides.  A detuning that overflows ends its side.  Past a t = 4.14e10
-    the rounding of Omega t outweighs a step and no bound could skip;
-    ``_compile_phase_block`` refuses such a block before this runs.
+    decides.  Past a t = 4.14e10 the rounding of Omega t outweighs a step and
+    no bound could skip; ``_compile_phase_block`` refuses such a block first.
     """
     shift = d12 / 4.0
     floor_abs = _PARKING_FLOOR * a
@@ -413,8 +422,6 @@ def _control_parking(theta, a, t, d12, delta2, sep):
         i = 0
         while i < rows:
             delta = (theta + _TWO_PI * (k0 + side * i)) / (2.0 * t) - shift
-            if not math.isfinite(delta + d12 / 2.0):
-                return None
             # the floor, both flips (qubit 2 in either state), the separation
             if (abs(delta) >= floor_abs
                     and _leakage(delta, a, t) <= _FLIP_CAP
@@ -441,22 +448,11 @@ def _full_cycle_parking(a, t, shift):
     cycle: Omega t = m pi gives zero flip probability and zero net z phase,
     independent of the drive.  Picks the smallest such m >= 1 above the floor."""
     om_min = math.hypot(_PARKING_FLOOR * a + 0.5 * a + abs(shift), a)
-    cycles = om_min * t / math.pi
-    if not math.isfinite(cycles):
-        raise CompilationError(
-            f"spectator parking overflows: its Rabi frequency {om_min:.3g} times the "
-            f"pulse duration {t:.3g} is not finite"
-        )
-    m = max(1, math.ceil(cycles))  # Omega t / pi can underflow to 0
+    m = max(1, math.ceil(om_min * t / math.pi))  # Omega t / pi can underflow to 0
     om = math.pi * m / t
     delta = math.sqrt(om * om - a * a) - shift
     if not math.isfinite(delta):
-        if math.isfinite(om_min * om_min):
-            raise CompilationError(f"pulse of duration {t:.3g} too short to park the spectator")
-        raise CompilationError(
-            f"spectator parking overflows: its Rabi frequency {om_min:.3g} squared is "
-            f"not finite (coupling shift {shift:.3g}, drive {a:.3g})"
-        )
+        raise CompilationError(f"pulse of duration {t:.3g} too short to park the spectator")
     return delta
 
 
@@ -512,11 +508,6 @@ def _compile_x_rotation(qubit, angle, device: DeviceParams, mode, owed):
     # The full cycle nulls a parked spectator's net z phase, so only the
     # driven qubit books surplus; an idle spectator (a_spec = 0) books it too.
     surplus = device.delta12 * t / 2.0
-    if not math.isfinite(surplus):
-        raise CompilationError(
-            f"coupling phase delta12 t / 2 overflows (delta12 {device.delta12:.3g}, "
-            f"pulse duration {t:.3g})"
-        )
     if qubit == 1 or a_spec == 0.0:
         owed["surplus_z1"] += surplus
     if qubit == 2 or a_spec == 0.0:
@@ -536,8 +527,7 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     The duration comes from the zz target: t = 2 r / |Delta_12| where r in
     (0, 2 pi] is the coupling-sign-reduced remaining zz angle; a remainder
     below _ZZ_ROUNDOFF, zero included, is promoted to a full 2 pi cycle so
-    pure-z blocks still have positive duration; a t that overflows raises a
-    CompilationError naming r and Delta_12.  Gated detunings solve the
+    pure-z blocks still have positive duration.  Gated detunings solve the
     accrual equations in closed form, Delta_i = theta_hat_i / (2 t) -
     Delta_12 / 4, where theta_hat_i = wrap(-pending_zi - surplus_zi) is the
     physical angle owed, coupling surplus included.  In always-on mode the
@@ -574,11 +564,6 @@ def _compile_phase_block(theta_zz, device: DeviceParams, mode, owed):
     if reduced < _ZZ_ROUNDOFF:
         reduced = _TWO_PI
     t = 2.0 * reduced / abs(d12)
-    if not math.isfinite(t):
-        raise CompilationError(
-            f"phase block duration 2 r / |delta12| overflows (zz remainder r {reduced:.3g}, "
-            f"delta12 {d12:.3g})"
-        )
     shift = d12 / 4.0
     delta1 = th1 / (2.0 * t) - shift
     delta2 = th2 / (2.0 * t) - shift
@@ -636,6 +621,11 @@ def _compile_steps(requests, device: DeviceParams, mode):
     """Yield each step of expanded (kind, qubit, angle) requests in time
     order, discharge and closing blocks included, as its (rows, content)
     pair.  An rz is booked in the ledger and its step is empty."""
+    lo, hi = _DOMAIN
+    for name, value in (("a1", device.q1.a), ("a2", device.q2.a), ("delta12", device.delta12)):
+        if value != 0.0 and not lo <= abs(value) <= hi:
+            raise CompilationError(f"{name} = {value!r} is outside the compile domain "
+                                   f"[{lo:g}, {hi:g}] of a nonzero drive or |delta12|")
     owed = dict.fromkeys(_STREAMS, 0.0)
     for kind, qubit, angle in requests:
         if kind == "rx":

@@ -377,33 +377,41 @@ def test_main_cnot(capsys):
     assert "amplitude" in out and "gate_distance" in out
 
 
+def outside_domain(field, value):
+    return (f"{field} = {value!r} is outside the compile domain [1e-150, 1e+150] of a nonzero "
+            f"drive or |delta12|")
+
+
 def parking_overflow(shift):
     return (f"spectator parking overflows: its Rabi frequency {shift} squared is not "
             f"finite (coupling shift {shift}, drive 1)")
 
 
-@pytest.mark.parametrize("ratio,mode,reason", [
-    # the coupling shift ratio / 4 squared overflows the spectator's parking
+@pytest.mark.parametrize("ratio,mode,overflow", [
+    # the coupling shift ratio / 4 squared overflowed the spectator's parking
     ("1e155", "always_on", parking_overflow("2.5e+154")),
     ("1e200", "always_on", parking_overflow("2.5e+199")),
     ("1e300", "always_on", parking_overflow("2.5e+299")),
     ("1e308", "always_on", parking_overflow("2.5e+307")),
-    # an x pulse's coupling phase delta12 t / 2 overflows
+    # an x pulse's coupling phase delta12 t / 2 overflowed
     ("1e308", "gated", "coupling phase delta12 t / 2 overflows (delta12 1e+308, "
                        "pulse duration 2.36)"),
 ])
-def test_main_cnot_names_an_overflowing_coupling(capsys, ratio, mode, reason):
+def test_main_cnot_names_an_overflowing_coupling(capsys, ratio, mode, overflow):
+    # each coupling used to reach the overflow guard that `overflow` quotes;
+    # the compile domain now refuses it before any step runs
     assert main(["cnot", "--ratio", ratio, "--mode", mode]) == 1
-    assert capsys.readouterr().err == f"error: ratio {float(ratio):g}, mode {mode}: {reason}\n"
+    assert capsys.readouterr().err == (
+        f"error: ratio {float(ratio):g}, mode {mode}: {outside_domain('delta12', float(ratio))}\n")
 
 
 @pytest.mark.parametrize("mode", ["gated", "always_on"])
 def test_main_cnot_names_an_overflowing_block_duration(capsys, mode):
-    # at ratio 1e-320 a zz block's duration 2 r / |delta12| is inf
+    # at ratio 1e-320 a zz block's duration 2 r / |delta12| used to be inf;
+    # the compile domain now refuses the coupling first
     assert main(["cnot", "--ratio", "1e-320", "--mode", mode]) == 1
     assert capsys.readouterr().err == (
-        f"error: ratio 9.99989e-321, mode {mode}: phase block duration 2 r / |delta12| "
-        f"overflows (zz remainder r 1.57, delta12 1e-320)\n")
+        f"error: ratio 9.99989e-321, mode {mode}: {outside_domain('delta12', 1e-320)}\n")
 
 
 def test_main_sweep_writes_identical_files(tmp_path):
@@ -462,12 +470,11 @@ def test_main_simulate_compile_failure_returns_1(tmp_path, capsys):
 
 
 def test_main_simulate_names_an_overflowing_spectator_cycle_count(tmp_path, capsys):
-    # a2 = 1e-308 stretches the x pulse to 5e307, past any countable cycle
+    # a2 = 1e-308 stretched the x pulse to 5e307, past any countable cycle;
+    # the compile domain now refuses the drive first
     path = write_config(tmp_path, "d12 = 0.5\na2 = 1e-308\nmode = always_on\ngates = rx2:1\n")
     assert main(["simulate", "--config", path]) == 1
-    assert capsys.readouterr().err == (
-        "error: spectator parking overflows: its Rabi frequency 10.7 times the pulse "
-        "duration 5e+307 is not finite\n")
+    assert capsys.readouterr().err == f"error: {outside_domain('a2', 1e-308)}\n"
 
 
 def test_main_simulate_names_an_overflowing_ledger(tmp_path, capsys):
@@ -479,13 +486,21 @@ def test_main_simulate_names_an_overflowing_ledger(tmp_path, capsys):
 
 def test_main_simulate_names_a_block_past_the_roundoff_limit(capsys):
     # a zz(1) block at d12 = 1e-307 lasts 2e307; qubit 1's parking walk used
-    # to overflow math.ceil into a traceback
+    # to overflow math.ceil into a traceback, and then the block was refused
+    # as resting on roundoff.  The compile domain now refuses the coupling.
     assert main(["simulate", "--d12", "1e-307", "--a2", "0", "--mode", "always-on",
                  "--gates", "zz:1"]) == 1
-    assert capsys.readouterr().err == (
-        "error: always-on parking of qubit 1 rests on roundoff: its drive 1 times the block "
-        "duration 2e+307 passes 4.14e+10 (|delta12| 1e-307 is below about 1e-10 times the "
-        "drive)\n")
+    assert capsys.readouterr().err == f"error: {outside_domain('delta12', 1e-307)}\n"
+
+
+@pytest.mark.parametrize("mode", ["gated", "always-on"])
+def test_main_simulate_refuses_a_coupling_past_the_compile_domain(capsys, mode):
+    # a zz(1e-11) block at d12 = 1e308 lasts 2e-319: its gated detunings
+    # overflowed into a segment row's bare ValueError, and qubit 2's bisection
+    # bracket into "math domain error"
+    assert main(["simulate", "--d12", "1e308", "--mode", mode,
+                 "--gates", "rz1:1, zz:1e-11"]) == 1
+    assert capsys.readouterr().err == f"error: {outside_domain('delta12', 1e308)}\n"
 
 
 # ---------------------------------------------------------------------------

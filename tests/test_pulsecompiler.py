@@ -43,6 +43,12 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 
+def outside_domain(field, value):
+    """The compile domain's refusal of one device field, as a regex."""
+    return re.escape(f"{field} = {value!r} is outside the compile domain [1e-150, 1e+150] "
+                     f"of a nonzero drive or |delta12|") + "$"
+
+
 def device(d12, a=1.0, d1=0.0, d2=0.0):
     return DeviceParams(
         q1=QubitParams(delta=d1, a=a),
@@ -342,14 +348,12 @@ def test_always_on_x_rotation_too_short_to_park_raises_compilation_error():
 
 
 def test_always_on_x_rotation_too_long_to_park_raises_compilation_error():
-    # With a2 = 1e-308 an x pulse on qubit 2 lasts 5e307, and the spectator's
-    # cycle count Omega t / pi overflows: a named CompilationError, not an
-    # OverflowError from rounding it up.
+    # With a2 = 1e-308 an x pulse on qubit 2 would last 5e307, and the
+    # spectator's cycle count Omega t / pi overflowed: the compile domain now
+    # refuses the drive by name before any step runs.
     dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 1e-308), 0.5)
-    with pytest.raises(CompilationError, match=re.escape(
-            "spectator parking overflows: its Rabi frequency 10.7 times the pulse "
-            "duration 5e+307 is not finite")):
-        x_rotation(2, 1.0, dev, "always_on", owing())
+    with pytest.raises(CompilationError, match=outside_domain("a2", 1e-308)):
+        compile_schedule([GateSpec("rx", 2, 1.0)], dev, "always_on")
 
 
 @pytest.mark.parametrize("mode", ["gated", "always_on"])
@@ -1128,13 +1132,12 @@ def test_always_on_block_past_the_roundoff_limit_is_refused_fast(d12, reason):
 
 
 def test_qubit_1_walk_ends_a_side_whose_detunings_overflow():
-    # at |Delta_12| = 1e308 a zz(1) block lasts 2e-308, so one row moves
-    # delta by pi / t ~ 1.6e308: each side overflows within a row or two,
-    # where the flip test would raise on sin(inf); the walk ends the side
-    # instead and reports its k cap, as the numpy screen did
+    # at |Delta_12| = 1e308 a zz(1) block would last 2e-308, so one row moves
+    # delta by pi / t ~ 1.6e308 and each side overflowed within a row or two;
+    # the compile domain now refuses the coupling before the walk runs
     dev = DeviceParams(QubitParams(0.0, 1.0), QubitParams(0.0, 0.0), 1e308)
-    with pytest.raises(CompilationError, match="^no admissible always-on parking for qubit 1"):
-        phase_block(1.0, dev, "always_on", owing())
+    with pytest.raises(CompilationError, match=outside_domain("delta12", 1e308)):
+        compile_schedule([GateSpec("zz", None, 1.0)], dev, "always_on")
 
 
 @pytest.mark.parametrize("dev", [
@@ -1166,7 +1169,10 @@ def test_devices_across_the_float_range_compile_or_are_refused_by_name():
     # ratios, 4 of these 1000 draws escaped as a bare ZeroDivisionError;
     # before a full cycle counted at least once and an x pulse of infinite
     # duration was refused, compiles escaped as "math domain error" or as
-    # a segment row's "duration must be a finite real number, got inf"
+    # a segment row's "duration must be a finite real number, got inf".
+    # Since the compile domain, a device with a nonzero drive or coupling
+    # outside [1e-150, 1e150] is refused by name before any step runs; the
+    # gate-list family below finds the escapes that CNOTs alone missed.
     rng = np.random.default_rng(8)
     for _ in range(1000):
         a1, a2, d12 = 10.0 ** rng.uniform(-320.0, 308.0, 3)
@@ -1183,6 +1189,90 @@ def test_devices_across_the_float_range_compile_or_are_refused_by_name():
                 propagate(schedule, KET_11)
             except ValueError as exc:
                 assert re.match(r"stack index \d+ \(schedule 0, segment \d+\): ", str(exc)), exc
+
+
+def random_gate(rng):
+    """One rx/ry/rz/zz/cnot request with an angle pi U(-1, 1) 10^U(-12, 0)."""
+    kind = ("rx", "ry", "rz", "zz", "cnot")[int(rng.integers(5))]
+    angle = float(math.pi * rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, 0.0))
+    qubit = int(rng.integers(1, 3))
+    if kind == "cnot":
+        return GateSpec("cnot")
+    return GateSpec(kind, None if kind == "zz" else qubit, angle)
+
+
+def test_gate_lists_across_the_float_range_compile_or_are_refused_by_name():
+    # the family above on lists of 1-4 random requests: tiny zz remainders,
+    # rz owed into a block and x pulses on either qubit reach derived
+    # quantities that a CNOT never does.  Before the compile domain, this
+    # seed escaped as a gated block's "delta1 must be a finite real number,
+    # got inf" and as an always-on "math domain error"
+    rng = np.random.default_rng(52)
+    for _ in range(1000):
+        a1, a2, d12 = 10.0 ** rng.uniform(-320.0, 308.0, 3)
+        d1, d2 = rng.uniform(-2.0, 2.0, 2)
+        sign = float(rng.choice([1.0, -1.0]))
+        dev = DeviceParams(QubitParams(float(d1), float(a1)),
+                           QubitParams(float(d2), float(a2)), sign * float(d12))
+        gates = [random_gate(rng) for _ in range(int(rng.integers(1, 5)))]
+        for mode in ("gated", "always_on"):
+            try:
+                schedule, _ = compile_schedule(gates, dev, mode)
+            except CompilationError:
+                continue
+            try:
+                propagate(schedule, KET_11)
+            except ValueError as exc:
+                assert re.match(r"stack index \d+ \(schedule 0, segment \d+\): ", str(exc)), exc
+
+
+@pytest.mark.parametrize("mode", ["gated", "always_on"])
+def test_a_coupling_past_the_compile_domain_is_refused_by_name(mode):
+    # a zz(1e-11) block at Delta_12 = 1e308 lasts 2e-319: its gated detunings
+    # overflowed into a segment row's bare ValueError, and qubit 2's bisection
+    # bracket into "math domain error"
+    dev = DeviceParams(QubitParams(0, 1), QubitParams(0, 1), 1e308)
+    with pytest.raises(CompilationError, match=outside_domain("delta12", 1e308)):
+        compile_schedule([GateSpec("rz", 1, 1.0), GateSpec("zz", None, 1e-11)], dev, mode)
+
+
+DOMAIN_GATES = [GateSpec("rx", 1, 1.0), GateSpec("rx", 2, 1.0), GateSpec("rz", 1, 0.5),
+                GateSpec("zz", None, 1.0)]
+
+
+def edge_device(field, value):
+    fields = {"a1": 1.0, "a2": 1.0, "delta12": 0.5, field: value}
+    return DeviceParams(QubitParams(0.0, fields["a1"]), QubitParams(0.0, fields["a2"]),
+                        fields["delta12"])
+
+
+@pytest.mark.parametrize("field, edge, outward", [
+    ("a1", 1e-150, 0.0), ("a1", 1e150, math.inf), ("a2", 1e-150, 0.0), ("a2", 1e150, math.inf),
+    ("delta12", 1e-150, 0.0), ("delta12", 1e150, math.inf),
+    ("delta12", -1e-150, 0.0), ("delta12", -1e150, -math.inf),
+])
+def test_compile_domain_holds_both_edges(field, edge, outward):
+    # on the edge the compile gets past the domain check: gated mode
+    # compiles, and always-on mode compiles or fails for its own reason
+    # (parking on roundoff, here); one float further out it is refused
+    assert compile_schedule(DOMAIN_GATES, edge_device(field, edge), "gated")[0].controls.size
+    try:
+        compile_schedule(DOMAIN_GATES, edge_device(field, edge), "always_on")
+    except CompilationError as exc:
+        assert "compile domain" not in str(exc)
+    beyond = float(np.nextafter(edge, outward))
+    for mode in ("gated", "always_on"):
+        with pytest.raises(CompilationError, match=outside_domain(field, beyond)):
+            compile_schedule(DOMAIN_GATES, edge_device(field, beyond), mode)
+
+
+@pytest.mark.parametrize("mode", ["gated", "always_on"])
+def test_zero_drive_and_zero_coupling_keep_their_own_refusals(mode):
+    # zero is inside the compile domain: each meets its step's refusal
+    with pytest.raises(CompilationError, match="^qubit 2 has no drive"):
+        compile_schedule(DOMAIN_GATES, edge_device("a2", 0.0), mode)
+    with pytest.raises(CompilationError, match="^coupling absent"):
+        compile_schedule(DOMAIN_GATES, edge_device("delta12", 0.0), mode)
 
 
 def test_qubit_1_parking_search_fails_within_its_candidate_cap(monkeypatch):
